@@ -15,11 +15,17 @@ The interval/point fragment is encoded on a totally ordered key space
 "exactly x", "just above x"; every boolean operation reduces to closed
 key-range algebra, so open/closed endpoint behavior is exact by construction.
 
-Normalization produces a canonical form: intervals sorted, disjoint and
+Normalization sorts and merges: intervals sorted, disjoint and
 non-adjacent; points sorted, deduplicated, never redundant with an interval
 or a cluster; clusters canonically based (geometric rules rebased to start
 index 1, child templates centered at 0) with pairwise disjoint hulls apart
 from a few provably-disjoint same-limit families that are admitted as-is.
+The normal form is unique only for the interval/point part: two RealSets
+without clusters are equal exactly when they describe the same set. A set
+with clusters can have several normal forms (a cluster limit at an interval
+end may be held by the closed interval end or by the cluster's
+include_limit flag), and which one normalization returns can depend on how
+the parts were written and grouped.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Optional, Union
 
 from .errors import (
@@ -72,18 +79,21 @@ def _key_pred(k: Key) -> Optional[Key]:
 
 
 Span = tuple[Key, Key]  # closed range in key space, start <= end
+_start = itemgetter(0)
 
 
 def _merge_spans(spans: list[Span]) -> list[Span]:
     """Sort and coalesce closed key-ranges, fusing adjacent ones."""
     if not spans:
         return []
-    spans = sorted(spans)
+    spans = sorted(spans, key=_start)  # ties fuse whatever their order
     out = [spans[0]]
     for s in spans[1:]:
         last = out[-1]
-        nxt = _key_succ(last[1])
-        if s[0] <= last[1] or (nxt is not None and s[0] <= nxt):
+        x, e = last[1]
+        # s overlaps or touches last iff its start is at most the key just
+        # after last's end; (x, 2) stands above every key at x
+        if s[0] <= (x, e + 1):
             if s[1] > last[1]:
                 out[-1] = (last[0], s[1])
         else:
@@ -107,10 +117,16 @@ def _span_intersect(a: list[Span], b: list[Span]) -> list[Span]:
 
 
 def _span_diff(a: list[Span], b: list[Span]) -> list[Span]:
+    """Key-ranges of a not covered by b; both sorted. One forward pass:
+    the start index into b only moves ahead, so the cost is O(|a| + |b|)."""
     out: list[Span] = []
+    j, nb = 0, len(b)
     for lo, hi in a:
+        while j < nb and b[j][1] < lo:
+            j += 1  # ends before this span, so before every later one too
         cur: Optional[Key] = lo
-        for blo, bhi in b:
+        for k in range(j, nb):
+            blo, bhi = b[k]
             if cur is None or blo > hi:
                 break
             if bhi < cur:
@@ -167,8 +183,10 @@ class Interval:
     hi_closed: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", Q(self.lo))
-        object.__setattr__(self, "hi", Q(self.hi))
+        if not isinstance(self.lo, Fraction):
+            object.__setattr__(self, "lo", Q(self.lo))
+        if not isinstance(self.hi, Fraction):
+            object.__setattr__(self, "hi", Q(self.hi))
         if self.lo > self.hi:
             raise BadParameters("interval endpoints out of order")
         if self.lo == self.hi and not (self.lo_closed and self.hi_closed):
@@ -744,8 +762,11 @@ class RealSet:
 
     def _spans(self) -> list[Span]:
         spans = [iv.span() for iv in self.intervals]
+        if not self.points:
+            return spans
         spans.extend(((p, 0), (p, 0)) for p in self.points)
-        return sorted(spans)
+        # disjoint, so the start keys alone order them
+        return sorted(spans, key=_start) if self.intervals else spans
 
 
 EMPTY = RealSet()
@@ -847,9 +868,12 @@ def _hulls_overlap(a: Cluster, b: Cluster) -> bool:
 
 def normalize(intervals: Iterable[Interval] = (), points: Iterable = (),
               clusters: Iterable[Cluster] = ()) -> RealSet:
-    """Canonical RealSet from raw parts describing their union."""
+    """Normal-form RealSet from raw parts describing their union."""
     spans: list[Span] = [iv.span() for iv in intervals]
-    spans.extend(((Q(p), 0), (Q(p), 0)) for p in points)
+    for p in points:
+        if not isinstance(p, Fraction):
+            p = Q(p)
+        spans.append(((p, 0), (p, 0)))
     spans = _merge_spans(spans)
 
     work = [_canonical_cluster(c) for c in clusters]
@@ -930,7 +954,20 @@ def realset(intervals=(), points=(), clusters=()) -> RealSet:
 # boolean operations
 
 
+def union_cluster_free(sets: Iterable[RealSet]) -> RealSet:
+    """Union of sets without clusters: one merge of their canonical span
+    lists, with no pass through normalize."""
+    spans: list[Span] = []
+    for h in sets:
+        if h.clusters:
+            raise BadParameters("union_cluster_free got a set with clusters")
+        spans.extend(h._spans())
+    return _from_spans_and_clusters(_merge_spans(spans), [])
+
+
 def set_union(a: RealSet, b: RealSet) -> RealSet:
+    if not a.clusters and not b.clusters:
+        return union_cluster_free((a, b))
     return normalize(a.intervals + b.intervals, a.points + b.points,
                      a.clusters + b.clusters)
 
@@ -1016,6 +1053,8 @@ def _cluster_cluster_diff(a: Cluster, b: Cluster):
 def set_diff(a: RealSet, b: RealSet) -> RealSet:
     b_spans = b._spans()
     spans = _span_diff(a._spans(), b_spans)
+    if not a.clusters and not b.clusters:
+        return _from_spans_and_clusters(spans, [])  # already canonical
     out_intervals: list[Interval] = []
     out_points: list[Fraction] = []
     for s in spans:
@@ -1130,6 +1169,8 @@ def set_intersect(a: RealSet, b: RealSet) -> RealSet:
     a_spans = a._spans()
     b_spans = b._spans()
     spans = _span_intersect(a_spans, b_spans)
+    if not a.clusters and not b.clusters:
+        return _from_spans_and_clusters(spans, [])  # already canonical
     out_clusters: list[Cluster] = []
     out_points: list[Fraction] = []
     for c in a.clusters:
@@ -1322,11 +1363,11 @@ def acc_bounds(h: RealSet) -> tuple[Fraction, Fraction]:
 
 
 def from_interval(lo, hi, lo_closed=True, hi_closed=True) -> RealSet:
-    return normalize([Interval(Q(lo), Q(hi), lo_closed, hi_closed)])
+    return normalize([Interval(lo, hi, lo_closed, hi_closed)])
 
 
 def from_points(*xs) -> RealSet:
-    return normalize((), [Q(x) for x in xs], ())
+    return normalize((), xs, ())
 
 
 def harmonic_cluster(limit, c=1, start=1, above=True, include_limit=False,

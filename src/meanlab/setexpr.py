@@ -43,6 +43,7 @@ from .exactset import (
     slice_ge,
     slice_le,
     translate,
+    union_cluster_free,
 )
 from .measure import fatten
 
@@ -133,6 +134,7 @@ _PUNCT = {"[": "LBRACK", "]": "RBRACK", "(": "LPAREN", ")": "RPAREN",
           "{": "LBRACE", "}": "RBRACE", ",": "COMMA", "/": "SLASH",
           "-": "MINUS", "=": "EQUALS", "\\": "DIFF", "&": "AMP",
           "∪": "UNION"}
+_DIGITS = frozenset("0123456789")  # str.isdigit() also takes '²' and '٣'
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -155,9 +157,9 @@ def _tokenize(text: str) -> list[_Token]:
             i += 1
             col += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             out.append(_Token("INT", text[i:j], i, line, col))
             col += j - i
@@ -380,7 +382,12 @@ def print_expr(e: SetExpr) -> str:
         return (f"seq(limit={format_rational(e.limit)}, rule={rule}, "
                 f"from={e.start}{opts})")
     if isinstance(e, BinaryOp):
-        return f"{print_expr(e.left)} {e.op} {print_expr(e.right)}"
+        # a loop down the left spine, so chains of any length print
+        tail: list[str] = []
+        while isinstance(e, BinaryOp):
+            tail.append(f" {e.op} {print_expr(e.right)}")
+            e = e.left
+        return print_expr(e) + "".join(reversed(tail))
     if isinstance(e, CallOp):
         return f"{e.name}({print_expr(e.arg)}, {format_rational(e.value)})"
     raise BadParameters(f"not a set expression: {e!r}")
@@ -402,12 +409,7 @@ def evaluate(e: SetExpr) -> RealSet:
             e.limit, c=e.c, q=e.q, start=e.start, above=not e.below,
             include_limit=e.with_limit)])
     if isinstance(e, BinaryOp):
-        lhs, rhs = evaluate(e.left), evaluate(e.right)
-        if e.op == "u":
-            return set_union(lhs, rhs)
-        if e.op == "\\":
-            return set_diff(lhs, rhs)
-        return set_intersect(lhs, rhs)
+        return _evaluate_chain(e)
     if isinstance(e, CallOp):
         h = evaluate(e.arg)
         if e.name == "translate":
@@ -422,6 +424,47 @@ def evaluate(e: SetExpr) -> RealSet:
             return slice_le(h, e.value)
         return slice_ge(h, e.value)
     raise BadParameters(f"not a set expression: {e!r}")
+
+
+def _apply_run(acc: RealSet, op: str, run: list[RealSet]) -> RealSet:
+    """acc op run[0] op run[1] ... for cluster-free sets, with one merge."""
+    if not run:
+        return acc
+    if op == "u":
+        return union_cluster_free([acc, *run])
+    return set_diff(acc, union_cluster_free(run))
+
+
+def _evaluate_chain(e: BinaryOp) -> RealSet:
+    """Left fold of a chain ``t0 op1 t1 op2 ... opk tk``, walked in a loop.
+
+    A run of consecutive ``u`` operands, or of consecutive ``\\`` operands,
+    is united once and applied once while the operands and the accumulator
+    have no clusters (``A \\ b1 \\ b2 = A \\ (b1 u b2)``). ``&`` and every
+    step with a cluster stay pairwise: with clusters the normal form depends
+    on grouping. Operations on cluster-free sets cannot fail, so holding
+    them back keeps the errors of the pairwise fold.
+    """
+    steps: list[tuple[str, SetExpr]] = []
+    while isinstance(e, BinaryOp):
+        steps.append((e.op, e.right))
+        e = e.left
+    acc = evaluate(e)
+    run_op, run = "", []  # cluster-free operands of run_op, not yet applied
+    for op, node in reversed(steps):
+        rhs = evaluate(node)
+        if run and (op != run_op or rhs.clusters):
+            acc, run = _apply_run(acc, run_op, run), []
+        if op != "&" and not acc.clusters and not rhs.clusters:
+            run_op = op
+            run.append(rhs)
+        elif op == "u":
+            acc = set_union(acc, rhs)
+        elif op == "\\":
+            acc = set_diff(acc, rhs)
+        else:
+            acc = set_intersect(acc, rhs)
+    return _apply_run(acc, run_op, run)
 
 
 def set_to_expr(h: RealSet) -> SetExpr:

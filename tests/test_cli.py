@@ -154,6 +154,16 @@ def test_accpoints_prints_an_expression(capsys):
     assert out == "[0,1]\n"
 
 
+def test_accpoints_prints_a_long_chain(capsys):
+    pts = ",".join(str(2 * i) for i in range(1100))
+    code, out, err = run_cli(capsys, ["accpoints", "--json", "--mean", "avg1",
+                                      "--set", f"fatten({{{pts}}}, 1/2)"])
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["set"].startswith("[-1/2,1/2] u [3/2,5/2] u ")
+    assert payload["set"].count(" u ") == 1099
+
+
 def test_bounds_prints_both_ends(capsys):
     code, out, _ = run_cli(capsys, ["bounds", "--mean", "avg1", "--set",
                                     "{0} u [2,3] u {9}"])
@@ -225,6 +235,15 @@ def test_parse_errors_exit_two_with_location(capsys):
     assert payload["code"] == "parse_error"
     assert payload["line"] == 1
     assert payload["column"] == 5
+
+
+def test_non_ascii_digits_are_a_parse_error(capsys):
+    code, out, err = run_cli(capsys, ["eval", "--json", "--mean", "avg1",
+                                      "--set", "{1²}"])
+    assert code == 2 and out == ""
+    payload = error_payload(err)
+    assert payload["code"] == "parse_error"
+    assert payload["column"] == 3
 
 
 def test_engine_errors_exit_one(capsys):

@@ -31,6 +31,7 @@ from meanlab.exactset import (
     interior,
     intersects_interval,
     level,
+    normalize,
     realset,
     reflect,
     scale,
@@ -41,6 +42,7 @@ from meanlab.exactset import (
     slice_le,
     subset_of,
     translate,
+    union_cluster_free,
 )
 
 
@@ -163,6 +165,24 @@ def test_boolean_laws_pointwise(a, b):
         assert u.member(x) == (ma or mb)
         assert d.member(x) == (ma and not mb)
         assert i.member(x) == (ma and mb)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_interval_sets(), _interval_sets(), _interval_sets())
+def test_cluster_free_algebra_returns_the_normal_form(a, b, c):
+    # these results skip normalize; they must equal what it would return
+    for h in (set_union(a, b), set_diff(a, b), set_intersect(a, b),
+              union_cluster_free([a, b, c])):
+        assert h == normalize(h.intervals, h.points)
+    assert union_cluster_free([a, b, c]) == set_union(set_union(a, b), c)
+    assert set_diff(set_diff(a, b), c) == \
+        set_diff(a, union_cluster_free([b, c]))
+
+
+def test_union_cluster_free_rejects_clusters():
+    h = realset(clusters=[harmonic_cluster(Q(0))])
+    with pytest.raises(BadParameters):
+        union_cluster_free([from_points(Q(1)), h])
 
 
 def test_boolean_laws_with_clusters():

@@ -7,11 +7,17 @@ from fractions import Fraction as Q
 import pytest
 from conftest import random_mixed_set
 
-from meanlab.errors import BadParameters, ParseError, UnrepresentableResult
+from meanlab.errors import (
+    BadParameters,
+    MeanlabError,
+    ParseError,
+    UnrepresentableResult,
+)
 from meanlab.exactset import (
     from_interval,
     from_points,
     harmonic_cluster,
+    normalize,
     realset,
     set_diff,
     set_intersect,
@@ -20,7 +26,7 @@ from meanlab.exactset import (
     translate,
 )
 from meanlab.funcs import SQUARE
-from meanlab.means import image_set
+from meanlab.means import amean, image_set
 from meanlab.measure import fatten
 from meanlab.setexpr import (
     BinaryOp,
@@ -105,6 +111,7 @@ def test_operators_share_one_level_and_associate_left():
     ("wibble(0,1)", 1, 1, "interval"),
     ("[0,1] ] ", 1, 7, "end of input"),
     ("", 1, 1, "interval"),
+    ("{1²}", 1, 3, "set expression"),  # integers are ASCII digits only
 ])
 def test_parse_errors_carry_location_and_expectations(text, line, col,
                                                       expected_hint):
@@ -234,3 +241,79 @@ def test_evaluate_propagates_engine_errors():
 def test_evaluate_normalizes():
     h = evaluate(parse("[0,1] u [1,2] u {3/2}"))
     assert h == from_interval(Q(0), Q(2))
+
+
+def _union_by_normalize(a, b):
+    return normalize(a.intervals + b.intervals, a.points + b.points,
+                     a.clusters + b.clusters)
+
+
+_PAIRWISE_OPS = {"u": _union_by_normalize, "\\": set_diff,
+                 "&": set_intersect}
+
+
+def _pairwise_evaluate(e):
+    """Reference fold: recursive, one set operation per operator, and
+    every union through normalize."""
+    if isinstance(e, BinaryOp):
+        lhs, rhs = _pairwise_evaluate(e.left), _pairwise_evaluate(e.right)
+        return _PAIRWISE_OPS[e.op](lhs, rhs)
+    return evaluate(e)
+
+
+def _outcome(fn, e):
+    try:
+        return repr(fn(e))
+    except MeanlabError as exc:
+        return exc.code
+
+
+def _chain_term(rng):
+    kind = rng.choices(("interval", "points", "harmonic", "geometric"),
+                       weights=(5, 4, 1, 1))[0]
+    if kind == "interval":
+        a = Q(rng.randint(-48, 48), rng.choice((1, 2, 4)))
+        b = a + Q(rng.randint(0, 24), rng.choice((1, 2, 4)))
+        closed = (True, True) if a == b else \
+            (rng.random() < 0.6, rng.random() < 0.6)
+        return IntervalLit(a, b, *closed)
+    if kind == "points":
+        return PointsLit(tuple(Q(rng.randint(-96, 96), rng.choice((1, 2, 4)))
+                               for _ in range(rng.randint(1, 5))))
+    limit = Q(rng.randint(-12, 12))
+    start = rng.randint(1, 4)
+    below, with_limit = rng.random() < 0.3, rng.random() < 0.4
+    if kind == "harmonic":
+        return SeqLit(limit, "harmonic", Q(1, rng.choice((1, 2, 4))), None,
+                      start, below, with_limit)
+    return SeqLit(limit, "geometric", Q(1, rng.choice((1, 2, 8))),
+                  Q(1, rng.choice((2, 3))), start, below, with_limit)
+
+
+def _random_chain(rng):
+    expr = _chain_term(rng)
+    op = rng.choice(("u", "\\", "&"))
+    for _ in range(rng.randint(1, 12)):
+        if rng.random() < 0.4:  # keep runs of one operator common
+            op = rng.choices(("u", "\\", "&"), weights=(5, 3, 2))[0]
+        expr = BinaryOp(op, expr, _chain_term(rng))
+    return expr
+
+
+def test_chain_evaluation_matches_pairwise_fold():
+    rng = random.Random(20261018)
+    kinds = set()
+    for _ in range(400):
+        e = _random_chain(rng)
+        expected = _outcome(_pairwise_evaluate, e)
+        assert _outcome(evaluate, e) == expected, print_expr(e)
+        kinds.add("set" if expected.startswith("RealSet") else expected)
+    # the corpus reaches both answers and engine errors
+    assert "set" in kinds and len(kinds) > 1
+
+
+def test_long_union_chain_evaluates():
+    text = " u ".join("{%d}" % i for i in range(1100))
+    h = evaluate(parse(text))
+    assert h == from_points(*range(1100))
+    assert amean(h) == Q(1099, 2)
