@@ -19,6 +19,7 @@ JSON payload on stderr (exit 2 for parse/usage errors, 1 otherwise).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -446,8 +447,19 @@ def _make_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused for the process.
+
+    ``parse_args`` returns a fresh namespace each call and no argument has
+    a mutable default, so reusing the parser cannot carry state between
+    calls.
+    """
+    return _make_parser()
+
+
 def main(argv=None) -> int:
-    args = _make_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except ParseError as exc:

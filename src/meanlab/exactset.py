@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, Optional, Union
@@ -375,9 +376,13 @@ class Cluster:
             return self.term(k) - self.window(k)
         return self.term(k)
 
+    @cached_property
     def hull(self) -> tuple[Key, Key]:
         """Conservative key-range containing every element except the limit
-        point, staying strictly on the cluster's side of the limit."""
+        point, staying strictly on the cluster's side of the limit.
+
+        Computed once per instance and kept in its ``__dict__``, which the
+        dataclass's ``==``, ``hash`` and ``repr`` never look at."""
         if self.above:
             return ((self.limit, 1),
                     (self.term(self.start) + self.window(self.start), 0))
@@ -425,7 +430,13 @@ def make_cluster(limit, above: bool, rule: Rule, start: int = 1,
 
 
 def _canonical_cluster(cl: Cluster) -> Cluster:
-    """Re-run the canonicalizing constructor on a raw Cluster object."""
+    """Re-run the canonicalizing constructor on a raw Cluster object.
+
+    A cluster the constructor would rebuild unchanged comes back as itself,
+    so what it has cached (its hull) survives normalization."""
+    if (not cl.children and isinstance(cl.limit, Fraction) and cl.start >= 1
+            and not (isinstance(cl.rule, Geometric) and cl.start != 1)):
+        return cl
     return make_cluster(cl.limit, cl.above, cl.rule, cl.start, cl.include_limit,
                         [(b.lo, b.hi, b.template) for b in cl.children])
 
@@ -575,16 +586,15 @@ def _cluster_minus_spans(cl: Cluster, spans: list[Span]):
     Raises UnrepresentableResult when the remainder would need more than
     MATERIALIZE_CAP explicit components.
     """
+    include = cl.include_limit and not _span_contains(spans, cl.limit)
+    hull_lo, hull_hi = cl.hull
+    relevant = _span_intersect(spans, [(hull_lo, hull_hi)])
+    if not relevant:
+        return [_with_include(cl, include)], []
     if not cl.above:
         rcl = _cluster_reflect(cl)
         rclusters, rpoints = _cluster_minus_spans(rcl, _reflect_spans(spans))
         return [_cluster_reflect(c) for c in rclusters], [-p for p in rpoints]
-
-    include = cl.include_limit and not _span_contains(spans, cl.limit)
-    hull_lo, hull_hi = cl.hull()
-    relevant = _span_intersect(spans, [(hull_lo, hull_hi)])
-    if not relevant:
-        return [_with_include(cl, include)], []
 
     covered: list[tuple[int, Optional[int]]] = []
     for u, v in relevant:
@@ -861,8 +871,8 @@ def _merge_same_side_clusters(a: Cluster, b: Cluster) -> Optional[Cluster]:
 
 
 def _hulls_overlap(a: Cluster, b: Cluster) -> bool:
-    alo, ahi = a.hull()
-    blo, bhi = b.hull()
+    alo, ahi = a.hull
+    blo, bhi = b.hull
     return alo <= bhi and blo <= ahi
 
 
@@ -1106,7 +1116,7 @@ def _complement_spans(spans: list[Span], lo: Key, hi: Key) -> list[Span]:
 
 
 def _cluster_intersect_spans(cl: Cluster, spans: list[Span]):
-    lo, hi = cl.hull()
+    lo, hi = cl.hull
     if cl.include_limit:
         lo = min(lo, (cl.limit, 0))
         hi = max(hi, (cl.limit, 0))

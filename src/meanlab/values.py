@@ -142,11 +142,13 @@ def _iroot_exact(n: int, k: int) -> int | None:
         return None
     if n in (0, 1):
         return n
-    r = round(n ** (1.0 / k))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand ** k == n:
-            return cand
-    # float seed can be off for huge n; fall back to bit-length bisection
+    if n.bit_length() < 1024:  # n converts to a float without overflow
+        r = round(n ** (1.0 / k))
+        for cand in (r - 1, r, r + 1):
+            if cand >= 0 and cand ** k == n:
+                return cand
+    # the float seed can be off for large n, and beyond the float range
+    # there is none; fall back to bit-length bisection
     lo, hi = 1, 1 << (n.bit_length() // k + 1)
     while lo <= hi:
         mid = (lo + hi) // 2

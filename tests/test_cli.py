@@ -2,10 +2,15 @@
 
 import io
 import json
+import os
+import subprocess
 import sys
+from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
+import meanlab
 from meanlab.cli import main
 
 
@@ -64,6 +69,18 @@ def test_eval_density_flag(capsys):
                                     "0,1,2;1,3,1", "--set", "[0,1]"])
     assert code == 0
     assert out == "0.5 (exact 1/2)\n"
+
+
+def test_eval_radicand_beyond_the_float_range(capsys):
+    lo, hi = 10 ** 200, 10 ** 201 + 1
+    code, out, err = run_cli(capsys, ["eval", "--json", "--mean", "avg_f",
+                                      "--f", "square", "--set",
+                                      f"[{lo}, {hi}]"])
+    assert code == 0 and err == ""
+    root = json.loads(out)["values"]["H"]["root"]
+    assert root["degree"] == 2
+    assert Q(root["radicand"]["num"], root["radicand"]["den"]) == \
+        Q(lo * lo + lo * hi + hi * hi, 3)
 
 
 def test_eval_reads_stdin(capsys, monkeypatch):
@@ -261,3 +278,40 @@ def test_usage_errors_exit_two(capsys):
         main(["eval", "--set", "{0}"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+# ---------------------------------------------------- one parser, many calls
+
+
+def test_reused_parser_carries_nothing_between_calls(capsys):
+    plain = ["eval", "--mean", "avg1", "--set", "[0,1]"]
+    code, out, _ = run_cli(capsys, [*plain, "--set2", "[2,3]"])
+    assert code == 0 and out.startswith("H1: ")
+    assert run_cli(capsys, plain) == (0, "0.5 (exact 1/2)\n", "")
+
+    code, out, _ = run_cli(capsys, ["eval", "--mean", "avg1", "--f",
+                                    "exp(2)", "--set", "[0,1]"])
+    assert code == 0 and "±" in out
+    assert run_cli(capsys, plain) == (0, "0.5 (exact 1/2)\n", "")
+
+    code, out, _ = run_cli(capsys, ["eval", "--mean", "m_mu", "--density",
+                                    "0,1,2;1,3,1", "--set", "[0,1]"])
+    assert (code, out) == (0, "0.5 (exact 1/2)\n")
+    code, _, err = run_cli(capsys, ["eval", "--mean", "m_mu", "--set",
+                                    "[0,1]"])
+    assert code == 1 and error_payload(err)["code"] == "bad_parameters"
+
+
+def test_call_after_a_usage_error_prints_as_in_a_fresh_process(capsys):
+    argv = ["eval", "--json", "--mean", "avg1", "--set", "[0,1] u [3,4]"]
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(meanlab.__file__).resolve().parents[1]))
+    fresh = subprocess.run([sys.executable, "-m", "meanlab.cli", *argv],
+                           capture_output=True, text=True, env=env,
+                           timeout=60)
+    assert fresh.returncode == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--set", "{0}"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run_cli(capsys, argv) == (0, fresh.stdout, fresh.stderr)
