@@ -30,6 +30,7 @@ from fractions import Fraction as Q
 from pathlib import Path
 
 from meanlab.cli import main
+from meanlab.setexpr import format_rational as _q
 
 CORPUS = Path(__file__).resolve().parent.parent / "tests" / "data" / "cli_golden.json"
 
@@ -52,10 +53,6 @@ CLUSTERS = ((H_ABOVE, 0), (H_ABOVE_L, 0), (H_BELOW, 2), (H_BELOW_L, 2),
 
 INTERVALS = "[0,1] u [3,4]"
 MIXED = "{-1} u [0,1/2) u (1,2]"
-
-
-def _q(x: Q) -> str:
-    return f"{x.numerator}/{x.denominator}"
 
 
 def _cases() -> list[list[str]]:
