@@ -2,9 +2,11 @@
 """Golden corpus of ``meanlab`` CLI calls: argv -> exit code, stdout, stderr.
 
 ``tests/data/cli_golden.json`` pins the exact text the CLI prints for about
-eighty commands: every subcommand, every catalogue mean, harmonic and
+150 commands: every subcommand, every catalogue mean, harmonic and
 geometric clusters on both sides with and without their limit, ``--set2``,
-parse errors, engine errors and argparse usage errors. The commands run in
+parse errors (with their line and column in multi-line text and around
+tabs, CRLF, NBSP and non-ASCII characters), engine errors and argparse
+usage errors. The commands run in
 order in one process, as ``tests/test_cli_golden.py`` replays them, so the
 corpus also covers a parser reused across calls.
 
@@ -160,6 +162,43 @@ def _cases() -> list[list[str]]:
         ["eval", "--mean", "avg1", "--set",
          "seq(limit=0, rule=harmonic(1), from=1) u "
          "seq(limit=1/8, rule=harmonic(1), from=1)"],
+    ]
+
+    # where a parse error is reported: lines start only at "\n", every
+    # code point is one column, and any Unicode whitespace separates
+    # tokens (tab, CR, NBSP, U+2028)
+    cases += [["eval", "--json", "--mean", "avg1", "--set", s] for s in (
+        "[0,1] u\n[2,3] u\nwibble(1)",
+        "{0,1}\n  u [2,3\n",
+        "   \n\t ",
+        "[0,1]\tu\t(2,3]\t&\t{1,}",
+        "[0,1] u\r\n[2,3] u\r\n{1,,2}",
+        "[0,1]\u00a0u\u00a0{2}\u00a0\\\u00a0wibble",
+        "[0,1]\u2028u {2} # {3}",
+        "{1²}",
+        "{x٣} u {٣}",
+        "[0,½]",
+        "[0,1] u 😀 u {2}",
+        "{é}",
+        "[1/0, 2]",
+        "{3/00}",
+        "[1-2, 3]",
+        "{1/-2}",
+        "{--1}",
+        "[0,1] [2,3]",
+        "{1} u {2}}",
+        "wibble([0,1], 2)",
+        "translate([0,1], 1/2",
+        "seq(limit=0, rule=harmonic(1), from=1, side=above)",
+        "seq(limit=0, rule=harmonic(1), from=1, bogus)",
+        "seq(limit=0, rule=geometric(1), from=1)",
+        "seq(limit=0, rule=harmonic(1), from=1/2)",
+        "",
+    )]
+    # whitespace of every kind between tokens, and an answer
+    cases += [
+        ["eval", "--mean", "avg1", "--set",
+         "[0,\t1]\r\n u\u00a0[3,\u20284]\n"],
     ]
 
     # argparse usage errors (SystemExit 2), then a valid call
