@@ -806,8 +806,10 @@ def _from_spans_and_clusters(spans: list[Span], clusters: list[Cluster]) -> Real
             points.append(obj)
         else:
             intervals.append(obj)
-    clusters = sorted(clusters, key=lambda c: (c.inf(), c.sup(), not c.above,
-                                               repr(c.rule)))
+    if len(clusters) > 1:  # the key redoes each cluster's term arithmetic
+        clusters = sorted(clusters, key=lambda c: (c.inf(), c.sup(),
+                                                   not c.above,
+                                                   repr(c.rule)))
     clusters = _dedup_limit_flags(clusters)
     return RealSet(tuple(intervals), tuple(points), tuple(clusters))
 

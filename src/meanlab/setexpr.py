@@ -17,15 +17,30 @@ Grammar (whitespace-insensitive, rationals only):
 The binary operators (union, difference, intersection) share one precedence
 level and associate to the left. Parsing produces a tree with source
 positions; printing produces canonical text that reparses to an equal tree.
+
+Any Unicode whitespace (``str.isspace``) separates tokens. For error
+locations only ``\\n`` starts a new line, and columns count code points.
+``int`` is ASCII digits, at most ``sys.get_int_max_str_digits()`` of them;
+a longer literal is a ParseError at its position. Nesting deeper than the
+interpreter's recursion limit allows raises UnsupportedDepth from
+``parse``, ``print_expr`` and ``evaluate``.
 """
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional, Union
 
-from .errors import BadParameters, ParseError, UnrepresentableResult
+from .errors import (
+    BadParameters,
+    ParseError,
+    UnrepresentableResult,
+    UnsupportedDepth,
+)
 from .exactset import (
     Geometric,
     Harmonic,
@@ -114,73 +129,60 @@ SetExpr = Union[IntervalLit, PointsLit, SeqLit, BinaryOp, CallOp]
 
 _CALL_NAMES = ("translate", "scale", "reflect", "fatten",
                "slice_le", "slice_ge")
-_UNION_WORDS = ("u", "∪")
 
 
 # --------------------------------------------------------------------------
-# tokenizer
+# scanner
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # punct kinds, INT, IDENT, END
-    text: str
-    pos: int
-    line: int
-    col: int
+# A token is an ASCII integer, a word, or any other single character.
+# ``split`` returns the whitespace between tokens as well, so token starts
+# are running sums of piece lengths. ``\s`` and ``\w`` are exactly
+# ``str.isspace`` and ``str.isalnum`` (or '_').
+_TOKEN = re.compile(r"([0-9]+|\w+|\S)")
+# a token's kind, from its first character: the punctuation itself, INT,
+# END (the empty text after the last token), and IDENT for everything else
+_KINDS = {**{c: c for c in "[](){},/-=\\&∪"},
+          **{d: "INT" for d in "0123456789"}, "": "END"}
+_OPS = {"u": "u", "∪": "u", "\\": "\\", "&": "&"}
 
 
-_PUNCT = {"[": "LBRACK", "]": "RBRACK", "(": "LPAREN", ")": "RPAREN",
-          "{": "LBRACE", "}": "RBRACE", ",": "COMMA", "/": "SLASH",
-          "-": "MINUS", "=": "EQUALS", "\\": "DIFF", "&": "AMP",
-          "∪": "UNION"}
-_DIGITS = frozenset("0123456789")  # str.isdigit() also takes '²' and '٣'
+def _error(text: str, message: str, pos: int,
+           expected: tuple[str, ...]) -> ParseError:
+    """A ParseError at ``pos``; only '\\n' starts a line and every code
+    point is one column."""
+    return ParseError(message, pos, line=text.count("\n", 0, pos) + 1,
+                      column=pos - text.rfind("\n", 0, pos),
+                      expected=expected)
 
 
-def _tokenize(text: str) -> list[_Token]:
-    out: list[_Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if ch in _PUNCT:
-            out.append(_Token(_PUNCT[ch], ch, i, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch in _DIGITS:
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            out.append(_Token("INT", text[i:j], i, line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            if word in _UNION_WORDS:
-                out.append(_Token("UNION", word, i, line, col))
-            else:
-                out.append(_Token("IDENT", word, i, line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i, line=line,
-                         column=col, expected=("set expression",))
-    out.append(_Token("END", "", n, line, col))
-    return out
+def _scan(text: str) -> tuple[list[str], list[str], list[int]]:
+    """Parallel lists of token kinds, texts and start positions, ending
+    with an END token at ``len(text)``.
+
+    Characters outside the grammar are not looked for here: the parser
+    accepts only the words and punctuation it names, so they surface as a
+    parse error, and ``_unexpected`` then reports the first of them.
+    """
+    pieces = _TOKEN.split(text)  # whitespace, token, ..., token, whitespace
+    texts = pieces[1::2]
+    texts.append("")
+    starts = list(accumulate(map(len, pieces)))[::2]
+    kinds = [_KINDS.get(t[:1], "IDENT") for t in texts]
+    return kinds, texts, starts
+
+
+def _unexpected(text: str, texts: list[str],
+                starts: list[int]) -> Optional[ParseError]:
+    """The error for the first character outside the grammar: a character
+    that is not whitespace, punctuation or alphanumeric, or a word that
+    starts with a digit or number sign that is not ASCII, such as '²'."""
+    for t, pos in zip(texts[:-1], starts):  # the END token has no text
+        c = t[0]
+        if c not in _KINDS and not (c.isalpha() or c == "_"):
+            return _error(text, f"unexpected character {c!r}", pos,
+                          ("set expression",))
+    return None
 
 
 # --------------------------------------------------------------------------
@@ -188,172 +190,194 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
+    """Recursive descent over the scanner's lists; ``i`` indexes the next
+    token. A call nested in a call costs one Python frame per level."""
+
     def __init__(self, text: str):
         self.text = text
-        self.toks = _tokenize(text)
+        self.kinds, self.texts, self.starts = _scan(text)
         self.i = 0
 
-    def peek(self) -> _Token:
-        return self.toks[self.i]
-
-    def advance(self) -> _Token:
-        t = self.toks[self.i]
-        self.i += 1
-        return t
-
     def fail(self, message: str, expected: tuple[str, ...]) -> ParseError:
-        t = self.peek()
-        shown = t.text if t.kind != "END" else "end of input"
-        return ParseError(f"{message}, found {shown!r}", t.pos, line=t.line,
-                          column=t.col, expected=expected)
+        i = self.i
+        shown = self.texts[i] if self.kinds[i] != "END" else "end of input"
+        return _error(self.text, f"{message}, found {shown!r}",
+                      self.starts[i], expected)
 
-    def expect(self, kind: str, what: str) -> _Token:
-        if self.peek().kind != kind:
+    def expect(self, kind: str, what: str) -> None:
+        if self.kinds[self.i] != kind:
             raise self.fail(f"expected {what}", (what,))
-        return self.advance()
+        self.i += 1
 
-    def expect_word(self, word: str) -> _Token:
-        t = self.peek()
-        if t.kind != "IDENT" or t.text != word:
+    def expect_word(self, word: str) -> None:
+        if self.texts[self.i] != word:
             raise self.fail(f"expected {word!r}", (word,))
-        return self.advance()
+        self.i += 1
 
     # rationals and integers
 
+    def integer(self, what: str) -> int:
+        """The unsigned integer at ``i``; ``what`` names it in errors."""
+        if self.kinds[self.i] != "INT":
+            raise self.fail(f"expected {what}", (what,))
+        try:
+            v = int(self.texts[self.i])
+        except ValueError:  # longer than the interpreter's int-string limit
+            limit = sys.get_int_max_str_digits()
+            raise _error(self.text,
+                         f"integer literal longer than {limit} digits",
+                         self.starts[self.i],
+                         (f"{what} of at most {limit} digits",)) from None
+        self.i += 1
+        return v
+
     def parse_int(self) -> int:
-        neg = False
-        if self.peek().kind == "MINUS":
-            self.advance()
-            neg = True
-        t = self.expect("INT", "integer")
-        v = int(t.text)
+        neg = self.kinds[self.i] == "-"
+        if neg:
+            self.i += 1
+        v = self.integer("integer")
         return -v if neg else v
 
     def parse_rat(self) -> Fraction:
-        start = self.peek()
-        if start.kind not in ("MINUS", "INT"):
+        kind = self.kinds[self.i]
+        if kind != "INT" and kind != "-":
             raise self.fail("expected rational", ("rational",))
         num = self.parse_int()
-        if self.peek().kind == "SLASH":
-            self.advance()
-            dtok = self.expect("INT", "denominator")
-            den = int(dtok.text)
-            if den == 0:
-                raise ParseError("zero denominator", dtok.pos,
-                                 line=dtok.line, column=dtok.col,
-                                 expected=("nonzero integer",))
-            return Q(num, den)
-        return Q(num)
+        if self.kinds[self.i] != "/":
+            return Q(num)
+        self.i += 1
+        den = self.integer("denominator")
+        if den == 0:
+            raise _error(self.text, "zero denominator",
+                         self.starts[self.i - 1], ("nonzero integer",))
+        return Q(num, den)
 
     # productions
 
     def parse_set(self) -> SetExpr:
-        left = self.parse_term()
-        while self.peek().kind in ("UNION", "DIFF", "AMP"):
-            t = self.advance()
-            op = {"UNION": "u", "DIFF": "\\", "AMP": "&"}[t.kind]
-            right = self.parse_term()
-            left = BinaryOp(op, left, right, pos=t.pos)
-        return left
-
-    def parse_term(self) -> SetExpr:
-        t = self.peek()
-        if t.kind in ("LBRACK", "LPAREN"):
-            return self.parse_interval()
-        if t.kind == "LBRACE":
-            return self.parse_points()
-        if t.kind == "IDENT" and t.text == "seq":
-            return self.parse_seq()
-        if t.kind == "IDENT" and t.text in _CALL_NAMES:
-            return self.parse_call()
-        raise self.fail("expected a set term",
-                        ("interval", "points", "seq(...)",
-                         "transform call"))
+        """``term (op term)*``, with the term productions dispatched here
+        and a call's argument parsed by recursion."""
+        kinds, texts, starts = self.kinds, self.texts, self.starts
+        left: Optional[SetExpr] = None
+        op, op_pos = "", 0
+        while True:
+            i = self.i
+            kind = kinds[i]
+            if kind == "[" or kind == "(":
+                node = self.parse_interval()
+            elif kind == "{":
+                node = self.parse_points()
+            elif texts[i] == "seq":
+                node = self.parse_seq()
+            elif texts[i] in _CALL_NAMES:
+                self.i = i + 1
+                self.expect("(", "'('")
+                arg = self.parse_set()
+                self.expect(",", "','")
+                value = self.parse_rat()
+                self.expect(")", "')'")
+                node = CallOp(texts[i], arg, value, pos=starts[i])
+            else:
+                raise self.fail("expected a set term",
+                                ("interval", "points", "seq(...)",
+                                 "transform call"))
+            left = node if left is None else \
+                BinaryOp(op, left, node, pos=op_pos)
+            op = _OPS.get(texts[self.i], "")
+            if not op:
+                return left
+            op_pos = starts[self.i]
+            self.i += 1
 
     def parse_interval(self) -> IntervalLit:
-        t = self.advance()
-        closed_lo = t.kind == "LBRACK"
+        start = self.i
+        self.i += 1
         lo = self.parse_rat()
-        self.expect("COMMA", "','")
+        self.expect(",", "','")
         hi = self.parse_rat()
-        end = self.peek()
-        if end.kind not in ("RBRACK", "RPAREN"):
+        end = self.kinds[self.i]
+        if end != "]" and end != ")":
             raise self.fail("expected interval close", ("']'", "')'"))
-        self.advance()
-        return IntervalLit(lo, hi, closed_lo, end.kind == "RBRACK",
-                           pos=t.pos)
+        self.i += 1
+        return IntervalLit(lo, hi, self.kinds[start] == "[", end == "]",
+                           pos=self.starts[start])
 
     def parse_points(self) -> PointsLit:
-        t = self.expect("LBRACE", "'{'")
+        start = self.i
+        self.i += 1
         pts = [self.parse_rat()]
-        while self.peek().kind == "COMMA":
-            self.advance()
+        while self.kinds[self.i] == ",":
+            self.i += 1
             pts.append(self.parse_rat())
-        self.expect("RBRACE", "'}'")
-        return PointsLit(tuple(pts), pos=t.pos)
+        self.expect("}", "'}'")
+        return PointsLit(tuple(pts), pos=self.starts[start])
 
     def parse_seq(self) -> SeqLit:
-        t = self.expect_word("seq")
-        self.expect("LPAREN", "'('")
+        start = self.i
+        self.i += 1
+        self.expect("(", "'('")
         self.expect_word("limit")
-        self.expect("EQUALS", "'='")
+        self.expect("=", "'='")
         limit = self.parse_rat()
-        self.expect("COMMA", "','")
+        self.expect(",", "','")
         self.expect_word("rule")
-        self.expect("EQUALS", "'='")
-        rtok = self.peek()
-        if rtok.kind != "IDENT" or rtok.text not in ("harmonic", "geometric"):
+        self.expect("=", "'='")
+        rule = self.texts[self.i]
+        if rule not in ("harmonic", "geometric"):
             raise self.fail("expected a rule",
                             ("harmonic(c)", "geometric(c,q)"))
-        self.advance()
-        self.expect("LPAREN", "'('")
+        self.i += 1
+        self.expect("(", "'('")
         c = self.parse_rat()
         q: Optional[Fraction] = None
-        if rtok.text == "geometric":
-            self.expect("COMMA", "','")
+        if rule == "geometric":
+            self.expect(",", "','")
             q = self.parse_rat()
-        self.expect("RPAREN", "')'")
-        self.expect("COMMA", "','")
+        self.expect(")", "')'")
+        self.expect(",", "','")
         self.expect_word("from")
-        self.expect("EQUALS", "'='")
-        start = self.parse_int()
+        self.expect("=", "'='")
+        first = self.parse_int()
         below = False
         with_limit = False
-        while self.peek().kind == "COMMA":
-            self.advance()
-            opt = self.peek()
-            if opt.kind == "IDENT" and opt.text == "side":
-                self.advance()
-                self.expect("EQUALS", "'='")
+        while self.kinds[self.i] == ",":
+            self.i += 1
+            opt = self.texts[self.i]
+            if opt == "side":
+                self.i += 1
+                self.expect("=", "'='")
                 self.expect_word("below")
                 below = True
-            elif opt.kind == "IDENT" and opt.text == "with_limit":
-                self.advance()
+            elif opt == "with_limit":
+                self.i += 1
                 with_limit = True
             else:
                 raise self.fail("expected a seq option",
                                 ("side=below", "with_limit"))
-        self.expect("RPAREN", "')'")
-        return SeqLit(limit, rtok.text, c, q, start, below, with_limit,
-                      pos=t.pos)
-
-    def parse_call(self) -> CallOp:
-        t = self.advance()
-        self.expect("LPAREN", "'('")
-        arg = self.parse_set()
-        self.expect("COMMA", "','")
-        value = self.parse_rat()
-        self.expect("RPAREN", "')'")
-        return CallOp(t.text, arg, value, pos=t.pos)
+        self.expect(")", "')'")
+        return SeqLit(limit, rule, c, q, first, below, with_limit,
+                      pos=self.starts[start])
 
 
 def parse(text: str) -> SetExpr:
-    """Parse a set expression; raises ParseError with source location."""
+    """Parse a set expression; raises ParseError with source location, or
+    UnsupportedDepth when calls nest deeper than the interpreter's stack."""
     p = _Parser(text)
-    node = p.parse_set()
-    if p.peek().kind != "END":
-        raise p.fail("trailing input after expression", ("end of input",))
-    return node
+    try:
+        node = p.parse_set()
+        if p.kinds[p.i] != "END":
+            raise p.fail("trailing input after expression",
+                         ("end of input",))
+        return node
+    except (ParseError, RecursionError) as exc:
+        # a character outside the grammar is reported first, wherever it is
+        bad = _unexpected(text, p.texts, p.starts)
+        if bad is not None:
+            raise bad from None
+        if isinstance(exc, RecursionError):
+            raise UnsupportedDepth("set expression nested too deeply to "
+                                 "parse") from None
+        raise
 
 
 # --------------------------------------------------------------------------
@@ -362,7 +386,16 @@ def parse(text: str) -> SetExpr:
 
 def print_expr(e: SetExpr) -> str:
     """Canonical text; reparsing yields a tree equal to ``e`` (positions
-    excluded from equality)."""
+    excluded from equality). Raises UnsupportedDepth past the interpreter's
+    stack."""
+    try:
+        return _print(e)
+    except RecursionError:
+        raise UnsupportedDepth("set expression nested too deeply to "
+                             "print") from None
+
+
+def _print(e: SetExpr) -> str:
     if isinstance(e, IntervalLit):
         lo = "[" if e.closed_lo else "("
         hi = "]" if e.closed_hi else ")"
@@ -385,45 +418,64 @@ def print_expr(e: SetExpr) -> str:
         # a loop down the left spine, so chains of any length print
         tail: list[str] = []
         while isinstance(e, BinaryOp):
-            tail.append(f" {e.op} {print_expr(e.right)}")
+            tail.append(f" {e.op} {_print(e.right)}")
             e = e.left
-        return print_expr(e) + "".join(reversed(tail))
+        return _print(e) + "".join(reversed(tail))
     if isinstance(e, CallOp):
-        return f"{e.name}({print_expr(e.arg)}, {format_rational(e.value)})"
+        # a loop down the argument spine, so nested calls cost no frames
+        calls: list[CallOp] = []
+        while isinstance(e, CallOp):
+            calls.append(e)
+            e = e.arg
+        out = _print(e)
+        for c in reversed(calls):
+            out = f"{c.name}({out}, {format_rational(c.value)})"
+        return out
     raise BadParameters(f"not a set expression: {e!r}")
+
+
+_TRANSFORMS = {"translate": translate, "scale": scale, "reflect": reflect,
+               "fatten": fatten, "slice_le": slice_le, "slice_ge": slice_ge}
 
 
 def evaluate(e: SetExpr) -> RealSet:
     """Evaluate a syntax tree to a normalized set; engine errors propagate
-    as typed errors."""
+    as typed errors, and nesting past the interpreter's stack raises
+    UnsupportedDepth."""
+    try:
+        return _evaluate(e)
+    except RecursionError:
+        raise UnsupportedDepth("set expression nested too deeply to "
+                             "evaluate") from None
+
+
+def _evaluate(e: SetExpr) -> RealSet:
+    calls: list[CallOp] = []
+    while isinstance(e, CallOp):  # the argument spine, walked in a loop
+        if e.name not in _TRANSFORMS:
+            raise BadParameters(f"not a set expression: {e!r}")
+        calls.append(e)
+        e = e.arg
     if isinstance(e, IntervalLit):
-        return from_interval(e.lo, e.hi, e.closed_lo, e.closed_hi)
-    if isinstance(e, PointsLit):
-        return from_points(*e.points)
-    if isinstance(e, SeqLit):
+        h = from_interval(e.lo, e.hi, e.closed_lo, e.closed_hi)
+    elif isinstance(e, PointsLit):
+        h = from_points(*e.points)
+    elif isinstance(e, SeqLit):
         if e.rule_name == "harmonic":
-            return realset(clusters=[harmonic_cluster(
+            h = realset(clusters=[harmonic_cluster(
                 e.limit, c=e.c, start=e.start, above=not e.below,
                 include_limit=e.with_limit)])
-        return realset(clusters=[geometric_cluster(
-            e.limit, c=e.c, q=e.q, start=e.start, above=not e.below,
-            include_limit=e.with_limit)])
-    if isinstance(e, BinaryOp):
-        return _evaluate_chain(e)
-    if isinstance(e, CallOp):
-        h = evaluate(e.arg)
-        if e.name == "translate":
-            return translate(h, e.value)
-        if e.name == "scale":
-            return scale(h, e.value)
-        if e.name == "reflect":
-            return reflect(h, e.value)
-        if e.name == "fatten":
-            return fatten(h, e.value)
-        if e.name == "slice_le":
-            return slice_le(h, e.value)
-        return slice_ge(h, e.value)
-    raise BadParameters(f"not a set expression: {e!r}")
+        else:
+            h = realset(clusters=[geometric_cluster(
+                e.limit, c=e.c, q=e.q, start=e.start, above=not e.below,
+                include_limit=e.with_limit)])
+    elif isinstance(e, BinaryOp):
+        h = _evaluate_chain(e)
+    else:
+        raise BadParameters(f"not a set expression: {e!r}")
+    for c in reversed(calls):
+        h = _TRANSFORMS[c.name](h, c.value)
+    return h
 
 
 def _apply_run(acc: RealSet, op: str, run: list[RealSet]) -> RealSet:
@@ -449,10 +501,10 @@ def _evaluate_chain(e: BinaryOp) -> RealSet:
     while isinstance(e, BinaryOp):
         steps.append((e.op, e.right))
         e = e.left
-    acc = evaluate(e)
+    acc = _evaluate(e)
     run_op, run = "", []  # cluster-free operands of run_op, not yet applied
     for op, node in reversed(steps):
-        rhs = evaluate(node)
+        rhs = _evaluate(node)
         if run and (op != run_op or rhs.clusters):
             acc, run = _apply_run(acc, run_op, run), []
         if op != "&" and not acc.clusters and not rhs.clusters:

@@ -263,6 +263,42 @@ def test_non_ascii_digits_are_a_parse_error(capsys):
     assert payload["column"] == 3
 
 
+_INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not _INT_DIGITS, reason="no int-string digit limit")
+def test_integer_literals_past_the_digit_limit_are_a_parse_error(capsys):
+    long = "1" * (_INT_DIGITS + 700)
+    for text, pos in (("{" + long + "}", 1), ("{1/" + long + "}", 3)):
+        code, out, err = run_cli(capsys, ["eval", "--json", "--mean",
+                                          "amean", "--set", text])
+        assert code == 2 and out == ""
+        payload = error_payload(err)
+        assert payload["code"] == "parse_error"
+        assert (payload["position"], payload["column"]) == (pos, pos + 1)
+        assert f"longer than {_INT_DIGITS} digits" in payload["message"]
+    fits = "1" * (_INT_DIGITS - 300)
+    code, out, _ = run_cli(capsys, ["eval", "--json", "--mean", "amean",
+                                    "--set", "{" + fits + "}"])
+    assert code == 0
+    assert json.loads(out)["values"]["H"]["num"] == int(fits)
+
+
+def test_deep_nesting_answers_or_is_a_typed_error(capsys):
+    for depth, unit, answers in ((329, "translate(", True),
+                                 (328, "translate({0} u ", True),
+                                 (2000, "translate(", False),
+                                 (2000, "translate({0} u ", False)):
+        text = unit * depth + "{1}" + ", 1)" * depth
+        code, out, err = run_cli(capsys, ["eval", "--json", "--mean",
+                                          "amean", "--set", text])
+        if answers:
+            assert code == 0 and json.loads(out)["values"]["H"]
+        else:
+            assert (code, out) == (1, "")
+            assert error_payload(err)["code"] == "unsupported_depth"
+
+
 def test_engine_errors_exit_one(capsys):
     code, _, err = run_cli(capsys, ["eval", "--mean", "avg1", "--set", "{0}"])
     assert code == 1

@@ -5,13 +5,16 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+import setexpr_reference as reference
 from conftest import random_mixed_set
 
+from meanlab import setexpr
 from meanlab.errors import (
     BadParameters,
     MeanlabError,
     ParseError,
     UnrepresentableResult,
+    UnsupportedDepth,
 )
 from meanlab.exactset import (
     from_interval,
@@ -317,3 +320,147 @@ def test_long_union_chain_evaluates():
     h = evaluate(parse(text))
     assert h == from_points(*range(1100))
     assert amean(h) == Q(1099, 2)
+
+
+# ------------------------------------------------- the reference parser
+
+
+def _parse_outcome(parse_fn, text):
+    """The tree's repr (positions included), or the error's payload."""
+    try:
+        return repr(parse_fn(text))
+    except ParseError as exc:
+        return exc.payload()
+
+
+def _bench_shaped_text(rng):
+    """A chain like the benchmark's: intervals, point lists written with
+    ', ', sequences and transform calls."""
+    def rat():
+        return format_rational(_random_rational(rng))
+    terms = ["{0}"]
+    for _ in range(rng.randint(1, 6)):
+        kind = rng.randrange(4)
+        if kind == 0:
+            lo, hi = rng.choice("[("), rng.choice("])")
+            terms.append(f"{lo}{rat()},{rat()}{hi}")
+        elif kind == 1:
+            pts = ", ".join(rat() for _ in range(rng.randint(1, 5)))
+            terms.append("{" + pts + "}")
+        elif kind == 2:
+            terms.append(print_expr(_random_term(rng, depth=2)))
+        else:
+            terms.append(f"{rng.choice(CALL_NAMES)}({terms[-1]}, {rat()})")
+    return rng.choice((" u ", " \\ ", " & ", " ∪ ")).join(terms[1:])
+
+
+# grammar characters, words and whitespace of every kind, digits and
+# letters that are not ASCII, and characters outside the grammar
+_MUTATIONS = (list("[](){},/-=\\&u∪ 0123456789_ax#.")
+              + ["\n", "\r", "\t", "\r\n", "\xa0", "\u2028", "é", "²",
+                 "٣", "½", "😀", "seq(", "limit=", "rule=", "from=",
+                 "side=below", "with_limit", "harmonic(", "geometric(",
+                 "translate(", "slice_le(", "1/0", "-"])
+
+
+def _mutate(rng, text):
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randint(0, len(text))
+        op = rng.randrange(3)
+        if op == 0 or not text:
+            text = text[:i] + rng.choice(_MUTATIONS) + text[i:]
+        elif op == 1:
+            text = text[:i] + text[i + rng.randint(1, 3):]
+        else:
+            text = text[:i] + rng.choice(_MUTATIONS) + text[i + 1:]
+    return text
+
+
+def test_parser_matches_the_reference_on_a_mutated_corpus():
+    rng = random.Random(20261019)
+    bases = [print_expr(_random_expression(rng)) for _ in range(150)]
+    bases += [_bench_shaped_text(rng) for _ in range(150)]
+    texts = list(bases)
+    for _ in range(20):
+        for base in bases:
+            texts.append(_mutate(rng, base))
+    trees, messages = 0, set()
+    for text in texts:
+        want = _parse_outcome(reference.parse, text)
+        assert _parse_outcome(parse, text) == want, repr(text)
+        if isinstance(want, str):
+            trees += 1
+        else:
+            messages.add(want["message"].split(",")[0].split(" (")[0])
+    # the corpus reaches both trees and most kinds of error
+    assert trees > 500 and len(messages) >= 10, (trees, sorted(messages))
+
+
+def test_every_code_point_scans_as_the_reference_reads_it():
+    # how the reference tokenizer reads a character at a token's start:
+    # punctuation, an ASCII digit, or a word or unexpected character
+    start = {**{c: c for c in reference._PUNCT},
+             **{d: "INT" for d in reference._DIGITS}}
+    signatures = {}
+    for lo in range(0, 0x110000, 0x10000):
+        chars = [chr(i) for i in range(lo, lo + 0x10000)]
+        # each character as a token of its own, or skipped as whitespace
+        kinds, texts, _ = setexpr._scan("\n".join(chars))
+        tokens = [c for c in chars if not c.isspace()]
+        assert texts[:-1] == tokens
+        assert kinds[:-1] == [start.get(c, "IDENT") for c in tokens]
+        # which characters continue a word, and which of those an integer
+        match = setexpr._TOKEN.match
+        word = [c for c in chars if c.isalnum() or c == "_"]
+        assert [c for c, m in zip(chars, map(match, map("a".__add__, chars)))
+                if m.end() == 2] == word
+        assert [c for c in word if match("1" + c).end() == 2] == \
+            [c for c in word if c in reference._DIGITS]
+        # one character of each combination of the reference's predicates
+        signatures.update(zip(zip(map(str.isspace, chars),
+                                  map(str.isalpha, chars),
+                                  map(str.isalnum, chars)), chars))
+    # both parsers in full on those characters and on every character the
+    # reference names
+    names = "\n_" + "".join(reference._PUNCT) + "".join(reference._DIGITS)
+    for c in [*signatures.values(), *names]:
+        for text in (c, "seq" + c, "{1" + c + "}", c + "1", "a" + c,
+                     "[0,1] u" + c + "{2}", "{1," + c + "\n2}"):
+            assert _parse_outcome(parse, text) == \
+                _parse_outcome(reference.parse, text), repr(text)
+    assert len(signatures) == 4
+
+
+def _nested_calls(depth):
+    """``translate(`` ... ``translate({1}, 1)`` ... ``, 1)``, built without
+    recursion."""
+    e = parse("{1}")
+    for _ in range(depth):
+        e = CallOp("translate", e, Q(1))
+    return e
+
+
+def _nested_chains(depth):
+    """``translate({0} u translate({0} u ... {1}, 1), 1)``."""
+    e = parse("{1}")
+    for _ in range(depth):
+        e = CallOp("translate", BinaryOp("u", PointsLit((Q(0),)), e), Q(1))
+    return e
+
+
+def test_deep_nesting_is_a_typed_error():
+    for text in ("translate(" * 2000 + "{1}" + ", 1)" * 2000,
+                 "translate({0} u " * 2000 + "{1}" + ", 1)" * 2000):
+        with pytest.raises(UnsupportedDepth):
+            parse(text)
+    deep = _nested_chains(2000)
+    with pytest.raises(UnsupportedDepth):
+        evaluate(deep)
+    with pytest.raises(UnsupportedDepth):
+        print_expr(deep)
+
+
+def test_nested_calls_walk_their_argument_spine():
+    e = _nested_calls(5000)
+    assert evaluate(e) == from_points(Q(5001))
+    assert print_expr(e) == "translate(" * 5000 + "{1}" + ", 1)" * 5000
