@@ -2,8 +2,9 @@
 """Golden corpus of ``meanlab`` CLI calls: argv -> exit code, stdout, stderr.
 
 ``tests/data/cli_golden.json`` pins the exact text the CLI prints for about
-150 commands: every subcommand, every catalogue mean, harmonic and
-geometric clusters on both sides with and without their limit, ``--set2``,
+165 commands: every subcommand, every catalogue mean, harmonic and
+geometric clusters on both sides with and without their limit, ``bounds``
+bisections that cut narrow clusters near their limit, ``--set2``,
 parse errors (with their line and column in multi-line text and around
 tabs, CRLF, NBSP and non-ASCII characters), engine errors and argparse
 usage errors. The commands run in
@@ -129,6 +130,37 @@ def _cases() -> list[list[str]]:
         ["bounds", "--mean", "m_acc", "--set", f"{{3}} u {G_ABOVE_L}"],
         ["bounds", "--json", "--mean", "m_acc", "--set", f"{{3}} u {G_BELOW}"],
     ]
+
+    # bisection bounds on narrow clusters plus one far point: each cut near
+    # the limit turns the cluster's head into explicit points (c of 2^-40
+    # to 2^-37 keeps that to at most a few hundred terms per cut)
+    def harm(c_exp: int, below: bool = False, with_limit: bool = False) -> str:
+        lim = 2 if below else 0
+        side = ", side=below" if below else ""
+        wl = ", with_limit" if with_limit else ""
+        return (f"seq(limit={lim}, rule=harmonic(1/{2 ** c_exp}), "
+                f"from=1{side}{wl})")
+
+    bounds_n = ["--max-n", "4096"]
+    cases += [["bounds", *fmt, "--mean", mean, *bounds_n, "--set", s]
+              for fmt, mean, s in (
+                  ([], "eds:3", f"{harm(40)} u {{3/2}}"),
+                  (["--json"], "eds:3", f"{{1/2}} u {harm(37, True, True)}"),
+                  ([], "eds:3", f"{harm(38, True)} u {{5/2}}"),
+                  ([], "iso:4", f"{harm(39)} u {{3/2}}"),
+                  (["--json"], "iso:4", f"{{-1}} u {harm(37, False, True)}"),
+                  ([], "avg_fat:1/4", f"{harm(38)} u {{3/2}}"),
+                  (["--json"], "avg_fat:1/4", f"{{1/2}} u {harm(39, True)}"),
+                  ([], "m_acc", f"{{-1}} u {harm(37, False, True)}"),
+                  (["--json"], "m_acc", f"{harm(40, True)} u {{5/2}}"),
+                  ([], "m_acc", f"{harm(39, True, True)} u {{1/2}}"),
+                  ([], "amean", f"{harm(40)} u {{3/2}}"),
+                  ([], "eds:3",
+                   "seq(limit=0, rule=geometric(1/2,1/2), from=1) u {3}"),
+                  (["--json"], "avg_fat:1/4",
+                   "{0} u seq(limit=1, rule=geometric(1/4,1/3), from=1, "
+                   "side=below, with_limit)"),
+              )]
 
     # property audits, two trials each
     cases += [
