@@ -14,6 +14,10 @@ Sets are written in the expression language of :mod:`meanlab.setexpr`;
 ``--set -`` reads the expression from stdin. All outputs are deterministic
 given flags and seed. Engine errors exit nonzero with a machine-readable
 JSON payload on stderr (exit 2 for parse/usage errors, 1 otherwise).
+A command formats all of its output before it prints any, so a failing
+command prints nothing on stdout. An answer holding an integer longer than
+the interpreter's int-string limit (``sys.get_int_max_str_digits()``)
+fails with ``unrepresentable_result``.
 """
 
 from __future__ import annotations
@@ -47,7 +51,14 @@ from .setexpr import (
     print_expr,
     set_to_expr,
 )
-from .values import Approx, RootValue, decimal_str, value_bounds, value_mid
+from .values import (
+    Approx,
+    RootValue,
+    decimal_str,
+    printable,
+    value_bounds,
+    value_mid,
+)
 
 Q = Fraction
 
@@ -57,7 +68,7 @@ Q = Fraction
 
 
 def _frac_json(x: Fraction) -> dict:
-    return {"num": x.numerator, "den": x.denominator}
+    return {"num": printable(x.numerator), "den": printable(x.denominator)}
 
 
 def _trim(dec: str) -> str:
@@ -68,8 +79,7 @@ def _trim(dec: str) -> str:
 
 def value_json(v) -> dict:
     if isinstance(v, Fraction):
-        return {"num": v.numerator, "den": v.denominator,
-                "decimal": decimal_str(v)}
+        return {**_frac_json(v), "decimal": decimal_str(v)}
     if isinstance(v, RootValue):
         lo, hi = value_bounds(v)
         return {"root": {"radicand": _frac_json(v.radicand),
@@ -85,7 +95,7 @@ def value_json(v) -> dict:
 def value_text(v) -> str:
     if isinstance(v, Fraction):
         return (f"{_trim(decimal_str(v))} "
-                f"(exact {v.numerator}/{v.denominator})")
+                f"(exact {printable(v.numerator)}/{printable(v.denominator)})")
     if isinstance(v, RootValue):
         return (f"{_trim(decimal_str(value_mid(v)))} "
                 f"(exact {format_rational(v.radicand)}^(1/{v.degree}))")
@@ -98,9 +108,10 @@ def _set_text(h: RealSet) -> str:
     if h.is_empty:
         return "(empty set)"
     try:
-        return print_expr(set_to_expr(h))
+        expr = set_to_expr(h)
     except MeanlabError:
         return repr(h)
+    return print_expr(expr)
 
 
 def _emit_error(exc: MeanlabError, extra: Optional[dict] = None) -> None:
@@ -183,7 +194,7 @@ def _add_common(p: argparse.ArgumentParser, *, set_required=True) -> None:
 # commands
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> list[str]:
     schedule = _build_schedule(args)
     k = _build_mean(args, schedule)
     h = _read_set(args.set)
@@ -195,15 +206,12 @@ def _cmd_eval(args) -> int:
         sets = {"H1": h, "H2": h2, "H1 u H2": set_union(h, h2)}
     results = {label: k.evaluate(s) for label, s in sets.items()}
     if args.json:
-        print(json.dumps({"command": "eval", "mean": k.id,
-                          "values": {lb: value_json(v)
-                                     for lb, v in results.items()}}))
-    elif len(results) == 1:
-        print(value_text(next(iter(results.values()))))
-    else:
-        for lb, v in results.items():
-            print(f"{lb}: {value_text(v)}")
-    return 0
+        return [json.dumps({"command": "eval", "mean": k.id,
+                            "values": {lb: value_json(v)
+                                       for lb, v in results.items()}})]
+    if len(results) == 1:
+        return [value_text(next(iter(results.values())))]
+    return [f"{lb}: {value_text(v)}" for lb, v in results.items()]
 
 
 _STAGE_SAMPLERS = {
@@ -213,7 +221,7 @@ _STAGE_SAMPLERS = {
 }
 
 
-def _cmd_limit(args) -> int:
+def _cmd_limit(args) -> list[str]:
     schedule = _build_schedule(args)
     k = _build_mean(args, schedule)
     kind = k.kind()
@@ -242,23 +250,20 @@ def _cmd_limit(args) -> int:
     if exact_value is not None:
         est = Approx(exact_value, min(est.error, schedule.tolerance))
     if args.json:
-        print(json.dumps({
+        return [json.dumps({
             "command": "limit", "mean": k.id,
             "estimate": _frac_json(est.value),
             "error": _frac_json(est.error),
             "decimal": decimal_str(est.value),
             "trace": [{"n": n, "value": _frac_json(v)} for n, v in rows],
-        }))
-    else:
-        print(f"estimate {_trim(decimal_str(est.value))} "
-              f"± {float(est.error):.3g}")
-        print("n,value")
-        for n, v in rows:
-            print(f"{n},{decimal_str(v)}")
-    return 0
+        })]
+    return [f"estimate {_trim(decimal_str(est.value))} "
+            f"± {float(est.error):.3g}",
+            "n,value",
+            *(f"{n},{decimal_str(v)}" for n, v in rows)]
 
 
-def _cmd_derive(args) -> int:
+def _cmd_derive(args) -> list[str]:
     schedule = _build_schedule(args)
     k = _build_mean(args, schedule)
     h = _read_set(args.set)
@@ -272,54 +277,45 @@ def _cmd_derive(args) -> int:
                    "value": value_json(val), "spread": value_json(spread)}
             if hint is not None:
                 out["occupancy_hint"] = _frac_json(hint)
-            print(json.dumps(out))
-        else:
-            line = f"derivative {value_text(val)}; spread {value_text(spread)}"
-            if hint is not None:
-                line += f"; occupancy hint {format_rational(hint)}"
-            print(line)
-    else:
-        val, exact_slope = d_probe(k, h, args.side, schedule)
-        if args.json:
-            out = {"command": "derive", "mean": k.id, "side": args.side,
-                   "value": value_json(val)}
-            if exact_slope is not None:
-                out["exact"] = _frac_json(exact_slope)
-            print(json.dumps(out))
-        else:
-            tag = " (exact)" if exact_slope is not None else ""
-            print(f"probe {value_text(val)}{tag}")
-    return 0
+            return [json.dumps(out)]
+        line = f"derivative {value_text(val)}; spread {value_text(spread)}"
+        if hint is not None:
+            line += f"; occupancy hint {format_rational(hint)}"
+        return [line]
+    val, exact_slope = d_probe(k, h, args.side, schedule)
+    if args.json:
+        out = {"command": "derive", "mean": k.id, "side": args.side,
+               "value": value_json(val)}
+        if exact_slope is not None:
+            out["exact"] = _frac_json(exact_slope)
+        return [json.dumps(out)]
+    tag = " (exact)" if exact_slope is not None else ""
+    return [f"probe {value_text(val)}{tag}"]
 
 
-def _cmd_accpoints(args) -> int:
+def _cmd_accpoints(args) -> list[str]:
     schedule = _build_schedule(args)
     k = _build_mean(args, schedule)
     h = _read_set(args.set)
     acc = acc_points_by_mean(k, h)
     if args.json:
-        print(json.dumps({"command": "accpoints", "mean": k.id,
-                          "empty": acc.is_empty,
-                          "set": None if acc.is_empty else _set_text(acc)}))
-    else:
-        print(_set_text(acc))
-    return 0
+        return [json.dumps({"command": "accpoints", "mean": k.id,
+                            "empty": acc.is_empty,
+                            "set": None if acc.is_empty else _set_text(acc)})]
+    return [_set_text(acc)]
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args) -> list[str]:
     schedule = _build_schedule(args)
     k = _build_mean(args, schedule)
     h = _read_set(args.set)
     li = liminf_by_mean(k, h)
     ls = limsup_by_mean(k, h)
     if args.json:
-        print(json.dumps({"command": "bounds", "mean": k.id,
-                          "liminf": value_json(li),
-                          "limsup": value_json(ls)}))
-    else:
-        print(f"liminf {value_text(li)}")
-        print(f"limsup {value_text(ls)}")
-    return 0
+        return [json.dumps({"command": "bounds", "mean": k.id,
+                            "liminf": value_json(li),
+                            "limsup": value_json(ls)})]
+    return [f"liminf {value_text(li)}", f"limsup {value_text(ls)}"]
 
 
 def _report_json(r: PropertyReport) -> dict:
@@ -336,17 +332,18 @@ def _report_json(r: PropertyReport) -> dict:
     return out
 
 
-def _print_report(r: PropertyReport) -> None:
+def _report_lines(r: PropertyReport) -> list[str]:
     recon = ", reconstructed" if r.reconstructed else ""
-    print(f"{r.property_id} on {r.mean_id}: {r.verdict} "
-          f"(trials={r.trials}, seed={r.seed}{recon})")
+    lines = [f"{r.property_id} on {r.mean_id}: {r.verdict} "
+             f"(trials={r.trials}, seed={r.seed}{recon})"]
     if r.witness is not None:
         if r.witness.note:
-            print(f"  note: {r.witness.note}")
+            lines.append(f"  note: {r.witness.note}")
         for lb, v in r.witness.values:
-            print(f"  {lb} = {value_text(v)}")
+            lines.append(f"  {lb} = {value_text(v)}")
         for i, s in enumerate(r.witness.sets, 1):
-            print(f"  set {i}: {_set_text(s)}")
+            lines.append(f"  set {i}: {_set_text(s)}")
+    return lines
 
 
 def _suite_ids(suite: Optional[str]) -> tuple[str, ...]:
@@ -369,28 +366,23 @@ def _run_reports(args) -> list[PropertyReport]:
             for pid in _suite_ids(args.suite)]
 
 
-def _cmd_props(args) -> int:
+def _cmd_props(args) -> list[str]:
     reports = _run_reports(args)
     if args.json:
-        print(json.dumps({"command": "props",
-                          "reports": [_report_json(r) for r in reports]}))
-    else:
-        for r in reports:
-            _print_report(r)
-    return 0
+        return [json.dumps({"command": "props",
+                            "reports": [_report_json(r) for r in reports]})]
+    return [line for r in reports for line in _report_lines(r)]
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args) -> list[str]:
     reports = _run_reports(args)
     if args.csv:
-        print("property,mean,verdict,trials,seed,reconstructed")
-        for r in reports:
-            print(f"{r.property_id},{r.mean_id},{r.verdict},{r.trials},"
-                  f"{r.seed},{str(r.reconstructed).lower()}")
-    else:
-        print(json.dumps({"command": "report",
-                          "reports": [_report_json(r) for r in reports]}))
-    return 0
+        return ["property,mean,verdict,trials,seed,reconstructed",
+                *(f"{r.property_id},{r.mean_id},{r.verdict},{r.trials},"
+                  f"{r.seed},{str(r.reconstructed).lower()}"
+                  for r in reports)]
+    return [json.dumps({"command": "report",
+                        "reports": [_report_json(r) for r in reports]})]
 
 
 # --------------------------------------------------------------------------
@@ -461,7 +453,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.fn(args)
+        lines = args.fn(args)
     except ParseError as exc:
         _emit_error(exc)
         return 2
@@ -471,6 +463,8 @@ def main(argv=None) -> int:
     except MeanlabError as exc:
         _emit_error(exc)
         return 1
+    print("\n".join(lines))
+    return 0
 
 
 if __name__ == "__main__":

@@ -283,6 +283,8 @@ def rule_scaled(rule: Rule, factor: Fraction) -> Rule:
     """The rule with every offset multiplied by factor > 0."""
     if factor <= 0:
         raise BadParameters("offset scale factor must be positive")
+    if factor == 1:
+        return rule
     if isinstance(rule, Harmonic):
         return Harmonic(rule.c * factor)
     if isinstance(rule, Geometric):
@@ -483,6 +485,53 @@ def materialize_index(cl: Cluster, k: int):
     return ("point", cl.term(k))
 
 
+def _bare_terms(cl: Cluster, k_lo: int, k_hi: int) -> list[Fraction]:
+    """[cl.term(k) for k in k_lo..k_hi], built for a harmonic or geometric
+    rule with integer arithmetic and one normalising Fraction per term."""
+    rule = cl.rule
+    ks = range(k_lo, k_hi + 1)
+    if isinstance(rule, MappedRule):
+        return [cl.term(k) for k in ks]
+    ln, ld = cl.limit.numerator, cl.limit.denominator
+    cn, cd = rule.c.numerator, rule.c.denominator
+    a, d = ln * cd, ld * cd
+    b = cn * ld if cl.above else -cn * ld
+    if isinstance(rule, Harmonic):
+        # limit ± c/k = (ln·cd·k ± cn·ld) / (ld·cd·k)
+        return [Q(a * k + b, d * k) for k in ks]
+    # limit ± c·q^k = (ln·cd·qd^k ± cn·ld·qn^k) / (ld·cd·qd^k)
+    qn, qd = rule.q.numerator, rule.q.denominator
+    pn, pd = qn ** k_lo, qd ** k_lo
+    out = []
+    for _ in ks:
+        out.append(Q(a * pd + b * pn, d * pd))
+        pn *= qn
+        pd *= qd
+    return out
+
+
+def _outside_spans(xs: list[Fraction], spans: list[Span]) -> list[Fraction]:
+    """The x of a strictly decreasing list that no span contains, in order.
+
+    The spans are sorted and disjoint, so one walk down both lists settles
+    each x against the one span just below or around it; once the smallest
+    x left is above a span, every x left lies between two spans. A key
+    comparison (x, 0) against (y, e) is decided by x against y, and by the
+    side e only when x == y."""
+    out: list[Fraction] = []
+    i, n = 0, len(xs)
+    for (sx, se), (ex, ee) in reversed(spans):
+        if i == n or xs[-1] > ex or (ee < 0 and xs[-1] == ex):
+            break  # every x left is above this span, below the one before
+        while xs[i] > ex or (ee < 0 and xs[i] == ex):
+            out.append(xs[i])  # above this span
+            i += 1
+        while i < n and (xs[i] > sx or (se <= 0 and xs[i] == sx)):
+            i += 1  # inside it
+    out.extend(xs[i:])
+    return out
+
+
 def cluster_member(cl: Cluster, x: Fraction) -> bool:
     if x == cl.limit:
         return cl.include_limit
@@ -631,11 +680,15 @@ def _cluster_minus_spans(cl: Cluster, spans: list[Span]):
         out_points.append(cl.limit)
 
     total = 0
+    terms: list[Fraction] = []  # bare head terms, decreasing
     for k_lo, k_hi in survivors:
         total += k_hi - k_lo + 1
         if total > MATERIALIZE_CAP:
             raise UnrepresentableResult(
                 "difference needs too many explicit components")
+        if not cl.children:
+            terms += _bare_terms(cl, k_lo, k_hi)
+            continue
         for k in range(k_lo, k_hi + 1):
             kind, obj = materialize_index(cl, k)
             if kind == "point":
@@ -650,6 +703,7 @@ def _cluster_minus_spans(cl: Cluster, spans: list[Span]):
                     sub_c, sub_p = _cluster_minus_spans(obj, spans)
                     out_clusters.extend(sub_c)
                     out_points.extend(sub_p)
+    out_points += _outside_spans(terms, spans)
     return out_clusters, out_points
 
 
@@ -667,6 +721,10 @@ def _cluster_minus_term_indices(cl: Cluster, indices: list[int]):
             "difference needs too many explicit components")
     drop = set(indices)
     out_clusters: list[Cluster] = [cluster_tail(cl, kmax + 1)]
+    if not cl.children:
+        terms = _bare_terms(cl, cl.start, kmax)
+        return out_clusters, [x for k, x in enumerate(terms, cl.start)
+                              if k not in drop]
     out_points: list[Fraction] = []
     for k in range(cl.start, kmax + 1):
         kind, obj = materialize_index(cl, k)
@@ -1002,7 +1060,7 @@ def _cluster_cluster_diff(a: Cluster, b: Cluster):
             if ratio >= 1 and q == 1:
                 # beyond a threshold every a-term is a b-term
                 k_thresh = max(a.start, -(-b.start // p))  # ceil(b.start/p)
-                pts = [a.term(k) for k in range(a.start, k_thresh)]
+                pts = _bare_terms(a, a.start, k_thresh - 1)
                 if inc:
                     pts.append(a.limit)
                 return [], pts
@@ -1017,7 +1075,7 @@ def _cluster_cluster_diff(a: Cluster, b: Cluster):
                 return [_with_include(a, inc)], []  # provably disjoint
             # a's term at k equals b's term at k + d; dead once k + d >= b.start
             k_dead = max(a.start, b.start - d)
-            pts = [a.term(k) for k in range(a.start, k_dead)]
+            pts = _bare_terms(a, a.start, k_dead - 1)
             if inc:
                 pts.append(a.limit)
             return [], pts

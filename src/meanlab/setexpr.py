@@ -61,6 +61,7 @@ from .exactset import (
     union_cluster_free,
 )
 from .measure import fatten
+from .values import printable
 
 Q = Fraction
 
@@ -74,8 +75,9 @@ def parse_rational_text(text: str) -> Fraction:
 
 
 def format_rational(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else \
-        f"{x.numerator}/{x.denominator}"
+    num = printable(x.numerator)
+    return str(num) if x.denominator == 1 else \
+        f"{num}/{printable(x.denominator)}"
 
 
 # --------------------------------------------------------------------------

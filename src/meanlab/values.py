@@ -14,8 +14,11 @@ property checkers never need to branch on type.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+
+from .errors import UnrepresentableResult
 
 
 @dataclass(frozen=True)
@@ -211,4 +214,18 @@ def decimal_str(x: Fraction, places: int = 12) -> str:
     if double > d or (double == d and q % 2 == 1):
         q += 1
     whole, frac = divmod(q, 10 ** places)
-    return f"{sign}{whole}.{str(frac).zfill(places)}"
+    return f"{sign}{printable(whole)}.{str(frac).zfill(places)}"
+
+
+def printable(n: int) -> int:
+    """n itself when ``str(n)`` can print it: UnrepresentableResult when n
+    has more digits than ``sys.get_int_max_str_digits()`` allows (the limit
+    is read on every call, never set)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    m = abs(n)
+    # 8**limit < 10**limit, so fewer than 3*limit bits always fit
+    if limit and m.bit_length() > 3 * limit and m >= 10 ** limit:
+        raise UnrepresentableResult(
+            f"the answer holds an integer of more than {limit} digits, "
+            "the interpreter's limit for converting an integer to text")
+    return n

@@ -284,6 +284,30 @@ def test_integer_literals_past_the_digit_limit_are_a_parse_error(capsys):
     assert json.loads(out)["values"]["H"]["num"] == int(fits)
 
 
+@pytest.mark.skipif(not _INT_DIGITS, reason="no int-string digit limit")
+def test_answers_past_the_digit_limit_are_a_typed_error(capsys):
+    # every literal fits, but the answer's denominator, near a*b, does not
+    a = 10 ** (_INT_DIGITS - 301) + 1
+    pair = f"{{1/{a}, 1/{a + 2}}}"
+    wide = f"scale(scale([0,1], {a}), {a})"  # [0, a^2]
+    for argv in (["eval", "--mean", "amean", "--set", pair],
+                 ["eval", "--json", "--mean", "amean", "--set", pair],
+                 ["eval", "--mean", "amean", "--set", "{1,2}",
+                  "--set2", pair],
+                 ["eval", "--json", "--mean", "avg1", "--set", wide],
+                 ["accpoints", "--mean", "avg1", "--set", wide]):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (1, ""), argv
+        payload = error_payload(err)
+        assert payload["code"] == "unrepresentable_result"
+        assert f"more than {_INT_DIGITS} digits" in payload["message"]
+    assert sys.get_int_max_str_digits() == _INT_DIGITS  # read, never set
+    # an answer of exactly the limit's length still prints
+    code, out, _ = run_cli(capsys, ["eval", "--mean", "amean", "--set",
+                                    f"{{{10 ** _INT_DIGITS - 1}}}"])
+    assert code == 0 and out.endswith(f"/1)\n")
+
+
 def test_deep_nesting_answers_or_is_a_typed_error(capsys):
     for depth, unit, answers in ((329, "translate(", True),
                                  (328, "translate({0} u ", True),

@@ -5,6 +5,7 @@ import pickle
 import random
 from fractions import Fraction as Q
 
+import exactset_reference as cut_reference
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,8 +27,10 @@ from meanlab.errors import (
 )
 from meanlab.exactset import (
     EMPTY,
+    MATERIALIZE_CAP,
     Cluster,
     Geometric,
+    Harmonic,
     RealSet,
     acc_bounds,
     closure,
@@ -54,6 +57,8 @@ from meanlab.exactset import (
     translate,
     union_cluster_free,
 )
+from meanlab.funcs import SQUARE, Affine, OddPower
+from meanlab.means import image_set
 
 
 # --------------------------------------------------------------------------
@@ -386,7 +391,20 @@ def test_canonical_cluster_is_kept_and_a_raw_one_rebuilt():
     assert rebuilt == make_cluster(Q(0), True, Geometric(Q(1, 16), Q(1, 2)))
 
 
-def _random_sided_cluster_set(rng: random.Random) -> RealSet:
+def _transformed(rng: random.Random, c: Cluster) -> Cluster:
+    """A cluster with a transformed (MappedRule) rule and the same limit:
+    c shrunk to an eighth around 1, squared or cubed, then moved back."""
+    f = rng.choice((SQUARE, OddPower(3)))
+    base = realset(clusters=[dataclasses.replace(
+        exactset.cluster_affine(c, Q(1, 4), 1 - c.limit / 4),
+        include_limit=c.include_limit)])
+    (out,) = image_set(image_set(base, f), Affine(Q(1), c.limit - 1)).clusters
+    assert isinstance(out.rule, exactset.MappedRule) and out.limit == c.limit
+    return out
+
+
+def _random_sided_cluster_set(rng: random.Random,
+                              transformed: bool = False) -> RealSet:
     clusters = []
     for lim in rng.sample(range(-6, 7, 2), rng.randint(1, 2)):
         lim = Q(lim) + rng.choice((0, Q(1, 3)))  # hulls stay 2/3 apart
@@ -398,7 +416,7 @@ def _random_sided_cluster_set(rng: random.Random) -> RealSet:
             c = geometric_cluster(lim, c=Q(1, 4), q=Q(1, 2),
                                   start=rng.randint(1, 3), above=above,
                                   include_limit=include)
-        clusters.append(c)
+        clusters.append(_transformed(rng, c) if transformed else c)
     return realset(clusters=clusters)
 
 
@@ -417,13 +435,12 @@ def _outcome(op, a, b) -> str:
 def test_cluster_algebra_matches_reflect_first_reference(monkeypatch):
     # The reference is the older path: every raw cluster is rebuilt, and a
     # below-side cluster is reflected before any span is looked at. The
-    # sets use native rules only: reflecting a transformed (MappedRule)
-    # cluster twice wraps its transform in two identity maps, so there the
-    # older path gives an equal set with a different repr.
+    # last 100 sets hold transformed (MappedRule) clusters, which keep
+    # their transform through a reflection there and back.
     rng = random.Random(2024)
     cases = []
-    for _ in range(300):
-        a = _random_sided_cluster_set(rng)
+    for i in range(400):
+        a = _random_sided_cluster_set(rng, transformed=i >= 300)
         b = (random_union(rng) if rng.random() < 0.6
              else random_points(rng, count=4))
         for op in (set_union, set_diff, set_intersect):
@@ -464,3 +481,176 @@ def test_cluster_algebra_matches_reflect_first_reference(monkeypatch):
         for x in probe_points(a, b, terms=6):
             assert brute_member(h, x) == _TRUTH[op](brute_member(a, x),
                                                     brute_member(b, x))
+
+
+def test_reflection_keeps_a_transformed_rule_as_it_is():
+    # a below-side transformed cluster is reflected, cut and reflected back
+    # on every cut; a scale factor of 1 must leave its rule untouched
+    g = image_set(realset(clusters=[harmonic_cluster(Q(2), c=Q(1, 2),
+                                                     above=False)]), SQUARE)
+    func = g.clusters[0].rule.func
+    assert exactset.rule_scaled(g.clusters[0].rule, Q(1)) is g.clusters[0].rule
+    for lo, hi in ((Q(3), Q(7, 2)), (Q(7, 2), Q(37, 10)),
+                   (Q(37, 10), Q(38, 10))):
+        g = set_diff(g, from_interval(lo, hi))
+        assert g.clusters[0].rule.func is func
+    assert g.points  # the cuts did turn head terms into points
+
+
+# --------------------------------------------------------------------------
+# bulk cuts of bare clusters against the per-term reference
+
+
+def _cut_cluster(rng: random.Random) -> Cluster:
+    """A harmonic, geometric, transformed or nested cluster near 0."""
+    lim = Q(rng.randint(-2, 2), rng.choice((1, 2, 3)))
+    above, include = rng.random() < 0.5, rng.random() < 0.5
+    start = rng.randint(1, 3)
+    kind = rng.randrange(4)
+    if kind == 1 or kind == 2 and rng.random() < 0.5:
+        c = geometric_cluster(lim, c=Q(1, rng.randint(1, 4)),
+                              q=Q(1, rng.randint(2, 3)), start=start,
+                              above=above, include_limit=include)
+    else:
+        c = harmonic_cluster(lim, c=Q(1, rng.randint(1, 4)), start=start,
+                             above=above, include_limit=include)
+    if kind == 2:
+        return _transformed(rng, c)
+    if kind == 3:
+        tpl = (harmonic_cluster(Q(0), c=Q(1, 2)) if rng.random() < 0.5
+               else geometric_cluster(Q(0), c=Q(1, 2), q=Q(1, 2),
+                                      above=False, include_limit=True))
+        lo = start + rng.randint(0, 2)
+        hi = None if rng.random() < 0.3 else lo + rng.randint(0, 3)
+        return make_cluster(lim, above, c.rule, c.start, include,
+                            [(lo, hi, tpl)])
+    return c
+
+
+def _cut_set(rng: random.Random, cl: Cluster) -> RealSet:
+    """Intervals and points that start and end on term positions, open or
+    closed, on the limit, or past either end of the cluster."""
+    marks = [cl.term(k) for k in range(cl.start, cl.start + 12)]
+    marks += [cl.limit, cl.limit - 2, cl.limit + 2]
+    out = EMPTY
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 0.25:
+            piece = from_points(rng.choice(marks))
+        else:
+            lo, hi = sorted(rng.sample(marks, 2))
+            piece = from_interval(lo, hi, rng.random() < 0.5,
+                                  rng.random() < 0.5)
+        out = set_union(out, piece)
+    return out
+
+
+def _partner(rng: random.Random, cl: Cluster) -> Cluster:
+    """A cluster whose terms meet some of cl's: a multiple of its rule at
+    the same limit and side, or a harmonic cluster through one of its
+    terms from another limit."""
+    include = rng.random() < 0.5
+    if rng.random() < 0.5 and isinstance(cl.rule, Harmonic):
+        return make_cluster(cl.limit, cl.above,
+                            Harmonic(cl.rule.c * rng.randint(1, 3)),
+                            rng.randint(1, 6), include)
+    if rng.random() < 0.5 and isinstance(cl.rule, Geometric):
+        q = cl.rule.q
+        return make_cluster(cl.limit, cl.above,
+                            Geometric(cl.rule.c * q ** rng.randint(-1, 2), q),
+                            rng.randint(1, 4), include)
+    x = cl.term(cl.start + rng.randint(0, 5))
+    c, m, above = Q(1, rng.randint(2, 6)), rng.randint(1, 4), rng.random() < 0.5
+    return harmonic_cluster(x - c / m if above else x + c / m, c=c,
+                            above=above, include_limit=include)
+
+
+def _cut_cases(rng: random.Random) -> list:
+    cases = []
+    for _ in range(250):
+        cl = _cut_cluster(rng)
+        a = realset(clusters=[cl])
+        b = _cut_set(rng, cl)
+        y = rng.choice([cl.term(k) for k in range(cl.start, cl.start + 12)]
+                       + [cl.limit])
+        cases += [(set_diff, a, b), (set_intersect, a, b),
+                  (set_intersect, b, a), (slice_le, a, y), (slice_ge, a, y)]
+        cases.append((set_diff, a, realset(clusters=[_partner(rng, cl)])))
+    # a head of MATERIALIZE_CAP + 1 terms is refused before any is built
+    big = realset(clusters=[harmonic_cluster(Q(0))])
+    near = from_interval(Q(0), Q(1, MATERIALIZE_CAP + 2), False, True)
+    cases += [(set_diff, big, near), (slice_ge, big, Q(1, MATERIALIZE_CAP + 1))]
+    return cases
+
+
+def test_outside_spans_matches_a_bisection_per_term():
+    # surviving head terms never fall in a span, so the cuts above cannot
+    # show what the filter drops; random lists and spans can
+    rng = random.Random(5)
+    for _ in range(2000):
+        grid = sorted({Q(rng.randint(0, 40), rng.choice((1, 2, 4)))
+                       for _ in range(12)})
+        xs = sorted(rng.sample(grid, rng.randint(0, len(grid))), reverse=True)
+        h = EMPTY
+        for _ in range(rng.randint(0, 4)):
+            lo, hi = sorted(rng.sample(grid, 2))
+            h = set_union(h, from_interval(lo, hi, rng.random() < 0.5,
+                                           rng.random() < 0.5)
+                          if rng.random() < 0.8 else from_points(lo))
+        spans = h._spans()
+        want = [x for x in xs if not exactset._span_contains(spans, x)]
+        assert exactset._outside_spans(xs, spans) == want
+
+
+def _truth(op, a, b, ia: bool, x) -> bool:
+    if op is slice_le:
+        return ia and x <= b
+    if op is slice_ge:
+        return ia and x >= b
+    return _TRUTH[op](ia, brute_member(b, x))
+
+
+def test_bulk_cluster_cuts_match_the_per_term_reference(monkeypatch):
+    cases = _cut_cases(random.Random(77))
+    bare_terms, materialize = exactset._bare_terms, exactset.materialize_index
+    seen = {"bulk": 0, "per_index": 0}
+
+    def bare_terms_spy(cl, k_lo, k_hi):
+        assert not cl.children  # nested clusters keep the per-index loop
+        seen["bulk"] += 1
+        return bare_terms(cl, k_lo, k_hi)
+
+    def materialize_spy(cl, k):
+        assert cl.children
+        seen["per_index"] += 1
+        return materialize(cl, k)
+
+    monkeypatch.setattr(exactset, "_bare_terms", bare_terms_spy)
+    monkeypatch.setattr(exactset, "materialize_index", materialize_spy)
+    got = [_outcome(op, a, b) for op, a, b in cases]
+    assert seen["bulk"] > 200 and seen["per_index"] > 100
+
+    monkeypatch.setattr(exactset, "_bare_terms", cut_reference.bare_terms)
+    monkeypatch.setattr(exactset, "materialize_index", materialize)
+    monkeypatch.setattr(exactset, "_cluster_minus_spans",
+                        cut_reference.cluster_minus_spans)
+    monkeypatch.setattr(exactset, "_cluster_minus_term_indices",
+                        cut_reference.cluster_minus_term_indices)
+    want = [_outcome(op, a, b) for op, a, b in cases]
+    assert got == want
+    assert got[-2:] == ["UnrepresentableResult"] * 2
+    assert sum(o.startswith("RealSet") for o in got) > len(got) * 3 // 4
+
+    # and the answers are right, by the independent oracle
+    monkeypatch.undo()
+    checked = 0
+    for (op, a, b), out in zip(cases, got):
+        sets = (a, b) if isinstance(b, RealSet) else (a,)
+        if (not out.startswith("RealSet")
+                or any(c.children for h in sets for c in h.clusters)):
+            continue  # the oracle reads depth-1 clusters only
+        h = op(a, b)
+        for x in probe_points(*sets, terms=6):
+            assert brute_member(h, x) == _truth(op, a, b,
+                                                brute_member(a, x), x)
+        checked += 1
+    assert checked > 600

@@ -1,6 +1,12 @@
-"""Value shapes: exact integer roots."""
+"""Value shapes: exact integer roots, integers too long to print."""
 
-from meanlab.values import _iroot_exact
+import sys
+from fractions import Fraction
+
+import pytest
+
+from meanlab.errors import UnrepresentableResult
+from meanlab.values import _iroot_exact, decimal_str, printable
 
 
 def test_iroot_exact_on_small_numbers():
@@ -16,3 +22,20 @@ def test_iroot_exact_beyond_the_float_range():
     assert _iroot_exact(2 ** 1024, 2) == 2 ** 512
     assert _iroot_exact(2 ** 1024 - 1, 2) is None
     assert _iroot_exact(3 ** 1400, 7) == 3 ** 200
+
+
+_INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not _INT_DIGITS, reason="no int-string digit limit")
+def test_printable_stops_exactly_at_the_digit_limit():
+    top = 10 ** _INT_DIGITS  # the smallest integer one digit too long
+    for n in (0, -1, 2 ** (3 * _INT_DIGITS), top - 1, 1 - top):
+        assert printable(n) == n and str(n)
+    for n in (top, -top, top * 7):
+        with pytest.raises(UnrepresentableResult):
+            printable(n)
+        with pytest.raises(ValueError):
+            str(n)
+    with pytest.raises(UnrepresentableResult):
+        decimal_str(Fraction(top * 3, 2))
