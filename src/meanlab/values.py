@@ -217,13 +217,17 @@ def decimal_str(x: Fraction, places: int = 12) -> str:
     return f"{sign}{printable(whole)}.{str(frac).zfill(places)}"
 
 
+# The interpreter's int-string digit limit (0: none); older ones have none.
+_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
 def printable(n: int) -> int:
     """n itself when ``str(n)`` can print it: UnrepresentableResult when n
     has more digits than ``sys.get_int_max_str_digits()`` allows (the limit
     is read on every call, never set)."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = _max_str_digits()
     m = abs(n)
-    # 8**limit < 10**limit, so fewer than 3*limit bits always fit
+    # 8**limit < 10**limit, so up to 3*limit bits always fit
     if limit and m.bit_length() > 3 * limit and m >= 10 ** limit:
         raise UnrepresentableResult(
             f"the answer holds an integer of more than {limit} digits, "
