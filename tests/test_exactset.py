@@ -393,11 +393,10 @@ def test_canonical_cluster_is_kept_and_a_raw_one_rebuilt():
 
 def _transformed(rng: random.Random, c: Cluster) -> Cluster:
     """A cluster with a transformed (MappedRule) rule and the same limit:
-    c shrunk to an eighth around 1, squared or cubed, then moved back."""
+    c shrunk to a quarter around 1, squared or cubed, then moved back."""
     f = rng.choice((SQUARE, OddPower(3)))
-    base = realset(clusters=[dataclasses.replace(
-        exactset.cluster_affine(c, Q(1, 4), 1 - c.limit / 4),
-        include_limit=c.include_limit)])
+    base = realset(clusters=[exactset.cluster_affine(c, Q(1, 4),
+                                                     1 - c.limit / 4)])
     (out,) = image_set(image_set(base, f), Affine(Q(1), c.limit - 1)).clusters
     assert isinstance(out.rule, exactset.MappedRule) and out.limit == c.limit
     return out
@@ -507,7 +506,7 @@ def _cut_cluster(rng: random.Random) -> Cluster:
     above, include = rng.random() < 0.5, rng.random() < 0.5
     start = rng.randint(1, 3)
     kind = rng.randrange(4)
-    if kind == 1 or kind == 2 and rng.random() < 0.5:
+    if kind == 1 or (kind == 2 and rng.random() < 0.5):
         c = geometric_cluster(lim, c=Q(1, rng.randint(1, 4)),
                               q=Q(1, rng.randint(2, 3)), start=start,
                               above=above, include_limit=include)
