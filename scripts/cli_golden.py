@@ -2,9 +2,10 @@
 """Golden corpus of ``meanlab`` CLI calls: argv -> exit code, stdout, stderr.
 
 ``tests/data/cli_golden.json`` pins the exact text the CLI prints for about
-165 commands: every subcommand, every catalogue mean, harmonic and
+175 commands: every subcommand, every catalogue mean, harmonic and
 geometric clusters on both sides with and without their limit, ``bounds``
-bisections that cut narrow clusters near their limit, ``--set2``,
+bisections that cut narrow clusters near their limit, property audits that
+reach every pinned instance, ``--set2``,
 parse errors (with their line and column in multi-line text and around
 tabs, CRLF, NBSP and non-ASCII characters), engine errors and argparse
 usage errors. The commands run in
@@ -172,6 +173,32 @@ def _cases() -> list[list[str]]:
          "internal,monotone,closed", "--trials", "2", "--seed", "1"],
         ["report", "--csv", "--mean", "avg1", "--suite",
          "translation_invariant,homogeneous", "--trials", "2"],
+    ]
+    # every pinned instance, and a trial that leaves the representable class
+    cases += [
+        ["props", "--mean", "eds:3", "--suite",
+         "strict-internal,slice-continuous,closed,finite-independent,"
+         "reflection-invariant", "--trials", "2"],
+        ["props", "--mean", "avg_fat:1", "--suite",
+         "strict-internal,finite-independent", "--trials", "2"],
+        ["props", "--mean", "iso:4", "--suite", "monotone", "--trials", "2"],
+        ["props", "--mean", "avg_fat:1/100", "--suite", "cantor-continuous",
+         "--trials", "1", "--max-n", "4096", "--tol", "1e-3"],
+    ]
+    cases += [["props", "--mean", mean, *extra, "--suite",
+               "hausdorff-continuous", "--trials", "1", "--max-n", "256"]
+              for mean, extra in (("avg1", []), ("lavg", ["--tol", "1/100"]),
+                                  ("avg_fat:1/4", []),
+                                  ("m_eds", ["--tol", "1/10"]))]
+    cases += [
+        ["props", "--mean", "amean", "--suite", "u-bounded-overlap",
+         "--trials", "2"],
+        ["props", "--mean", "m_mu", "--density", "0,2,1;2,3,5", "--suite",
+         "translation-invariant,homogeneous", "--trials", "1"],
+        ["props", "--mean", "m_mu", "--density", "0,1,2;1,3,1", "--suite",
+         "homogeneous", "--trials", "1"],
+        ["props", "--mean", "eds:3", "--suite", "u-bounded-overlap",
+         "--trials", "20"],
     ]
 
     # parse errors (exit 2), engine errors (exit 1)
