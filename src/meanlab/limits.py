@@ -48,18 +48,17 @@ class LimitSchedule:
 DEFAULT_SCHEDULE = LimitSchedule()
 
 
+def _aitken_step(a0: Fraction, a1: Fraction, a2: Fraction) -> Fraction:
+    """One exact delta-squared step; the raw a2 when the second difference
+    vanishes."""
+    denom = a2 - 2 * a1 + a0
+    return a2 if denom == 0 else a2 - (a2 - a1) ** 2 / denom
+
+
 def aitken_accelerate(samples: Sequence[Fraction]) -> list[Fraction]:
     """Exact delta-squared acceleration; falls back to the raw value when
     the second difference vanishes."""
-    out: list[Fraction] = []
-    for i in range(len(samples) - 2):
-        a0, a1, a2 = samples[i], samples[i + 1], samples[i + 2]
-        denom = a2 - 2 * a1 + a0
-        if denom == 0:
-            out.append(a2)
-        else:
-            out.append(a2 - (a2 - a1) ** 2 / denom)
-    return out
+    return [_aitken_step(*samples[i:i + 3]) for i in range(len(samples) - 2)]
 
 
 def limit_estimate(sampler: Callable[[int], Fraction],
@@ -76,9 +75,7 @@ def limit_estimate(sampler: Callable[[int], Fraction],
     for n in schedule.indices:
         samples.append(Q(sampler(n)))
         if len(samples) >= 3:
-            a0, a1, a2 = samples[-3], samples[-2], samples[-1]
-            denom = a2 - 2 * a1 + a0
-            acc = a2 if denom == 0 else a2 - (a2 - a1) ** 2 / denom
+            acc = _aitken_step(*samples[-3:])
             if accel and abs(acc - accel[-1]) <= schedule.tolerance:
                 streak += 1
             else:

@@ -6,10 +6,12 @@ from fractions import Fraction as Q
 
 import pytest
 
+from meanlab import axioms
 from meanlab.axioms import (
     PROPERTY_IDS,
     RECONSTRUCTED,
     GeneratorConfig,
+    Witness,
     check,
     full_report,
     gen_dilution,
@@ -18,8 +20,8 @@ from meanlab.axioms import (
     gen_nested_chain,
     gen_sets,
 )
-from meanlab.errors import BadConfig, BadParameters
-from meanlab.exactset import set_diff, set_intersect, subset_of
+from meanlab.errors import BadConfig, BadParameters, MeanlabError
+from meanlab.exactset import from_points, set_diff, set_intersect, subset_of
 from meanlab.limits import LimitSchedule
 from meanlab.means import amean, avg1, resolve_mean
 from meanlab.measure import DensityMeasure
@@ -223,6 +225,40 @@ def test_not_applicable_cells():
                  trials=5).verdict == "not_applicable"
     assert check("accumulated", resolve_mean("amean"),
                  trials=5).verdict == "not_applicable"
+
+
+# ------------------------------------------------------- contained trials
+
+
+def test_a_trial_the_engine_cannot_carry_out_is_skipped():
+    # Some draws of this audit union sets whose clusters would overlap,
+    # which leaves the representable class; those trials are skipped and
+    # the audit still ends in a verdict.
+    report = check("u_bounded_overlap", resolve_mean("eds:3"), trials=20)
+    assert report.verdict in ("holds_on_sample", "counterexample",
+                              "not_applicable")
+    assert report.trials <= 20
+
+
+def test_a_witness_that_fails_its_replay_still_raises(monkeypatch):
+    planted = Witness((from_points(Q(0)),), (("K(H)", Q(1)),), "planted",
+                      ((lambda: Q(0), Q(1)),))
+    monkeypatch.setattr(axioms, "_pinned_inputs",
+                        lambda pid, k: [(lambda k, cfg: planted, ())])
+    with pytest.raises(MeanlabError, match="replay"):
+        check("internal", resolve_mean("amean"), trials=1)
+
+
+def test_pinned_and_drawn_inputs_share_one_judge():
+    # eds:3 fails on its pinned instance, amean on a random draw; both
+    # witnesses list H, the finite set F, and H modified by F.
+    pinned = check("finite_independent", resolve_mean("eds:3"), trials=1)
+    drawn = check("finite_independent", resolve_mean("amean"), trials=5)
+    assert pinned.trials == 1
+    h, f, other = pinned.witness.sets
+    assert f == from_points(Q(0))
+    assert other == set_diff(h, f)
+    assert len(drawn.witness.sets) == 3
 
 
 # -------------------------------------------------------- sampled positives
