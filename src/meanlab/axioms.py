@@ -35,6 +35,7 @@ from .errors import (
     BadConfig,
     BadParameters,
     MeanlabError,
+    NoConvergence,
     NotApplicable,
     UnsupportedMean,
 )
@@ -62,6 +63,7 @@ from .means import MeanRef
 from .measure import DensityMeasure, fatten, lebesgue
 from .values import (
     Approx,
+    RootValue,
     value_bounds,
     value_le,
     value_lt_strict,
@@ -442,7 +444,9 @@ def _limit_matches(k: MeanRef, sampler: Callable[[int], Fraction], target,
     None: inconclusive (no convergence or ambiguous gap)."""
     try:
         est = limit_estimate(sampler, schedule, label="property limit")
-    except MeanlabError:  # NoConvergence, or a sample the engine rejects
+    except NoConvergence:
+        return None
+    except MeanlabError:
         return None
     pad = _slack(k) + _TOL
     if values_close(est, target, pad):
@@ -1092,14 +1096,16 @@ def _c_u_bounded_infinite(k, cfg, rng):
 # pinned instances (paper-grade witnesses and theorem families)
 
 
-def _pinned_inputs(property_id: str, k: MeanRef) -> list[tuple[Callable, tuple]]:
+def _pinned_inputs(property_id: str, k: MeanRef
+                   ) -> list[tuple[Callable, tuple]]:
     """(judge, stored inputs) pairs that ``check`` runs before its random
     trials, through the same judges as those trials."""
     kind, d = k.kind(), k.param
     fat = kind == "avg_fat" and isinstance(d, Fraction)
     mu = d if isinstance(d, DensityMeasure) else None
     harmonic = lambda: realset(clusters=[harmonic_cluster(Q(0))])
-    fat_pair = lambda: set_union(from_points(Q(0)), from_interval(2 * d, 3 * d))
+    points = lambda *xs: from_points(*map(Q, xs))
+    fat_pair = lambda: set_union(points(0), from_interval(2 * d, 3 * d))
     p = property_id
     if p == "strict_internal" and kind == "eds":
         return [(_j_strict_internal, (harmonic(),))]
@@ -1112,31 +1118,29 @@ def _pinned_inputs(property_id: str, k: MeanRef) -> list[tuple[Callable, tuple]]
         h2 = realset(points=[top], clusters=[harmonic_cluster(top, start=d)])
         return [(_j_monotone, (h1, h2))]
     if p == "equi_monotone" and kind == "m_acc":
-        return [(_j_equi_monotone, (harmonic(), from_points(Q(2))))]
+        return [(_j_equi_monotone, (harmonic(), points(2)))]
     if p == "slice_continuous" and kind == "eds":
-        return [(_j_slice_continuous,
-                 (from_points(Q(0), Q(1), Q(2), Q(3)), Q(3), "left"))]
+        return [(_j_slice_continuous, (points(0, 1, 2, 3), Q(3), "left"))]
     if p == "closed" and kind == "eds":
-        return [(_j_closed, (set_union(from_points(Q(0), Q(3)),
-                                       from_interval(Q(1), Q(2), False, False)),))]
+        return [(_j_closed, (set_union(
+            points(0, 3), from_interval(Q(1), Q(2), False, False)),))]
     if p == "finite_independent" and (kind == "eds" or fat):
-        h = from_points(Q(0), Q(1), Q(2), Q(3)) if kind == "eds" else fat_pair()
-        return [(_j_finite_independent, (h, from_points(Q(0))))]
+        h = points(0, 1, 2, 3) if kind == "eds" else fat_pair()
+        return [(_j_finite_independent, (h, points(0)))]
     if p == "cantor_continuous" and fat:
-        top = from_points(1 + 2 * d)
+        inter = from_points(1 + 2 * d)
         chain = lambda n: set_union(
-            top, realset(clusters=[harmonic_cluster(Q(0), start=max(2, n))]))
-        return [(_j_cantor_continuous, (chain, top))]
+            inter, realset(clusters=[harmonic_cluster(Q(0), start=max(2, n))]))
+        return [(_j_cantor_continuous, (chain, inter))]
     if p == "hausdorff_continuous" and kind in ("avg1", "lavg", "avg_fat",
                                                   "m_eds"):
         return [(_hausdorff_trial, (grid_family, from_interval(Q(0), Q(2))))]
     if p == "reflection_invariant" and kind == "eds":
         return [(_j_reflection_invariant,
-                 (from_points(Q(0), Q(1, 2), Q(3)), Q(3, 2)))]
+                 (points(0, Q(1, 2), 3), Q(3, 2)))]
     if p == "u_bounded_overlap" and kind == "amean":
-        return [(_u_bounded_core, (from_points(Q(0)),
-                                   (from_points(Q(-1), Q(1)),
-                                    from_points(Q(-1), Q(2)))))]
+        return [(_u_bounded_core,
+                 (points(0), (points(-1, 1), points(-1, 2))))]
     if p == "translation_invariant" and mu is not None:
         first = mu.pieces[0][0]
         return [(_j_translation_invariant,
