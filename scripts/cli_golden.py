@@ -2,9 +2,11 @@
 """Golden corpus of ``meanlab`` CLI calls: argv -> exit code, stdout, stderr.
 
 ``tests/data/cli_golden.json`` pins the exact text the CLI prints for about
-175 commands: every subcommand, every catalogue mean, harmonic and
+180 commands: every subcommand, every catalogue mean, harmonic and
 geometric clusters on both sides with and without their limit, ``bounds``
-bisections that cut narrow clusters near their limit, property audits that
+bisections that cut narrow clusters near their limit, coordinates of 200
+to 4,000 digits, past the float range and within 10^-30 of each other,
+property audits that
 reach every pinned instance, ``--set2``,
 parse errors (with their line and column in multi-line text and around
 tabs, CRLF, NBSP and non-ASCII characters), engine errors and argparse
@@ -162,6 +164,30 @@ def _cases() -> list[list[str]]:
                    "{0} u seq(limit=1, rule=geometric(1/4,1/3), from=1, "
                    "side=below, with_limit)"),
               )]
+
+    # large and near-tied coordinates, digits written out: 200-digit ends
+    # that differ past the 53rd bit, points past 10^400 (beyond the float
+    # range), intervals within 10^-30 of 1, and a 4,000-digit point set
+    big = 10 ** 199 + 1234567
+    huge = 10 ** 400 + 3
+    e = 10 ** 30
+    d4 = 10 ** 3999 + 7
+    n4 = 3 * d4 - 11
+    cases += [
+        ["eval", "--mean", "avg1", "--set",
+         f"[{big},{big + 3}] u [{2 * big + 5}/2,{big + 7}] u "
+         f"{{{big + 9},-{big}}}"],
+        ["eval", "--mean", "amean", "--set",
+         f"{{{huge},{huge + 1},-{huge},{2 * huge}}}"],
+        ["eval", "--mean", "avg1", "--set",
+         f"[{e - 1}/{e},{e + 1}/{e}] \\ ({2 * e - 1}/{2 * e},1] & "
+         f"[{e - 1}/{e},{3 * e + 1}/{3 * e}] u {{{e + 1}/{e}}}"],
+        ["eval", "--mean", "eds:3", "--set",
+         f"[{e - 1}/{e},{e + 1}/{e}] \\ [{e - 1}/{e},1) \\ "
+         f"(1,{e + 1}/{e}) & {{1,{e + 1}/{e},{e - 1}/{e}}}"],
+        ["eval", "--mean", "amean", "--set",
+         "{" + ",".join(f"{n4 + i}/{d4}" for i in (0, 1, -1, 2)) + "}"],
+    ]
 
     # property audits, two trials each
     cases += [
