@@ -9,11 +9,14 @@ A ``RealSet`` is a normalized disjoint union of three component kinds:
   rule, and optionally nested child clusters placed in disjoint windows
   around terms, which makes iterated derived sets structurally decidable.
 
-All arithmetic is exact rational arithmetic; floats never enter any decision.
-The interval/point fragment is encoded on a totally ordered key space
-``(position, side)`` with side in {-1, 0, +1} meaning "just below x",
-"exactly x", "just above x"; every boolean operation reduces to closed
-key-range algebra, so open/closed endpoint behavior is exact by construction.
+All arithmetic is exact rational arithmetic. The interval/point fragment is
+encoded on a totally ordered key space ``(position, side)`` with side in
+{-1, 0, +1} meaning "just below x", "exactly x", "just above x"; every
+boolean operation reduces to closed key-range algebra, so open/closed
+endpoint behavior is exact by construction. A key carries a monotone float
+prefix, ``(float(x), x, side)``, so that keys compare as tuples in C: the
+prefix decides only when the floats differ, and equal floats fall through
+to the exact ``Fraction``.
 
 Normalization sorts and merges: intervals sorted, disjoint and
 non-adjacent; points sorted, deduplicated, never redundant with an interval
@@ -31,6 +34,7 @@ the parts were written and grouped.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -56,26 +60,47 @@ Q = Fraction
 MATERIALIZE_CAP = 200_000
 
 # --------------------------------------------------------------------------
-# key space: (position, side), side -1 = just below, 0 = at, +1 = just above
+# key space: (position, side), side -1 = just below, 0 = at, +1 = just above,
+# stored as (float prefix, position, side)
 
-Key = tuple[Fraction, int]
+Key = tuple[float, Fraction, int]
+
+
+def _rounded(x: Fraction) -> float:
+    """x rounded to the nearest float, or ±inf past the float range.
+
+    Rounding is monotone, so unequal results order the positions exactly;
+    equal ones (ties, ±inf, or an underflow to ±0.0) leave it to x."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def _key(x: Fraction, e: int) -> Key:
+    return (_rounded(x), x, e)
+
+
+def _point_span(p: Fraction) -> Span:
+    k = _key(p, 0)
+    return (k, k)
 
 
 def _key_succ(k: Key) -> Optional[Key]:
-    x, e = k
+    f, x, e = k
     if e == -1:
-        return (x, 0)
+        return (f, x, 0)
     if e == 0:
-        return (x, 1)
+        return (f, x, 1)
     return None  # nothing is adjacent above "just above x"
 
 
 def _key_pred(k: Key) -> Optional[Key]:
-    x, e = k
+    f, x, e = k
     if e == 1:
-        return (x, 0)
+        return (f, x, 0)
     if e == 0:
-        return (x, -1)
+        return (f, x, -1)
     return None
 
 
@@ -91,10 +116,10 @@ def _merge_spans(spans: list[Span]) -> list[Span]:
     out = [spans[0]]
     for s in spans[1:]:
         last = out[-1]
-        x, e = last[1]
+        f, x, e = last[1]
         # s overlaps or touches last iff its start is at most the key just
-        # after last's end; (x, 2) stands above every key at x
-        if s[0] <= (x, e + 1):
+        # after last's end; side 2 stands above every key at x
+        if s[0] <= (f, x, e + 1):
             if s[1] > last[1]:
                 out[-1] = (last[0], s[1])
         else:
@@ -146,8 +171,9 @@ def _span_diff(a: list[Span], b: list[Span]) -> list[Span]:
 
 
 def _span_contains(spans: list[Span], x: Fraction) -> bool:
-    key = (x, 0)
-    i = bisect.bisect_right(spans, ((x, 2), (x, 2))) - 1
+    key = _key(x, 0)
+    top = (key[0], x, 2)
+    i = bisect.bisect_right(spans, (top, top)) - 1
     while i >= 0:
         if spans[i][0] <= key <= spans[i][1]:
             return True
@@ -167,7 +193,8 @@ def _span_overlaps(spans: list[Span], lo: Key, hi: Key) -> bool:
 
 
 def _reflect_spans(spans: list[Span]) -> list[Span]:
-    return sorted(((-b[0], -b[1]), (-a[0], -a[1])) for a, b in spans)
+    return sorted(((-b[0], -b[1], -b[2]), (-a[0], -a[1], -a[2]))
+                  for a, b in spans)
 
 
 # --------------------------------------------------------------------------
@@ -194,9 +221,8 @@ class Interval:
             raise BadParameters("half-open degenerate interval is empty")
 
     def span(self) -> Span:
-        a = (self.lo, 0 if self.lo_closed else 1)
-        b = (self.hi, 0 if self.hi_closed else -1)
-        return (a, b)
+        return (_key(self.lo, 0 if self.lo_closed else 1),
+                _key(self.hi, 0 if self.hi_closed else -1))
 
     @property
     def length(self) -> Fraction:
@@ -204,8 +230,8 @@ class Interval:
 
 
 def _span_to_part(s: Span):
-    (x, ex), (y, ey) = s
-    if x == y and ex == 0 and ey == 0:
+    (_, x, ex), (_, y, ey) = s
+    if s[0] == s[1]:  # a start side is 0 or 1 and an end side 0 or -1
         return ("point", x)
     return ("interval", Interval(x, y, ex == 0, ey == 0))
 
@@ -386,10 +412,10 @@ class Cluster:
         Computed once per instance and kept in its ``__dict__``, which the
         dataclass's ``==``, ``hash`` and ``repr`` never look at."""
         if self.above:
-            return ((self.limit, 1),
-                    (self.term(self.start) + self.window(self.start), 0))
-        return ((self.term(self.start) - self.window(self.start), 0),
-                (self.limit, -1))
+            return (_key(self.limit, 1),
+                    _key(self.term(self.start) + self.window(self.start), 0))
+        return (_key(self.term(self.start) - self.window(self.start), 0),
+                _key(self.limit, -1))
 
 
 def make_cluster(limit, above: bool, rule: Rule, start: int = 1,
@@ -520,7 +546,7 @@ def _outside_spans(xs: list[Fraction], spans: list[Span]) -> list[Fraction]:
     side e only when x == y."""
     out: list[Fraction] = []
     i, n = 0, len(xs)
-    for (sx, se), (ex, ee) in reversed(spans):
+    for (_, sx, se), (_, ex, ee) in reversed(spans):
         if i == n or xs[-1] > ex or (ee < 0 and xs[-1] == ex):
             break  # every x left is above this span, below the one before
         while xs[i] > ex or (ee < 0 and xs[i] == ex):
@@ -568,7 +594,7 @@ def _covered_index_range(cl: Cluster, u: Key, v: Key) -> Optional[tuple[int, Opt
     (every sufficiently large index is covered), or None when empty.
     """
     limit = cl.limit
-    vx, ve = v
+    _, vx, ve = v
     if vx <= limit:
         return None  # the range top is at or below the limit; terms are above
     k_ge = _max_k_offset_ge(cl.rule, cl.start, vx - limit)
@@ -578,7 +604,7 @@ def _covered_index_range(cl: Cluster, u: Key, v: Key) -> Optional[tuple[int, Opt
         k_lo = k_ge
     else:
         k_lo = k_ge + 1
-    ux, ue = u
+    _, ux, ue = u
     if ux <= limit:
         k_hi: Optional[int] = None  # the range reaches down to the limit
     else:
@@ -604,7 +630,7 @@ def _envelope_below(cl: Cluster, key: Key) -> int:
 
     def below(k: int) -> bool:
         w = cl.window(k) if cl.children else Q(0)
-        return (cl.term(k) + w, 0) < key
+        return _key(cl.term(k) + w, 0) < key
 
     if below(cl.start):
         return cl.start
@@ -697,7 +723,7 @@ def _cluster_minus_spans(cl: Cluster, spans: list[Span]):
             else:
                 w = cl.window(k)
                 t = cl.term(k)
-                if not _span_overlaps(spans, (t - w, 0), (t + w, 0)):
+                if not _span_overlaps(spans, _key(t - w, 0), _key(t + w, 0)):
                     out_clusters.append(obj)
                 else:
                     sub_c, sub_p = _cluster_minus_spans(obj, spans)
@@ -740,7 +766,7 @@ def _cluster_minus_term_indices(cl: Cluster, indices: list[int]):
 
 def _cluster_intersects_span(cl: Cluster, s: Span) -> bool:
     """Exact test: does any element of the cluster lie in the key-range s?"""
-    if cl.include_limit and s[0] <= (cl.limit, 0) <= s[1]:
+    if cl.include_limit and s[0] <= _key(cl.limit, 0) <= s[1]:
         return True
     if not cl.above:
         rs = _reflect_spans([s])[0]
@@ -759,7 +785,7 @@ def _cluster_intersects_span(cl: Cluster, s: Span) -> bool:
                 return True
     # a child window can straddle a range edge without its term inside
     for edge in (s[0], s[1]):
-        pos = edge[0]
+        pos = edge[1]
         off = pos - cl.limit
         if off <= 0:
             continue
@@ -832,7 +858,7 @@ class RealSet:
         spans = [iv.span() for iv in self.intervals]
         if not self.points:
             return spans
-        spans.extend(((p, 0), (p, 0)) for p in self.points)
+        spans.extend(map(_point_span, self.points))
         # disjoint, so the start keys alone order them
         return sorted(spans, key=_start) if self.intervals else spans
 
@@ -943,7 +969,7 @@ def normalize(intervals: Iterable[Interval] = (), points: Iterable = (),
     for p in points:
         if not isinstance(p, Fraction):
             p = Q(p)
-        spans.append(((p, 0), (p, 0)))
+        spans.append(_point_span(p))
     spans = _merge_spans(spans)
 
     work = [_canonical_cluster(c) for c in clusters]
@@ -956,7 +982,7 @@ def normalize(intervals: Iterable[Interval] = (), points: Iterable = (),
         cl = work.pop()
         parts, pts2 = _cluster_minus_spans(cl, spans)
         if pts2:
-            spans = _merge_spans(spans + [((p, 0), (p, 0)) for p in pts2])
+            spans = _merge_spans(spans + [_point_span(p) for p in pts2])
             work.extend(parts)
             continue
         requeued = False
@@ -1138,12 +1164,12 @@ def set_diff(a: RealSet, b: RealSet) -> RealSet:
             continue
         # removing cluster elements from interval mass: endpoint hits trim
         # the interval; interior hits leave holes outside the class
-        (sx, se), (sy, sye) = s
+        (_, sx, se), (_, sy, sye) = s
         if se == 0 and any(cluster_member(c, sx) for c in b.clusters):
             se = 1
         if sye == 0 and any(cluster_member(c, sy) for c in b.clusters):
             sye = -1
-        trimmed = ((sx, se), (sy, sye))
+        trimmed = (_key(sx, se), _key(sy, sye))
         for c in b.clusters:
             if _cluster_intersects_span(c, trimmed):
                 raise UnrepresentableResult(
@@ -1178,8 +1204,9 @@ def _complement_spans(spans: list[Span], lo: Key, hi: Key) -> list[Span]:
 def _cluster_intersect_spans(cl: Cluster, spans: list[Span]):
     lo, hi = cl.hull
     if cl.include_limit:
-        lo = min(lo, (cl.limit, 0))
-        hi = max(hi, (cl.limit, 0))
+        at = _key(cl.limit, 0)
+        lo = min(lo, at)
+        hi = max(hi, at)
     comp = _complement_spans(spans, lo, hi)
     return _cluster_minus_spans(cl, comp)
 

@@ -21,6 +21,7 @@ from meanlab.exactset import (
     _cluster_reflect,
     _covered_index_range,
     _envelope_below,
+    _key,
     _reflect_spans,
     _span_contains,
     _span_intersect,
@@ -100,7 +101,7 @@ def cluster_minus_spans(cl: Cluster, spans: list[Span]):
             else:
                 w = cl.window(k)
                 t = cl.term(k)
-                if not _span_overlaps(spans, (t - w, 0), (t + w, 0)):
+                if not _span_overlaps(spans, _key(t - w, 0), _key(t + w, 0)):
                     out_clusters.append(obj)
                 else:
                     sub_c, sub_p = cluster_minus_spans(obj, spans)
