@@ -615,12 +615,13 @@ def _c_mean_monotone(k, cfg, rng):
 
 
 def _c_equi_monotone(k, cfg, rng):
-    kind = k.kind()
-    if kind == "avg1":
+    # the straddling draws rely on the plain mean's symmetry and exact
+    # value, so a conjugate (id "avg1^f") draws like any other mean
+    if k.id == "avg1":
         h1 = _shape_union(rng, cfg)
         v = k.evaluate(h1)
         h2 = _straddling_intervals(rng, cfg, h1, v)
-    elif kind == "amean":
+    elif k.id == "amean":
         h1 = _shape_points(rng, cfg)
         v = k.evaluate(h1)
         lo, hi = h1.bounds()

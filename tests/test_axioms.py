@@ -22,8 +22,9 @@ from meanlab.axioms import (
 )
 from meanlab.errors import BadConfig, BadParameters, MeanlabError
 from meanlab.exactset import from_points, set_diff, set_intersect, subset_of
+from meanlab.funcs import parse_func
 from meanlab.limits import LimitSchedule
-from meanlab.means import amean, avg1, resolve_mean
+from meanlab.means import amean, avg1, resolve_mean, transform_kf
 from meanlab.measure import DensityMeasure
 from meanlab.values import values_close
 
@@ -169,6 +170,17 @@ def test_m_acc_is_not_equi_monotone():
     assert vals["K(H1)"] == Q(0)
     assert vals["K(H2)"] == Q(2)
     assert vals["K(H1uH2)"] == Q(0)
+
+
+@pytest.mark.parametrize("base", ["avg1", "amean"])
+def test_equi_monotone_audits_a_certified_conjugate(base):
+    # exp conjugates have Approx values, so the plain means' straddling
+    # draws (which need an exact mean) must not be used for them
+    k = transform_kf(resolve_mean(base), parse_func("exp(2)"))
+    for seed in range(3):
+        report = check("equi_monotone", k, trials=5, seed=seed)
+        assert report.verdict == "not_applicable"
+        assert report.witness is None
 
 
 def test_amean_overlap_bound_fails():
