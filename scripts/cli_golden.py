@@ -225,6 +225,8 @@ def _cases() -> list[list[str]]:
          "homogeneous", "--trials", "1"],
         ["props", "--mean", "eds:3", "--suite", "u-bounded-overlap",
          "--trials", "20"],
+        ["props", "--mean", "avg1", "--f", "exp(2)", "--suite",
+         "equi-monotone"],
     ]
 
     # parse errors (exit 2), engine errors (exit 1)
