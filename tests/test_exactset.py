@@ -653,3 +653,89 @@ def test_bulk_cluster_cuts_match_the_per_term_reference(monkeypatch):
                                                 brute_member(a, x), x)
         checked += 1
     assert checked > 600
+
+
+# coordinates whose float prefixes tie, overflow or underflow: the key's
+# float decides only when the floats differ
+
+
+def _key_coordinates(rng) -> dict[str, list[Q]]:
+    """About 40 distinct coordinates of each hard class, sorted."""
+    near = [1 + Q(d, 10 ** 30) for d in range(-3, 4)]
+    near += [1 + Q(rng.choice((-1, 1)), 10 ** rng.randint(17, 40))
+             for _ in range(33)]
+    big200 = Q(rng.randrange(10 ** 199, 10 ** 200), 7)
+    wide200 = [big200 + Q(d, 3) for d in range(-20, 20)]
+    num4k, den4k = rng.randrange(10 ** 3999, 10 ** 4000), 10 ** 3999 + 7
+    wide4k = [Q(num4k + d, den4k) for d in range(-20, 20)]
+    huge = [Q(s * (2 ** 1024 + d)) for s in (1, -1) for d in range(10)]
+    huge += [s * Q(10 ** 400 + d, 3) for s in (1, -1) for d in range(10)]
+    tiny = [s * Q(d, 2 ** 1100) for s in (1, -1) for d in range(1, 11)]
+    tiny += [s * Q(1, 10 ** 400 + d) for s in (1, -1) for d in range(10)]
+    plain = [Q(rng.randint(-40, 40), rng.choice((1, 2, 3)))
+             for _ in range(40)]
+    return {name: sorted(set(xs)) for name, xs in (
+        ("1 ± 1/10^d", near), ("200 digits", wide200),
+        ("4,000 digits", wide4k), ("past 2^1024", huge),
+        ("below 2^-1074", tiny), ("small", plain))}
+
+
+def test_keys_order_exactly_as_position_and_side():
+    rng = random.Random(11)
+    classes = list(_key_coordinates(rng).values())
+    every = [x for xs in classes for x in xs]
+    ties = inf = zero = same_x = 0
+    for _ in range(20_000):
+        xs = rng.choice(classes)
+        x = rng.choice(xs)
+        y = x if rng.random() < 0.2 else rng.choice(
+            xs if rng.random() < 0.8 else every)
+        e, f = rng.choice((-1, 0, 1)), rng.choice((-1, 0, 1))
+        kx, ky = exactset._key(x, e), exactset._key(y, f)
+        assert (kx < ky) == ((x, e) < (y, f))
+        assert (kx == ky) == ((x, e) == (y, f))
+        ties += kx[0] == ky[0] and x != y
+        same_x += x == y and e != f
+        inf += abs(kx[0]) == float("inf")
+        zero += kx[0] == 0 and x != 0
+    assert min(ties, same_x, inf, zero) > 1000, (ties, same_x, inf, zero)
+
+
+def test_set_algebra_on_hard_coordinates_matches_the_oracle():
+    rng = random.Random(12)
+
+    def parts(xs):
+        ivs, pts = [], []
+        for _ in range(rng.randint(1, 3)):
+            lo, hi = sorted(rng.sample(xs, 2))
+            ivs.append(exactset.Interval(lo, hi, rng.random() < 0.5,
+                                         rng.random() < 0.5))
+        pts += rng.sample(xs, rng.randint(0, 3))
+        cls = []
+        if rng.random() < 0.3:  # its terms sit far inside every gap
+            c = min(b - a for a, b in zip(xs, xs[1:])) / 10 ** 10
+            cls.append(harmonic_cluster(rng.choice(xs), c=c,
+                                        above=rng.random() < 0.5,
+                                        include_limit=rng.random() < 0.5))
+        return ivs, pts, cls
+
+    checked = 0
+    # the oracle's comparisons of 4,000-digit fractions take ~0.1 s a round
+    rounds = [(xs, 6 if name == "4,000 digits" else 30)
+              for name, xs in _key_coordinates(rng).items()]
+    for xs in (xs for xs, n in rounds for _ in range(n)):
+        ivs, pts, cls = parts(xs)
+        ivs2, pts2, cls2 = parts(xs)
+        try:
+            a, b = normalize(ivs, pts, cls), normalize(ivs2, pts2, cls2)
+            results = [(op, op(a, b)) for op in _TRUTH]
+        except MeanlabError:
+            continue
+        raw = RealSet(tuple(ivs), tuple(pts), tuple(cls))
+        for x in probe_points(a, b, raw, terms=4):
+            ia, ib = brute_member(a, x), brute_member(b, x)
+            assert ia == brute_member(raw, x)
+            for op, h in results:
+                assert brute_member(h, x) == _TRUTH[op](ia, ib)
+        checked += 1
+    assert checked > 120
