@@ -615,21 +615,27 @@ def _c_mean_monotone(k, cfg, rng):
 
 
 def _c_equi_monotone(k, cfg, rng):
-    # the straddling draws rely on the plain mean's symmetry and exact
-    # value, so a conjugate (id "avg1^f") draws like any other mean
-    if k.id == "avg1":
+    # the straddling draws centre on the mean's rational value, which the
+    # plain means and their affine conjugates have; a RootValue
+    # (avg1^square) or certified Approx (avg1^exp(2)) draws like any other
+    # mean
+    kind = k.kind()
+    v = None
+    if kind == "avg1":
         h1 = _shape_union(rng, cfg)
         v = k.evaluate(h1)
-        h2 = _straddling_intervals(rng, cfg, h1, v)
-    elif k.id == "amean":
+    elif kind == "amean":
         h1 = _shape_points(rng, cfg)
         v = k.evaluate(h1)
+    if not isinstance(v, Fraction):
+        h1, h2 = _sample_pair_apart(k, cfg, rng)
+        v = k.evaluate(h1)
+    elif kind == "avg1":
+        h2 = _straddling_intervals(rng, cfg, h1, v)
+    else:
         lo, hi = h1.bounds()
         t = max(v - lo, hi - v) + _rand_frac(rng, cfg, 1, 3)
         h2 = from_points(v - t, v + t)
-    else:
-        h1, h2 = _sample_pair_apart(k, cfg, rng)
-        v = k.evaluate(h1)
     return _j_equi_monotone(k, cfg, h1, h2, v)
 
 

@@ -173,14 +173,26 @@ def test_m_acc_is_not_equi_monotone():
 
 
 @pytest.mark.parametrize("base", ["avg1", "amean"])
-def test_equi_monotone_audits_a_certified_conjugate(base):
-    # exp conjugates have Approx values, so the plain means' straddling
-    # draws (which need an exact mean) must not be used for them
-    k = transform_kf(resolve_mean(base), parse_func("exp(2)"))
+@pytest.mark.parametrize("f", ["exp(2)", "square"])
+def test_equi_monotone_audits_an_irrational_conjugate(base, f):
+    # exp conjugates have Approx values and square conjugates RootValues,
+    # so the plain means' straddling draws (which centre on a rational
+    # value) must not be used for them
+    k = transform_kf(resolve_mean(base), parse_func(f))
     for seed in range(3):
         report = check("equi_monotone", k, trials=5, seed=seed)
         assert report.verdict == "not_applicable"
         assert report.witness is None
+
+
+@pytest.mark.parametrize("base", ["avg1", "amean"])
+def test_equi_monotone_straddles_for_an_affine_conjugate(base):
+    # an affine conjugate keeps rational values, so it draws like the
+    # plain mean and meets the premise K(H1uH2) = K(H1) on every trial
+    k = transform_kf(resolve_mean(base), parse_func("affine(2,1)"))
+    report = check("equi_monotone", k, trials=5, seed=0)
+    assert report.verdict == "holds_on_sample"
+    assert report.trials == 5
 
 
 def test_amean_overlap_bound_fails():
