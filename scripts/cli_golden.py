@@ -227,6 +227,10 @@ def _cases() -> list[list[str]]:
          "--trials", "20"],
         ["props", "--mean", "avg1", "--f", "exp(2)", "--suite",
          "equi-monotone"],
+        ["props", "--mean", "avg1", "--f", "affine(2,1)", "--suite",
+         "equi-monotone", "--trials", "20"],
+        ["props", "--mean", "amean", "--f", "affine(-1,0)", "--suite",
+         "equi-monotone", "--trials", "20"],
     ]
 
     # parse errors (exit 2), engine errors (exit 1)
