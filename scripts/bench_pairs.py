@@ -2,26 +2,28 @@
 """Alternating-pairs comparison of a parent commit and the working tree.
 
 Each pair runs ``bench/run.py`` once on a copy of the parent commit (made
-with ``git archive``) and once on the working tree, with the same workload,
-seed and run length. Pair i uses seed ``seed0 + i``; the parent runs first
-in even pairs and second in odd ones. For every end-to-end metric the
-script prints each side's median and quartiles and how many pairs the
-change won (ties count for neither side), and says whether a gain would
-hold: the change wins at least nine tenths of the pairs and the medians
-differ by more than the distance between the parent's quartiles. It also
-reports runs that were not ``correct`` or had failures, and pairs whose
-known-failure probes printed differently on the two sides.
+with ``git archive``) and once on the working tree, with the same workload
+and seed, for the ``run_seconds`` of ``BENCHMARK.json``. Pair i uses seed
+``seed0 + i``; the parent runs first in even pairs and second in odd ones.
+For every end-to-end metric the script prints each side's median and
+quartiles and how many pairs the change won (ties count for neither side),
+and says whether a gain would hold: the change wins at least nine tenths of
+the pairs and the medians differ by more than the distance between the
+parent's quartiles. It also reports runs that were not ``correct`` or had
+failures, and pairs whose known-failure probes printed differently on the
+two sides.
 
 Run from the repository root:
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --workload big_sets \\
-        --pairs 10 --seed0 901 [--seconds 20] [--out 7]
+        --pairs 10 --seed0 901 [--out 7]
 
 ``--out N`` also records the runs and the summary under the workload's
 name in ``BENCH_N.json`` at the repository root, keeping the other
-workloads already recorded there. ``--seconds`` defaults to the
-``run_seconds`` of ``BENCHMARK.json``, which also gives each metric's
-better direction.
+workloads already recorded there. ``BENCHMARK.json`` also gives each
+metric's better direction. The script refuses to run when ``bench/`` or
+``BENCHMARK.json`` differ between the parent and the working tree, since
+such a comparison would not measure the benchmark as declared.
 """
 
 from __future__ import annotations
@@ -130,7 +132,6 @@ def main() -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--seed0", type=int, required=True)
-    ap.add_argument("--seconds", type=int)
     ap.add_argument("--out", type=int, metavar="N",
                     help="also record the runs in BENCH_N.json at the "
                     "repository root")
@@ -138,10 +139,12 @@ def main() -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         bench = json.load(f)
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     parent = git("rev-parse", args.parent).decode().strip()
     if git("diff", "--stat", parent, "--", "bench", "BENCHMARK.json"):
-        print("warning: bench/ or BENCHMARK.json differs from the parent")
+        print("bench/ or BENCHMARK.json differs from the parent; "
+              "refusing to compare", file=sys.stderr)
+        return 2
 
     pairs = []
     with tempfile.TemporaryDirectory() as tmp:
