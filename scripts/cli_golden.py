@@ -2,12 +2,12 @@
 """Golden corpus of ``meanlab`` CLI calls: argv -> exit code, stdout, stderr.
 
 ``tests/data/cli_golden.json`` pins the exact text the CLI prints for about
-180 commands: every subcommand, every catalogue mean, harmonic and
+190 commands: every subcommand, every catalogue mean, harmonic and
 geometric clusters on both sides with and without their limit, ``bounds``
 bisections that cut narrow clusters near their limit, coordinates of 200
 to 4,000 digits, past the float range and within 10^-30 of each other,
 property audits that
-reach every pinned instance, ``--set2``,
+reach every pinned instance and every limit-type trial, ``--set2``,
 parse errors (with their line and column in multi-line text and around
 tabs, CRLF, NBSP and non-ASCII characters), engine errors and argparse
 usage errors. The commands run in
@@ -232,6 +232,21 @@ def _cases() -> list[list[str]]:
         ["props", "--mean", "amean", "--f", "affine(-1,0)", "--suite",
          "equi-monotone", "--trials", "20"],
     ]
+    # the limit-type audits and the checkers that no pinned instance reaches
+    cases += [["props", *fmt, "--mean", mean, "--suite", suite,
+               "--trials", "3", *seed, *MAX_N]
+              for fmt, mean, suite, seed in (
+                  (["--json"], "amean", "point-continuous", []),
+                  (["--json"], "eds:3", "u-cantor-continuous",
+                   ["--seed", "1"]),
+                  (["--json"], "m_acc", "cantor-continuous-compact", []),
+                  ([], "iso:4", "accumulated", []),
+                  ([], "m_acc", "u-bounded-infinite", []),
+                  ([], "eds:3", "disjoint-monotone", ["--seed", "4"]),
+                  ([], "eds:3", "convex", ["--seed", "5"]),
+                  ([], "amean", "strong-internal,strict-strong-internal,"
+                   "union-monotone,mean-monotone,self-accumulated", []),
+              )]
 
     # parse errors (exit 2), engine errors (exit 1)
     cases += [
