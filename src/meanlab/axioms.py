@@ -35,7 +35,6 @@ from .errors import (
     BadConfig,
     BadParameters,
     MeanlabError,
-    NoConvergence,
     NotApplicable,
     UnsupportedMean,
 )
@@ -60,10 +59,9 @@ from .exactset import (
 )
 from .limits import DEFAULT_SCHEDULE, LimitSchedule, limit_estimate
 from .means import MeanRef
-from .measure import DensityMeasure, fatten, lebesgue
+from .measure import DensityMeasure
 from .values import (
     Approx,
-    RootValue,
     value_bounds,
     value_le,
     value_lt_strict,
@@ -144,10 +142,6 @@ def _le_holds(k: MeanRef, a, b) -> bool:
     return value_le(a, b, _slack(k))
 
 
-def _lt_certain(a, b, tol: Fraction = Q(0)) -> bool:
-    return value_lt_strict(a, b, tol)
-
-
 def _num(v) -> Fraction:
     return v if isinstance(v, Fraction) else value_mid(v)
 
@@ -176,12 +170,12 @@ def _reflect_value(v, s: Fraction):
     return _shift_value(_scale_value(v, Q(-1)), 2 * s)
 
 
-def _wit(note: str, sets, values, replays=()) -> Witness:
-    return Witness(tuple(sets), tuple(values), note, tuple(replays))
-
-
-def _replay(k: MeanRef, h: RealSet, expected):
-    return (lambda: k.evaluate(h)), expected
+def _wit(k: MeanRef, note: str, sets, rows) -> Witness:
+    """A witness from (label, value) rows; a row (label, value, set) also
+    replays K(set) against the value, in row order."""
+    return Witness(tuple(sets), tuple(r[:2] for r in rows), note,
+                   tuple(((lambda h=r[2]: k.evaluate(h)), r[1])
+                         for r in rows if len(r) == 3))
 
 
 # --------------------------------------------------------------------------
@@ -444,8 +438,6 @@ def _limit_matches(k: MeanRef, sampler: Callable[[int], Fraction], target,
     None: inconclusive (no convergence or ambiguous gap)."""
     try:
         est = limit_estimate(sampler, schedule, label="property limit")
-    except NoConvergence:
-        return None
     except MeanlabError:
         return None
     pad = _slack(k) + _TOL
@@ -459,6 +451,25 @@ def _limit_matches(k: MeanRef, sampler: Callable[[int], Fraction], target,
     return None
 
 
+def _limit_trial(k: MeanRef, cfg: GeneratorConfig, base_set: RealSet,
+                 near: Callable[[int], RealSet], note: str, labels,
+                 shown: Optional[RealSet] = None) -> Optional[Witness]:
+    """Does K(near(n)) tend to K(base_set)? Skips when that is unclear; a
+    clear gap witnesses ``shown`` (default ``base_set``) and near(last
+    schedule index), replaying both values under ``labels``."""
+    base = k.evaluate(base_set)
+    verdict = _limit_matches(k, lambda n: _num(k.evaluate(near(n))), base,
+                             cfg.schedule)
+    if verdict is None:
+        raise _Skip
+    if verdict:
+        return None
+    probe = near(cfg.schedule.indices[-1])
+    vp = k.evaluate(probe)
+    return _wit(k, note, (base_set if shown is None else shown, probe),
+                ((labels[0], base, base_set), (labels[1], vp, probe)))
+
+
 # --------------------------------------------------------------------------
 # property checkers
 #
@@ -466,7 +477,10 @@ def _limit_matches(k: MeanRef, sampler: Callable[[int], Fraction], target,
 # instances (``_pinned_inputs``), the checker only draws, and its judge
 # ``_j_<property>`` takes the drawn or stored inputs and returns a Witness
 # (a counterexample) or None; either may raise _Skip or an engine error,
-# and ``check`` counts both as a skipped trial.
+# and ``check`` counts both as a skipped trial. Every witness comes from
+# ``_wit``, whose rows name each value once together with the set that
+# replays it; every limit-type trial (the continuity properties) runs
+# through ``_limit_trial``.
 
 
 def _c_internal(k, cfg, rng):
@@ -475,9 +489,8 @@ def _c_internal(k, cfg, rng):
     lo, hi = h.bounds()
     if _le_holds(k, lo, v) and _le_holds(k, v, hi):
         return None
-    return _wit("mean escapes [inf, sup]", (h,),
-                (("K(H)", v), ("inf", lo), ("sup", hi)),
-                (_replay(k, h, v),))
+    return _wit(k, "mean escapes [inf, sup]", (h,),
+                (("K(H)", v, h), ("inf", lo), ("sup", hi)))
 
 
 def _c_strict_internal(k, cfg, rng):
@@ -489,46 +502,40 @@ def _j_strict_internal(k, cfg, h):
     v = k.evaluate(h)
     if _le_holds(k, li, v) and _le_holds(k, v, ls):
         return None
-    return _wit("mean escapes [liminf, limsup]", (h,),
-                (("K(H)", v), ("liminf", li), ("limsup", ls)),
-                (_replay(k, h, v),))
+    return _wit(k, "mean escapes [liminf, limsup]", (h,),
+                (("K(H)", v, h), ("liminf", li), ("limsup", ls)))
 
 
-def _c_strong_internal(k, cfg, rng):
-    h = _sample_domain_set(k, cfg, rng)
-    v = k.evaluate(h)
-    li = liminf_by_mean(k, h)
-    ls = limsup_by_mean(k, h)
-    if _le_holds(k, li, v) and _le_holds(k, v, ls):
-        return None
-    return _wit("mean escapes its own [liminf, limsup]", (h,),
-                (("K(H)", v), ("liminf_K", li), ("limsup_K", ls)),
-                (_replay(k, h, v),))
-
-
-def _c_strict_strong_internal(k, cfg, rng):
+def _strong_internal(k, cfg, rng, not_strict):
+    """Draw H and bracket K(H) by the mean's own liminf and limsup;
+    ``not_strict(v, li, ls)`` flags a sandwich that is not strict enough."""
     h = _sample_domain_set(k, cfg, rng)
     v = k.evaluate(h)
     li = liminf_by_mean(k, h)
     ls = limsup_by_mean(k, h)
     if not (_le_holds(k, li, v) and _le_holds(k, v, ls)):
-        return _wit("mean escapes its own [liminf, limsup]", (h,),
-                    (("K(H)", v), ("liminf_K", li), ("limsup_K", ls)),
-                    (_replay(k, h, v),))
-    if values_close(li, ls, _slack(k)):
+        note = "mean escapes its own [liminf, limsup]"
+    elif not_strict(v, li, ls):
+        note = "bounds differ but sandwich is not strict"
+    else:
         return None
-    if k.exact and isinstance(v, Fraction) and isinstance(li, Fraction) \
-            and isinstance(ls, Fraction):
-        if li < v < ls:
-            return None
-        return _wit("bounds differ but sandwich is not strict", (h,),
-                    (("K(H)", v), ("liminf_K", li), ("limsup_K", ls)),
-                    (_replay(k, h, v),))
-    if _lt_certain(v, li) or _lt_certain(ls, v):
-        return _wit("bounds differ but sandwich is not strict", (h,),
-                    (("K(H)", v), ("liminf_K", li), ("limsup_K", ls)),
-                    (_replay(k, h, v),))
-    return None
+    return _wit(k, note, (h,),
+                (("K(H)", v, h), ("liminf_K", li), ("limsup_K", ls)))
+
+
+def _c_strong_internal(k, cfg, rng):
+    return _strong_internal(k, cfg, rng, lambda v, li, ls: False)
+
+
+def _c_strict_strong_internal(k, cfg, rng):
+    def not_strict(v, li, ls):
+        if values_close(li, ls, _slack(k)):
+            return False
+        if k.exact and all(isinstance(x, Fraction) for x in (v, li, ls)):
+            return not li < v < ls
+        return value_lt_strict(v, li) or value_lt_strict(ls, v)
+
+    return _strong_internal(k, cfg, rng, not_strict)
 
 
 def _c_monotone(k, cfg, rng):
@@ -541,16 +548,15 @@ def _j_monotone(k, cfg, a, b):
     va, vb, vu = k.evaluate(a), k.evaluate(b), k.evaluate(u)
     if _le_holds(k, va, vu) and _le_holds(k, vu, vb):
         return None
-    return _wit("ordered pair breaks the sandwich K(H1)<=K(U)<=K(H2)",
+    return _wit(k, "ordered pair breaks the sandwich K(H1)<=K(U)<=K(H2)",
                 (a, b, u),
-                (("K(H1)", va), ("K(H2)", vb), ("K(H1uH2)", vu)),
-                (_replay(k, a, va), _replay(k, b, vb), _replay(k, u, vu)))
+                (("K(H1)", va, a), ("K(H2)", vb, b), ("K(H1uH2)", vu, u)))
 
 
 def _c_disjoint_monotone(k, cfg, rng):
     a, b = _sample_pair_apart(k, cfg, rng)
     va, vb = k.evaluate(a), k.evaluate(b)
-    if _lt_certain(vb, va):
+    if value_lt_strict(vb, va):
         a, b, va, vb = b, a, vb, va
     elif not _le_holds(k, va, vb):
         raise _Skip
@@ -558,10 +564,9 @@ def _c_disjoint_monotone(k, cfg, rng):
     vu = k.evaluate(u)
     if _le_holds(k, va, vu) and _le_holds(k, vu, vb):
         return None
-    return _wit("disjoint value-ordered pair breaks the sandwich",
+    return _wit(k, "disjoint value-ordered pair breaks the sandwich",
                 (a, b, u),
-                (("K(H1)", va), ("K(H2)", vb), ("K(H1uH2)", vu)),
-                (_replay(k, a, va), _replay(k, b, vb), _replay(k, u, vu)))
+                (("K(H1)", va, a), ("K(H2)", vb, b), ("K(H1uH2)", vu, u)))
 
 
 def _c_union_monotone(k, cfg, rng):
@@ -575,24 +580,20 @@ def _c_union_monotone(k, cfg, rng):
     va, vab = k.evaluate(a), k.evaluate(ab)
     vac, vabc = k.evaluate(ac), k.evaluate(abc)
     up = _le_holds(k, va, vab) and _le_holds(k, va, vac) \
-        and not _lt_certain(vab, va) and not _lt_certain(vac, va)
+        and not value_lt_strict(vab, va) and not value_lt_strict(vac, va)
     down = _le_holds(k, vab, va) and _le_holds(k, vac, va) \
-        and not _lt_certain(va, vab) and not _lt_certain(va, vac)
+        and not value_lt_strict(va, vab) and not value_lt_strict(va, vac)
     if up and not _le_holds(k, va, vabc):
-        return _wit("both enlargements raise the mean but the joint one "
-                    "lowers it", (a, b, c),
-                    (("K(A)", va), ("K(AuB)", vab), ("K(AuC)", vac),
-                     ("K(AuBuC)", vabc)),
-                    (_replay(k, a, va), _replay(k, abc, vabc)))
-    if down and not _le_holds(k, vabc, va):
-        return _wit("both enlargements lower the mean but the joint one "
-                    "raises it", (a, b, c),
-                    (("K(A)", va), ("K(AuB)", vab), ("K(AuC)", vac),
-                     ("K(AuBuC)", vabc)),
-                    (_replay(k, a, va), _replay(k, abc, vabc)))
-    if not (up or down):
+        note = "both enlargements raise the mean but the joint one lowers it"
+    elif down and not _le_holds(k, vabc, va):
+        note = "both enlargements lower the mean but the joint one raises it"
+    elif up or down:
+        return None
+    else:
         raise _Skip
-    return None
+    return _wit(k, note, (a, b, c),
+                (("K(A)", va, a), ("K(AuB)", vab), ("K(AuC)", vac),
+                 ("K(AuBuC)", vabc, abc)))
 
 
 def _c_mean_monotone(k, cfg, rng):
@@ -608,10 +609,9 @@ def _c_mean_monotone(k, cfg, rng):
     v1, v2 = k.evaluate(u1), k.evaluate(u2)
     if _le_holds(k, v1, v) and _le_holds(k, v, v2):
         return None
-    return _wit("adjoining a set below (above) the mean fails to pull it "
+    return _wit(k, "adjoining a set below (above) the mean fails to pull it "
                 "down (up)", (h, low, up),
-                (("K(H)", v), ("K(HuL)", v1), ("K(HuU)", v2)),
-                (_replay(k, h, v), _replay(k, u1, v1), _replay(k, u2, v2)))
+                (("K(H)", v, h), ("K(HuL)", v1, u1), ("K(HuU)", v2, u2)))
 
 
 def _c_equi_monotone(k, cfg, rng):
@@ -652,10 +652,9 @@ def _j_equi_monotone(k, cfg, h1, h2, v=None):
     v2 = k.evaluate(h2)
     if _eq(k, v2, v):
         return None
-    return _wit("union keeps the mean but the parts disagree",
+    return _wit(k, "union keeps the mean but the parts disagree",
                 (h1, h2, u),
-                (("K(H1)", v), ("K(H2)", v2), ("K(H1uH2)", vu)),
-                (_replay(k, h1, v), _replay(k, h2, v2), _replay(k, u, vu)))
+                (("K(H1)", v, h1), ("K(H2)", v2, h2), ("K(H1uH2)", vu, u)))
 
 
 def _slice_points_of_interest(h: RealSet) -> list[Fraction]:
@@ -686,20 +685,9 @@ def _j_slice_continuous(k, cfg, h, x0, side):
     else:
         base_set = slice_le(h, x0)
         near = lambda n: slice_le(h, x0 - Q(1, n))
-    base = k.evaluate(base_set)
-    sched = cfg.schedule
-    sampler = lambda n: _num(k.evaluate(near(n)))
-    verdict = _limit_matches(k, sampler, base, sched)
-    if verdict is None:
-        raise _Skip
-    if verdict:
-        return None
-    probe = near(sched.indices[-1])
-    vp = k.evaluate(probe)
-    return _wit(f"slice value jumps approaching {x0} from the {side}",
-                (h, probe),
-                ((f"K(slice at {x0})", base), ("K(nearby slice)", vp)),
-                (_replay(k, base_set, base), _replay(k, probe, vp)))
+    return _limit_trial(k, cfg, base_set, near,
+                        f"slice value jumps approaching {x0} from the {side}",
+                        (f"K(slice at {x0})", "K(nearby slice)"), shown=h)
 
 
 def _c_point_continuous(k, cfg, rng):
@@ -710,24 +698,11 @@ def _c_point_continuous(k, cfg, rng):
     if not xs:
         raise _Skip
     x0 = rng.choice(sorted(set(xs)))
-    base = k.evaluate(h)
-    sched = cfg.schedule
-
-    def rem(n: int) -> RealSet:
-        return set_diff(h, from_interval(x0 - Q(1, n), x0 + Q(1, n),
-                                         False, False))
-
-    sampler = lambda n: _num(k.evaluate(rem(n)))
-    verdict = _limit_matches(k, sampler, base, sched)
-    if verdict is None:
-        raise _Skip
-    if verdict:
-        return None
-    probe = rem(sched.indices[-1])
-    vp = k.evaluate(probe)
-    return _wit(f"removing a vanishing ball at {x0} moves the mean",
-                (h, probe), (("K(H)", base), ("K(H-ball)", vp)),
-                (_replay(k, h, base), _replay(k, probe, vp)))
+    rem = lambda n: set_diff(h, from_interval(x0 - Q(1, n), x0 + Q(1, n),
+                                              False, False))
+    return _limit_trial(k, cfg, h, rem,
+                        f"removing a vanishing ball at {x0} moves the mean",
+                        ("K(H)", "K(H-ball)"))
 
 
 def _chain_family(k, cfg, rng, *, compact_only: bool):
@@ -758,20 +733,10 @@ def _c_cantor_continuous(k, cfg, rng, *, compact_only=False):
 
 
 def _j_cantor_continuous(k, cfg, chain, inter):
-    target = k.evaluate(inter)
-    sched = cfg.schedule
-    sampler = lambda n: _num(k.evaluate(chain(n)))
-    verdict = _limit_matches(k, sampler, target, sched)
-    if verdict is None:
-        raise _Skip
-    if verdict:
-        return None
-    last = chain(sched.indices[-1])
-    vl = k.evaluate(last)
-    return _wit("means along the nested chain do not approach the mean of "
-                "the intersection", (inter, last),
-                (("K(intersection)", target), ("K(deep chain member)", vl)),
-                (_replay(k, inter, target), _replay(k, last, vl)))
+    return _limit_trial(k, cfg, inter, chain,
+                        "means along the nested chain do not approach the "
+                        "mean of the intersection",
+                        ("K(intersection)", "K(deep chain member)"))
 
 
 def _c_cantor_continuous_compact(k, cfg, rng):
@@ -780,8 +745,6 @@ def _c_cantor_continuous_compact(k, cfg, rng):
 
 def _c_u_cantor_continuous(k, cfg, rng):
     h = _sample_domain_set(k, cfg, rng)
-    base = k.evaluate(h)
-    sched = cfg.schedule
     if h.intervals:
         top = h.intervals[-1]
         w = top.hi - top.lo
@@ -789,18 +752,10 @@ def _c_u_cantor_continuous(k, cfg, rng):
                                                    False, False))
     else:
         part = lambda n: h
-    sampler = lambda n: _num(k.evaluate(part(n)))
-    verdict = _limit_matches(k, sampler, base, sched)
-    if verdict is None:
-        raise _Skip
-    if verdict:
-        return None
-    probe = part(sched.indices[-1])
-    vp = k.evaluate(probe)
-    return _wit("partial unions of the slab decomposition do not approach "
-                "the full mean", (h, probe),
-                (("K(H)", base), ("K(partial union)", vp)),
-                (_replay(k, h, base), _replay(k, probe, vp)))
+    return _limit_trial(k, cfg, h, part,
+                        "partial unions of the slab decomposition do not "
+                        "approach the full mean",
+                        ("K(H)", "K(partial union)"))
 
 
 def _c_hausdorff_continuous(k, cfg, rng):
@@ -818,20 +773,10 @@ def _c_hausdorff_continuous(k, cfg, rng):
 
 
 def _hausdorff_trial(k, cfg, family, limit_set):
-    target = k.evaluate(limit_set)
-    sched = cfg.schedule
-    sampler = lambda m: _num(k.evaluate(family(m)))
-    verdict = _limit_matches(k, sampler, target, sched)
-    if verdict is None:
-        raise _Skip
-    if verdict:
-        return None
-    deep = family(sched.indices[-1])
-    vd = k.evaluate(deep)
-    return _wit("means along the Hausdorff-convergent family stay away "
-                "from the mean of the limit set", (limit_set, deep),
-                (("K(limit)", target), ("K(deep member)", vd)),
-                (_replay(k, limit_set, target), _replay(k, deep, vd)))
+    return _limit_trial(k, cfg, limit_set, family,
+                        "means along the Hausdorff-convergent family stay "
+                        "away from the mean of the limit set",
+                        ("K(limit)", "K(deep member)"))
 
 
 def _c_finite_independent(k, cfg, rng):
@@ -861,9 +806,8 @@ def _j_finite_independent(k, cfg, h, f, v=None):
         vo = k.evaluate(other)
         checked.append((other, label, vo))
         if not _eq(k, vo, v):
-            return _wit("a finite modification moves the mean",
-                        (h, f, other), (("K(H)", v), (label, vo)),
-                        (_replay(k, h, v), _replay(k, other, vo)))
+            return _wit(k, "a finite modification moves the mean",
+                        (h, f, other), (("K(H)", v, h), (label, vo, other)))
     if not checked:
         raise _Skip
     return None
@@ -882,9 +826,8 @@ def _j_closed(k, cfg, h):
     v, vc = k.evaluate(h), k.evaluate(c)
     if _eq(k, vc, v):
         return None
-    return _wit("taking the closure moves the mean", (h, c),
-                (("K(H)", v), ("K(cl H)", vc)),
-                (_replay(k, h, v), _replay(k, c, vc)))
+    return _wit(k, "taking the closure moves the mean", (h, c),
+                (("K(H)", v, h), ("K(cl H)", vc, c)))
 
 
 def _c_accumulated(k, cfg, rng):
@@ -895,9 +838,8 @@ def _c_accumulated(k, cfg, rng):
     v, vd = k.evaluate(h), k.evaluate(d)
     if _eq(k, vd, v):
         return None
-    return _wit("the mean of the derived set differs", (h, d),
-                (("K(H)", v), ("K(H')", vd)),
-                (_replay(k, h, v), _replay(k, d, vd)))
+    return _wit(k, "the mean of the derived set differs", (h, d),
+                (("K(H)", v, h), ("K(H')", vd, d)))
 
 
 def _c_self_accumulated(k, cfg, rng):
@@ -912,9 +854,8 @@ def _c_self_accumulated(k, cfg, rng):
     v, va = k.evaluate(h), k.evaluate(acc)
     if _eq(k, va, v):
         return None
-    return _wit("the mean of the mean-accumulation set differs", (h, acc),
-                (("K(H)", v), ("K(H'_K)", va)),
-                (_replay(k, h, v), _replay(k, acc, va)))
+    return _wit(k, "the mean of the mean-accumulation set differs",
+                (h, acc), (("K(H)", v, h), ("K(H'_K)", va, acc)))
 
 
 def _c_convex(k, cfg, rng):
@@ -934,10 +875,10 @@ def _c_convex(k, cfg, rng):
     vu = k.evaluate(u)
     if _le_holds(k, ilo, vu) and _le_holds(k, vu, ihi):
         return None
-    return _wit("adjoining a subset of an interval around the mean pushes "
-                "the mean outside that interval", (h, ell, u),
-                (("K(H)", v), ("K(HuL)", vu), ("I_lo", ilo), ("I_hi", ihi)),
-                (_replay(k, h, v), _replay(k, u, vu)))
+    return _wit(k, "adjoining a subset of an interval around the mean "
+                "pushes the mean outside that interval", (h, ell, u),
+                (("K(H)", v, h), ("K(HuL)", vu, u), ("I_lo", ilo),
+                 ("I_hi", ihi)))
 
 
 def _c_translation_invariant(k, cfg, rng):
@@ -954,9 +895,8 @@ def _j_translation_invariant(k, cfg, h, x):
     v, vg = k.evaluate(h), k.evaluate(g)
     if _eq(k, vg, _shift_value(v, x)):
         return None
-    return _wit(f"translating by {x} does not shift the mean by {x}",
-                (h, g), (("K(H)", v), ("K(H+x)", vg)),
-                (_replay(k, h, v), _replay(k, g, vg)))
+    return _wit(k, f"translating by {x} does not shift the mean by {x}",
+                (h, g), (("K(H)", v, h), ("K(H+x)", vg, g)))
 
 
 def _c_reflection_invariant(k, cfg, rng):
@@ -971,9 +911,8 @@ def _j_reflection_invariant(k, cfg, h, s):
     v, vg = k.evaluate(h), k.evaluate(g)
     if _eq(k, vg, _reflect_value(v, s)):
         return None
-    return _wit(f"reflecting about {s} does not reflect the mean",
-                (h, g), (("K(H)", v), ("K(2s-H)", vg)),
-                (_replay(k, h, v), _replay(k, g, vg)))
+    return _wit(k, f"reflecting about {s} does not reflect the mean",
+                (h, g), (("K(H)", v, h), ("K(2s-H)", vg, g)))
 
 
 def _c_homogeneous(k, cfg, rng):
@@ -990,13 +929,8 @@ def _j_homogeneous(k, cfg, h, a):
     v, vg = k.evaluate(h), k.evaluate(g)
     if _eq(k, vg, _scale_value(v, a)):
         return None
-    return _wit(f"scaling by {a} does not scale the mean", (h, g),
-                (("K(H)", v), ("K(aH)", vg)),
-                (_replay(k, h, v), _replay(k, g, vg)))
-
-
-def _abs_frac(x: Fraction) -> Fraction:
-    return -x if x < 0 else x
+    return _wit(k, f"scaling by {a} does not scale the mean", (h, g),
+                (("K(H)", v, h), ("K(aH)", vg, g)))
 
 
 def _u_bounded_core(k, cfg, h, parts):
@@ -1006,29 +940,26 @@ def _u_bounded_core(k, cfg, h, parts):
     total = h
     rhs = Q(0)
     slack = _err(v) * (len(parts) + 1)
-    vals = [("K(H)", v)]
-    replays = [_replay(k, h, v)]
+    rows = [("K(H)", v, h)]
     for i, p in enumerate(parts):
         u = set_union(h, p)
         if not k.in_domain(u):
             raise _Skip
         vu = k.evaluate(u)
-        rhs += _abs_frac(_num(v) - _num(vu))
+        rhs += abs(_num(v) - _num(vu))
         slack += 2 * _err(vu)
-        vals.append((f"K(HuH{i + 1})", vu))
-        replays.append(_replay(k, u, vu))
+        rows.append((f"K(HuH{i + 1})", vu, u))
         total = set_union(total, p)
     if not k.in_domain(total):
         raise _Skip
     vt = k.evaluate(total)
-    lhs = _abs_frac(_num(v) - _num(vt))
+    lhs = abs(_num(v) - _num(vt))
     slack += _err(vt)
-    vals.append(("K(H u all)", vt))
-    replays.append(_replay(k, total, vt))
+    rows.append(("K(H u all)", vt, total))
     if lhs <= rhs + slack + _slack(k):
         return None
-    return _wit("the joint deviation exceeds the sum of the single "
-                "deviations", (h, *parts), tuple(vals), tuple(replays))
+    return _wit(k, "the joint deviation exceeds the sum of the single "
+                "deviations", (h, *parts), rows)
 
 
 def _c_u_bounded(k, cfg, rng):
@@ -1075,7 +1006,7 @@ def _c_u_bounded_infinite(k, cfg, rng):
     if not k.in_domain(full):
         raise _Skip
     v, vf = k.evaluate(h), k.evaluate(full)
-    lhs = _abs_frac(_num(v) - _num(vf))
+    lhs = abs(_num(v) - _num(vf))
     slack = _err(v) + _err(vf) + _slack(k)
     partial = Q(0)
     zero_streak = 0
@@ -1084,18 +1015,17 @@ def _c_u_bounded_infinite(k, cfg, rng):
         if not k.in_domain(u):
             raise _Skip
         vu = k.evaluate(u)
-        term = _abs_frac(_num(v) - _num(vu))
+        term = abs(_num(v) - _num(vu))
         partial += term
         slack += 2 * _err(vu)
         zero_streak = zero_streak + 1 if term == 0 else 0
         if lhs <= partial + slack:
             return None
     if zero_streak >= 5:
-        return _wit("the single-append deviations vanish but the full "
+        return _wit(k, "the single-append deviations vanish but the full "
                     "append moves the mean", (h, full),
-                    (("K(H)", v), ("K(H u tail)", vf),
-                     ("partial sum", partial)),
-                    (_replay(k, h, v), _replay(k, full, vf)))
+                    (("K(H)", v, h), ("K(H u tail)", vf, full),
+                     ("partial sum", partial)))
     raise _Skip
 
 
@@ -1254,7 +1184,6 @@ def check(property_id: str, k: MeanRef, gen: GeneratorConfig | None = None,
         verdict = "counterexample"
     elif not_applicable or effective == 0:
         verdict = "not_applicable"
-        witness = None
     else:
         verdict = "holds_on_sample"
     return PropertyReport(property_id, k.id, verdict, effective, seed,
