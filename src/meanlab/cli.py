@@ -40,7 +40,7 @@ from .axioms import GeneratorConfig, PropertyReport, PROPERTY_IDS, check
 from .errors import BadParameters, MeanlabError, NoConvergence, ParseError
 from .exactset import RealSet
 from .funcs import parse_func
-from .limits import DEFAULT_SCHEDULE, LimitSchedule, limit_estimate
+from .limits import LimitSchedule, limit_estimate
 from .means import MeanRef, avg_fat, eds_n, iso_n, resolve_mean
 from .measure import DensityMeasure
 from .setexpr import (

@@ -14,7 +14,6 @@ from typing import Iterable, Optional
 from .errors import (
     BadParameters,
     EmptySet,
-    NotCompact,
     NullSet,
     OutsideSupport,
     UnsupportedDepth,
@@ -26,11 +25,9 @@ from .exactset import (
     Interval,
     RealSet,
     Rule,
-    _max_k_offset_ge,
     normalize,
     rule_gap,
     rule_offset,
-    set_diff,
 )
 
 Q = Fraction
