@@ -155,19 +155,21 @@ def acc_points_by_mean(k: MeanRef, h: RealSet) -> RealSet:
 
     Supported exactly for the plain length average (its answer is the
     essential support), the finite arithmetic mean, and the deep-derived
-    mean; other catalogue entries have no structural evaluation.
+    mean; other catalogue entries, and conjugates of the last two, have no
+    structural evaluation.
     """
-    kind = k.kind()
-    if kind == "avg1":
+    if k.kind() == "avg1":
+        # a conjugate too: a continuous strictly monotone transform maps
+        # the essential support onto the essential support of the image
         return support(h)
-    if kind == "amean":
+    if k.id == "amean":
         if h.is_empty or not h.is_finite():
             raise DomainViolation("the finite arithmetic mean needs a "
                                   "nonempty finite set")
         if len(h.points) == 1:
             return h
         return set_diff(h, from_points(amean(h)))
-    if kind == "m_acc":
+    if k.id == "m_acc":
         ell = level(h)
         deep = derived_iter(h, ell)
         if deep.is_finite() and len(deep.points) == 1:
@@ -243,14 +245,14 @@ def d_probe(k: MeanRef, h: RealSet, side: str,
     the supremum (side="sup_append") or infimum (side="inf_append").
 
     Exact for the plain length average: (sup − mean)/length, respectively
-    (inf − mean)/length.
+    (inf − mean)/length. A conjugate of it takes the generic probe.
     """
     if side not in ("sup_append", "inf_append"):
         raise BadParameters("side must be sup_append or inf_append")
     if not h.is_compact_rep():
         raise NotCompact("the probe needs a compact set")
     a, b = h.bounds()
-    if k.kind() == "avg1":
+    if k.id == "avg1":
         v = avg1(h)
         lam = lebesgue(h)
         exact = (b - v) / lam if side == "sup_append" else (a - v) / lam

@@ -214,6 +214,7 @@ def _cmd_eval(args) -> list[str]:
     return [f"{lb}: {value_text(v)}" for lb, v in results.items()]
 
 
+# keyed by mean id: a mean conjugated by --f has no stage sampler
 _STAGE_SAMPLERS = {
     "lavg": lambda h, n: avg_fat(h, Q(1, n)),
     "m_iso": lambda h, n: iso_n(h, n),
@@ -224,12 +225,11 @@ _STAGE_SAMPLERS = {
 def _cmd_limit(args) -> list[str]:
     schedule = _build_schedule(args)
     k = _build_mean(args, schedule)
-    kind = k.kind()
-    if kind not in _STAGE_SAMPLERS:
+    if k.id not in _STAGE_SAMPLERS:
         raise BadParameters(
             "limit needs a limit-type mean: lavg, m_iso, or m_eds")
     h = _read_set(args.set)
-    stage = _STAGE_SAMPLERS[kind]
+    stage = _STAGE_SAMPLERS[k.id]
     rows: list[tuple[int, Fraction]] = []
 
     def recorder(n: int) -> Fraction:
@@ -238,14 +238,13 @@ def _cmd_limit(args) -> list[str]:
         return v
 
     exact_value = None
-    if kind == "lavg" and h.intervals:
+    if k.id == "lavg" and h.intervals:
         exact_value = k.evaluate(h)
     try:
         est = limit_estimate(recorder, schedule, label=f"{k.id} limit")
-    except NoConvergence as exc:
+    except NoConvergence:
         if exact_value is None:
-            raise NoConvergence(str(exc),
-                                trace=[(n, float(v)) for n, v in rows])
+            raise
         est = Approx(exact_value, schedule.tolerance)
     if exact_value is not None:
         est = Approx(exact_value, min(est.error, schedule.tolerance))

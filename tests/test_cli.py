@@ -124,6 +124,15 @@ def test_limit_rejects_non_limit_means(capsys):
     assert error_payload(err)["code"] == "bad_parameters"
 
 
+def test_limit_rejects_a_conjugated_limit_mean(capsys):
+    # the stage sampler belongs to the base mean, whose limit on {0,1} is
+    # 1/2; the square conjugate's is sqrt(1/2)
+    code, out, err = run_cli(capsys, ["limit", "--mean", "lavg", "--f",
+                                      "square", "--set", "{0,1}"])
+    assert code == 1 and out == ""
+    assert error_payload(err)["code"] == "bad_parameters"
+
+
 def test_limit_reports_non_convergence(capsys):
     code, _, err = run_cli(capsys, ["limit", "--mean", "m_eds", "--set",
                                     "{0} u [2,3]"])
@@ -153,6 +162,19 @@ def test_derive_side_probe(capsys):
     assert out == "probe 2 (exact 2/1) (exact)\n"
 
 
+def test_derive_side_probe_of_a_conjugate_is_generic(capsys):
+    # avg1^square on [1,2] is sqrt(5/2); appending at 2 moves it at rate
+    # 1/sqrt(5/2), not at avg1's exact 1/2
+    code, out, _ = run_cli(capsys, ["derive", "--json", "--mean", "avg1",
+                                    "--f", "square", "--set", "[1,2]",
+                                    "--side", "sup_append"])
+    assert code == 0
+    payload = json.loads(out)
+    assert "exact" not in payload
+    estimate = payload["value"]["estimate"]
+    assert abs(estimate["num"] / estimate["den"] - 2.5 ** -0.5) < 1e-6
+
+
 def test_derive_needs_exactly_one_mode(capsys):
     for extra in ([], ["--at", "0", "--side", "sup_append"]):
         code, _, err = run_cli(capsys, ["derive", "--mean", "avg1",
@@ -169,6 +191,21 @@ def test_accpoints_prints_an_expression(capsys):
                                     "[0,1) u {5}"])
     assert code == 0
     assert out == "[0,1]\n"
+
+
+def test_accpoints_refuses_conjugates_of_amean_and_m_acc(capsys):
+    # removing 2 from {1,2,3} keeps amean at 2 but moves amean^square
+    # from sqrt(14/3) to sqrt(5)
+    for mean, f in (("amean", "square"), ("m_acc", "affine(2,1)")):
+        code, out, err = run_cli(capsys, ["accpoints", "--mean", mean, "--f",
+                                          f, "--set", "{1,2,3}"])
+        assert code == 1 and out == ""
+        assert error_payload(err)["code"] == "unsupported_mean"
+    # a monotone transform maps the support onto the support
+    code, out, _ = run_cli(capsys, ["accpoints", "--mean", "avg1", "--f",
+                                    "square", "--set", "[1,2] u {5}"])
+    assert code == 0
+    assert out == "[1,2]\n"
 
 
 def test_accpoints_prints_a_long_chain(capsys):
