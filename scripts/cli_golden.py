@@ -132,6 +132,11 @@ def _cases() -> list[list[str]]:
         ["bounds", "--mean", "eds:3", *MAX_N, "--set", "[0,1] u {4}"],
         ["bounds", "--mean", "m_acc", "--set", f"{{3}} u {G_ABOVE_L}"],
         ["bounds", "--json", "--mean", "m_acc", "--set", f"{{3}} u {G_BELOW}"],
+        # the base mean's fast paths do not answer for a conjugate
+        ["limit", "--mean", "lavg", "--f", "square", "--set", "{0,1}"],
+        ["derive", "--mean", "avg1", "--f", "square", "--set", "[1,2]",
+         "--side", "sup_append"],
+        ["accpoints", "--mean", "amean", "--f", "square", "--set", "{1,2,3}"],
     ]
 
     # bisection bounds on narrow clusters plus one far point: each cut near
