@@ -24,7 +24,7 @@ from meanlab.errors import BadConfig, BadParameters, MeanlabError
 from meanlab.exactset import from_points, set_diff, set_intersect, subset_of
 from meanlab.funcs import parse_func
 from meanlab.limits import LimitSchedule
-from meanlab.means import amean, avg1, resolve_mean, transform_kf
+from meanlab.means import MeanRef, amean, avg1, resolve_mean, transform_kf
 from meanlab.measure import DensityMeasure
 from meanlab.values import values_close
 
@@ -237,6 +237,35 @@ def test_avg_fat_slice_jump_found_by_search():
 def test_density_mean_is_not_translation_invariant():
     report = check("translation_invariant", density_mean(), trials=12, seed=1)
     assert report.verdict == "counterexample"
+
+
+def sup_plus_one():
+    """A planted exact "mean" K(H) = sup H + 1: it escapes every bracket
+    drawn from H and moves when a set below it raises the supremum."""
+    return MeanRef("sup_plus_one", lambda h: h.bounds()[1] + 1,
+                   lambda h: not h.is_empty, exact=True)
+
+
+@pytest.mark.parametrize("pid, note, labels", [
+    ("strong_internal", "mean escapes its own [liminf, limsup]",
+     ["K(H)", "liminf_K", "limsup_K"]),
+    ("strict_strong_internal", "mean escapes its own [liminf, limsup]",
+     ["K(H)", "liminf_K", "limsup_K"]),
+    ("mean_monotone",
+     "adjoining a set below (above) the mean fails to pull it down (up)",
+     ["K(H)", "K(HuL)", "K(HuU)"]),
+])
+def test_witness_branches_no_catalogue_mean_reaches(pid, note, labels):
+    report = check(pid, sup_plus_one(), trials=20)
+    assert report.verdict == "counterexample"
+    w = report.witness
+    assert w.note == note
+    assert [label for label, _ in w.values] == labels
+    # every value of a set-valued row replays from that set
+    assert len(w.replays) == (1 if "internal" in pid else 3)
+    for (thunk, expected), (_, value) in zip(w.replays, w.values):
+        assert expected == value
+        assert thunk() == expected
 
 
 # ------------------------------------------------------------ inapplicable
