@@ -252,6 +252,19 @@ def _cases() -> list[list[str]]:
                   ([], "amean", "strong-internal,strict-strong-internal,"
                    "union-monotone,mean-monotone,self-accumulated", []),
               )]
+    # image judges on values that are not Fractions: a certified Approx,
+    # a RootValue and a stabilised limit Approx
+    cases += [["props", "--mean", mean, *extra, "--suite", suite,
+               "--trials", "3", *MAX_N]
+              for mean, extra, suite in (
+                  ("avg1", ["--f", "exp(2)"],
+                   "reflection-invariant,homogeneous"),
+                  ("avg1", ["--f", "square"],
+                   "translation-invariant,homogeneous"),
+                  ("lavg", ["--tol", "1/100"],
+                   "translation-invariant,reflection-invariant,homogeneous,"
+                   "closed,accumulated"),
+              )]
 
     # parse errors (exit 2), engine errors (exit 1)
     cases += [
