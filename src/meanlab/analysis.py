@@ -210,7 +210,8 @@ def d_mean(k: MeanRef, h: RealSet, x, schedule: LimitSchedule = DEFAULT_SCHEDULE
     Returns (lower, upper, exact_hint): equal exact values when the
     quotient is eventually constant, otherwise a bracket from the
     accelerated tail. The hint carries the closed-form value for the plain
-    length average when the point sits on interval mass.
+    length average (``avg1`` itself, not a conjugate of it) when the point
+    sits on interval mass.
     """
     x = Q(x)
     quotients: list[Fraction] = []
@@ -227,7 +228,7 @@ def d_mean(k: MeanRef, h: RealSet, x, schedule: LimitSchedule = DEFAULT_SCHEDULE
             raise DomainExit(
                 f"the slice at radius 1/{n} leaves the mean's domain: {e}")
         quotients.append((value_mid(v) - x) / delta)
-    hint = _avg1_occupancy_hint(h, x) if k.kind() == "avg1" else None
+    hint = _avg1_occupancy_hint(h, x) if k.id == "avg1" else None
     tail = quotients[-schedule.agreements:]
     if all(t == tail[0] for t in tail):
         return tail[0], tail[0], hint

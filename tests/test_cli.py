@@ -175,6 +175,19 @@ def test_derive_side_probe_of_a_conjugate_is_generic(capsys):
     assert abs(estimate["num"] / estimate["den"] - 2.5 ** -0.5) < 1e-6
 
 
+def test_derive_at_a_point_gives_no_occupancy_hint_for_a_conjugate(capsys):
+    # avg1^square of [0,δ) is sqrt(δ²/2): the quotient is sqrt(1/2) at
+    # every δ, and avg1's occupancy hint 1/2 does not describe it
+    code, out, _ = run_cli(capsys, ["derive", "--json", "--mean", "avg1",
+                                    "--f", "square", "--set", "[0,1]",
+                                    "--at", "0"])
+    assert code == 0
+    payload = json.loads(out)
+    assert "occupancy_hint" not in payload
+    estimate = payload["value"]["estimate"]
+    assert abs(estimate["num"] / estimate["den"] - 0.5 ** 0.5) < 1e-6
+
+
 def test_derive_needs_exactly_one_mode(capsys):
     for extra in ([], ["--at", "0", "--side", "sup_append"]):
         code, _, err = run_cli(capsys, ["derive", "--mean", "avg1",
