@@ -2,7 +2,7 @@
 """Golden corpus of ``meanlab`` CLI calls: argv -> exit code, stdout, stderr.
 
 ``tests/data/cli_golden.json`` pins the exact text the CLI prints for about
-190 commands: every subcommand, every catalogue mean, harmonic and
+200 commands: every subcommand, every catalogue mean, harmonic and
 geometric clusters on both sides with and without their limit, ``bounds``
 bisections that cut narrow clusters near their limit, coordinates of 200
 to 4,000 digits, past the float range and within 10^-30 of each other,
@@ -137,6 +137,10 @@ def _cases() -> list[list[str]]:
         ["derive", "--mean", "avg1", "--f", "square", "--set", "[1,2]",
          "--side", "sup_append"],
         ["accpoints", "--mean", "amean", "--f", "square", "--set", "{1,2,3}"],
+        ["derive", "--mean", "avg1", "--f", "square", "--set", "[0,1]",
+         "--at", "0"],
+        ["derive", "--json", "--mean", "avg1", "--f", "square", "--set",
+         "[0,1]", "--at", "0"],
     ]
 
     # bisection bounds on narrow clusters plus one far point: each cut near
