@@ -151,23 +151,12 @@ def _err(v) -> Fraction:
     return (hi - lo) / 2
 
 
-def _shift_value(v, x: Fraction):
+def _affine_value(v, a, b):
+    """a*v + b: exact for a Fraction, else an Approx over v's bounds."""
     if isinstance(v, Fraction):
-        return v + x
+        return a * v + b
     lo, hi = value_bounds(v)
-    return Approx((lo + hi) / 2 + x, (hi - lo) / 2)
-
-
-def _scale_value(v, a: Fraction):
-    if isinstance(v, Fraction):
-        return a * v
-    lo, hi = value_bounds(v)
-    mid, rad = (lo + hi) / 2, (hi - lo) / 2
-    return Approx(a * mid, abs(a) * rad)
-
-
-def _reflect_value(v, s: Fraction):
-    return _shift_value(_scale_value(v, Q(-1)), 2 * s)
+    return Approx(a * (lo + hi) / 2 + b, abs(a) * (hi - lo) / 2)
 
 
 def _wit(k: MeanRef, note: str, sets, rows) -> Witness:
@@ -479,18 +468,47 @@ def _limit_trial(k: MeanRef, cfg: GeneratorConfig, base_set: RealSet,
 # (a counterexample) or None; either may raise _Skip or an engine error,
 # and ``check`` counts both as a skipped trial. Every witness comes from
 # ``_wit``, whose rows name each value once together with the set that
-# replays it; every limit-type trial (the continuity properties) runs
-# through ``_limit_trial``.
+# replays it. Each judge shape has one helper: every limit-type trial (the
+# continuity properties) runs through ``_limit_trial``, every comparison of
+# K(G) with an affine image of K(H) through ``_j_image``, both sandwiches
+# K(H1) <= K(H1 u H2) <= K(H2) through ``_sandwich``, and both brackets of
+# K(H) by bounds of H through ``_escape``.
+
+
+def _j_image(k, h, g, note, label, a=1, b=0):
+    """Is K(G) = a*K(H) + b for a set G mapped from H? Skips when G is empty
+    or outside the domain."""
+    if g.is_empty or not k.in_domain(g):
+        raise _Skip
+    v, vg = k.evaluate(h), k.evaluate(g)
+    if _eq(k, vg, _affine_value(v, a, b)):
+        return None
+    return _wit(k, note, (h, g), (("K(H)", v, h), (label, vg, g)))
+
+
+def _sandwich(k, note, a, b, va, vb):
+    """Is K(H1) <= K(H1 u H2) <= K(H2), given va = K(a) and vb = K(b)?"""
+    u = set_union(a, b)
+    vu = k.evaluate(u)
+    if _le_holds(k, va, vu) and _le_holds(k, vu, vb):
+        return None
+    return _wit(k, note, (a, b, u),
+                (("K(H1)", va, a), ("K(H2)", vb, b), ("K(H1uH2)", vu, u)))
+
+
+def _escape(k, note, h, v, lo, hi, labels):
+    """Does v = K(H) stay in [lo, hi]? The witness names lo and hi under
+    ``labels``."""
+    if _le_holds(k, lo, v) and _le_holds(k, v, hi):
+        return None
+    return _wit(k, note, (h,),
+                (("K(H)", v, h), (labels[0], lo), (labels[1], hi)))
 
 
 def _c_internal(k, cfg, rng):
     h = _sample_domain_set(k, cfg, rng)
-    v = k.evaluate(h)
-    lo, hi = h.bounds()
-    if _le_holds(k, lo, v) and _le_holds(k, v, hi):
-        return None
-    return _wit(k, "mean escapes [inf, sup]", (h,),
-                (("K(H)", v, h), ("inf", lo), ("sup", hi)))
+    return _escape(k, "mean escapes [inf, sup]", h, k.evaluate(h),
+                   *h.bounds(), ("inf", "sup"))
 
 
 def _c_strict_internal(k, cfg, rng):
@@ -499,11 +517,8 @@ def _c_strict_internal(k, cfg, rng):
 
 def _j_strict_internal(k, cfg, h):
     li, ls = acc_bounds(h)
-    v = k.evaluate(h)
-    if _le_holds(k, li, v) and _le_holds(k, v, ls):
-        return None
-    return _wit(k, "mean escapes [liminf, limsup]", (h,),
-                (("K(H)", v, h), ("liminf", li), ("limsup", ls)))
+    return _escape(k, "mean escapes [liminf, limsup]", h, k.evaluate(h),
+                   li, ls, ("liminf", "limsup"))
 
 
 def _strong_internal(k, cfg, rng, not_strict):
@@ -544,13 +559,8 @@ def _c_monotone(k, cfg, rng):
 
 
 def _j_monotone(k, cfg, a, b):
-    u = set_union(a, b)
-    va, vb, vu = k.evaluate(a), k.evaluate(b), k.evaluate(u)
-    if _le_holds(k, va, vu) and _le_holds(k, vu, vb):
-        return None
-    return _wit(k, "ordered pair breaks the sandwich K(H1)<=K(U)<=K(H2)",
-                (a, b, u),
-                (("K(H1)", va, a), ("K(H2)", vb, b), ("K(H1uH2)", vu, u)))
+    return _sandwich(k, "ordered pair breaks the sandwich K(H1)<=K(U)<=K(H2)",
+                     a, b, k.evaluate(a), k.evaluate(b))
 
 
 def _c_disjoint_monotone(k, cfg, rng):
@@ -560,13 +570,8 @@ def _c_disjoint_monotone(k, cfg, rng):
         a, b, va, vb = b, a, vb, va
     elif not _le_holds(k, va, vb):
         raise _Skip
-    u = set_union(a, b)
-    vu = k.evaluate(u)
-    if _le_holds(k, va, vu) and _le_holds(k, vu, vb):
-        return None
-    return _wit(k, "disjoint value-ordered pair breaks the sandwich",
-                (a, b, u),
-                (("K(H1)", va, a), ("K(H2)", vb, b), ("K(H1uH2)", vu, u)))
+    return _sandwich(k, "disjoint value-ordered pair breaks the sandwich",
+                     a, b, va, vb)
 
 
 def _c_union_monotone(k, cfg, rng):
@@ -821,25 +826,13 @@ def _j_closed(k, cfg, h):
     c = closure(h)
     if c == h:
         return None  # already closed: the property is trivially satisfied
-    if not k.in_domain(c):
-        raise _Skip
-    v, vc = k.evaluate(h), k.evaluate(c)
-    if _eq(k, vc, v):
-        return None
-    return _wit(k, "taking the closure moves the mean", (h, c),
-                (("K(H)", v, h), ("K(cl H)", vc, c)))
+    return _j_image(k, h, c, "taking the closure moves the mean", "K(cl H)")
 
 
 def _c_accumulated(k, cfg, rng):
     h = _sample_domain_set(k, cfg, rng)
-    d = derived(h)
-    if d.is_empty or not k.in_domain(d):
-        raise _Skip
-    v, vd = k.evaluate(h), k.evaluate(d)
-    if _eq(k, vd, v):
-        return None
-    return _wit(k, "the mean of the derived set differs", (h, d),
-                (("K(H)", v, h), ("K(H')", vd, d)))
+    return _j_image(k, h, derived(h), "the mean of the derived set differs",
+                    "K(H')")
 
 
 def _c_self_accumulated(k, cfg, rng):
@@ -849,13 +842,8 @@ def _c_self_accumulated(k, cfg, rng):
     except UnsupportedMean:
         raise NotApplicable(
             f"no structural accumulation-point evaluation for {k.id}")
-    if acc.is_empty or not k.in_domain(acc):
-        raise _Skip
-    v, va = k.evaluate(h), k.evaluate(acc)
-    if _eq(k, va, v):
-        return None
-    return _wit(k, "the mean of the mean-accumulation set differs",
-                (h, acc), (("K(H)", v, h), ("K(H'_K)", va, acc)))
+    return _j_image(k, h, acc, "the mean of the mean-accumulation set differs",
+                    "K(H'_K)")
 
 
 def _c_convex(k, cfg, rng):
@@ -889,14 +877,9 @@ def _c_translation_invariant(k, cfg, rng):
 def _j_translation_invariant(k, cfg, h, x):
     if x == 0:
         raise _Skip
-    g = translate(h, x)
-    if not k.in_domain(g):
-        raise _Skip
-    v, vg = k.evaluate(h), k.evaluate(g)
-    if _eq(k, vg, _shift_value(v, x)):
-        return None
-    return _wit(k, f"translating by {x} does not shift the mean by {x}",
-                (h, g), (("K(H)", v, h), ("K(H+x)", vg, g)))
+    return _j_image(k, h, translate(h, x),
+                    f"translating by {x} does not shift the mean by {x}",
+                    "K(H+x)", b=x)
 
 
 def _c_reflection_invariant(k, cfg, rng):
@@ -905,14 +888,9 @@ def _c_reflection_invariant(k, cfg, rng):
 
 
 def _j_reflection_invariant(k, cfg, h, s):
-    g = reflect(h, s)
-    if not k.in_domain(g):
-        raise _Skip
-    v, vg = k.evaluate(h), k.evaluate(g)
-    if _eq(k, vg, _reflect_value(v, s)):
-        return None
-    return _wit(k, f"reflecting about {s} does not reflect the mean",
-                (h, g), (("K(H)", v, h), ("K(2s-H)", vg, g)))
+    return _j_image(k, h, reflect(h, s),
+                    f"reflecting about {s} does not reflect the mean",
+                    "K(2s-H)", -1, 2 * s)
 
 
 def _c_homogeneous(k, cfg, rng):
@@ -923,14 +901,8 @@ def _c_homogeneous(k, cfg, rng):
 def _j_homogeneous(k, cfg, h, a):
     if a in (0, 1):
         raise _Skip
-    g = scale(h, a)
-    if not k.in_domain(g):
-        raise _Skip
-    v, vg = k.evaluate(h), k.evaluate(g)
-    if _eq(k, vg, _scale_value(v, a)):
-        return None
-    return _wit(k, f"scaling by {a} does not scale the mean", (h, g),
-                (("K(H)", v, h), ("K(aH)", vg, g)))
+    return _j_image(k, h, scale(h, a),
+                    f"scaling by {a} does not scale the mean", "K(aH)", a)
 
 
 def _u_bounded_core(k, cfg, h, parts):

@@ -247,6 +247,7 @@ def sup_plus_one():
 
 
 @pytest.mark.parametrize("pid, note, labels", [
+    ("internal", "mean escapes [inf, sup]", ["K(H)", "inf", "sup"]),
     ("strong_internal", "mean escapes its own [liminf, limsup]",
      ["K(H)", "liminf_K", "limsup_K"]),
     ("strict_strong_internal", "mean escapes its own [liminf, limsup]",
@@ -263,6 +264,23 @@ def test_witness_branches_no_catalogue_mean_reaches(pid, note, labels):
     assert [label for label, _ in w.values] == labels
     # every value of a set-valued row replays from that set
     assert len(w.replays) == (1 if "internal" in pid else 3)
+    for (thunk, expected), (_, value) in zip(w.replays, w.values):
+        assert expected == value
+        assert thunk() == expected
+
+
+def test_self_accumulated_witness_on_a_planted_accumulation_set(monkeypatch):
+    # No catalogue mean gives a counterexample here. Planting {sup H} as
+    # the mean-accumulation set moves amean on every drawn set, all of
+    # which have at least two points.
+    monkeypatch.setattr(axioms, "acc_points_by_mean",
+                        lambda k, h: from_points(h.bounds()[1]))
+    report = check("self_accumulated", resolve_mean("amean"), trials=20)
+    assert report.verdict == "counterexample"
+    w = report.witness
+    assert w.note == "the mean of the mean-accumulation set differs"
+    assert [label for label, _ in w.values] == ["K(H)", "K(H'_K)"]
+    assert len(w.replays) == 2
     for (thunk, expected), (_, value) in zip(w.replays, w.values):
         assert expected == value
         assert thunk() == expected
