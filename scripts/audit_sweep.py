@@ -46,8 +46,8 @@ def _line(task: tuple[str, str, int]) -> str:
     from meanlab.axioms import GeneratorConfig, check
 
     mean, pid, seed = task
-    report = check(pid, _cat[mean], GeneratorConfig(schedule=_cat["_schedule"]),
-                   trials=TRIALS, seed=seed)
+    cfg = GeneratorConfig(schedule=_cat["_schedule"])
+    report = check(pid, _cat[mean], cfg, trials=TRIALS, seed=seed)
     replays = len(report.witness.replays) if report.witness else 0
     short = hashlib.sha256(repr(report).encode()).hexdigest()[:12]
     return (f"{pid} {mean} {seed} {report.verdict} {report.trials} "
