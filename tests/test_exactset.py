@@ -18,7 +18,7 @@ from conftest import (
     random_points,
     random_union,
 )
-from meanlab import exactset
+from meanlab import exactset, setexpr
 from meanlab.errors import (
     BadParameters,
     MeanlabError,
@@ -739,3 +739,30 @@ def test_set_algebra_on_hard_coordinates_matches_the_oracle():
                 assert brute_member(h, x) == _TRUTH[op](ia, ib)
         checked += 1
     assert checked > 120
+
+
+# --------------------------------------------------------------------------
+# cluster differences
+
+
+@pytest.mark.parametrize("text, want", [
+    # opposite sides of one limit: only the shared limit point goes
+    ("seq(limit=0, rule=harmonic(1), from=1, with_limit)"
+     r" \ seq(limit=0, rule=harmonic(1), from=1, side=below, with_limit)",
+     "seq(limit=0, rule=harmonic(1), from=1)"),
+    # interleaved geometric ladders share no term
+    ("seq(limit=0, rule=geometric(1,1/2), from=1, with_limit)"
+     r" \ seq(limit=0, rule=geometric(3,1/2), from=1)",
+     "seq(limit=0, rule=geometric(1,1/2), from=1, with_limit)"),
+    ("seq(limit=0, rule=geometric(1,1/2), from=1, with_limit)"
+     r" \ seq(limit=0, rule=geometric(3,1/2), from=1, with_limit)",
+     "seq(limit=0, rule=geometric(1,1/2), from=1)"),
+    # another limit: the one shared term, 1, goes
+    ("seq(limit=0, rule=harmonic(1), from=1, with_limit)"
+     r" \ seq(limit=3/2, rule=harmonic(1/2), from=1, side=below, with_limit)",
+     "seq(limit=0, rule=harmonic(1), from=2, with_limit)"),
+])
+def test_cluster_difference_branches(text, want):
+    got = setexpr.print_expr(setexpr.set_to_expr(
+        setexpr.evaluate(setexpr.parse(text))))
+    assert got == want
