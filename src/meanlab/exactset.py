@@ -538,28 +538,6 @@ def _bare_terms(cl: Cluster, k_lo: int, k_hi: int) -> list[Fraction]:
     return out
 
 
-def _outside_spans(xs: list[Fraction], spans: list[Span]) -> list[Fraction]:
-    """The x of a strictly decreasing list that no span contains, in order.
-
-    The spans are sorted and disjoint, so one walk down both lists settles
-    each x against the one span just below or around it; once the smallest
-    x left is above a span, every x left lies between two spans. A key
-    comparison (x, 0) against (y, e) is decided by x against y, and by the
-    side e only when x == y."""
-    out: list[Fraction] = []
-    i, n = 0, len(xs)
-    for (_, sx, se), (_, ex, ee) in reversed(spans):
-        if i == n or xs[-1] > ex or (ee < 0 and xs[-1] == ex):
-            break  # every x left is above this span, below the one before
-        while xs[i] > ex or (ee < 0 and xs[i] == ex):
-            out.append(xs[i])  # above this span
-            i += 1
-        while i < n and (xs[i] > sx or (se <= 0 and xs[i] == sx)):
-            i += 1  # inside it
-    out.extend(xs[i:])
-    return out
-
-
 def cluster_member(cl: Cluster, x: Fraction) -> bool:
     if x == cl.limit:
         return cl.include_limit
@@ -708,14 +686,15 @@ def _cluster_minus_spans(cl: Cluster, spans: list[Span]):
         out_points.append(cl.limit)
 
     total = 0
-    terms: list[Fraction] = []  # bare head terms, decreasing
     for k_lo, k_hi in survivors:
         total += k_hi - k_lo + 1
         if total > MATERIALIZE_CAP:
             raise UnrepresentableResult(
                 "difference needs too many explicit components")
         if not cl.children:
-            terms += _bare_terms(cl, k_lo, k_hi)
+            # a span holding a term meets the hull, so it is in relevant,
+            # and the term's index is not among the survivors
+            out_points += _bare_terms(cl, k_lo, k_hi)
             continue
         for k in range(k_lo, k_hi + 1):
             kind, obj = materialize_index(cl, k)
@@ -731,38 +710,6 @@ def _cluster_minus_spans(cl: Cluster, spans: list[Span]):
                     sub_c, sub_p = _cluster_minus_spans(obj, spans)
                     out_clusters.extend(sub_c)
                     out_points.extend(sub_p)
-    out_points += _outside_spans(terms, spans)
-    return out_clusters, out_points
-
-
-def _cluster_minus_term_indices(cl: Cluster, indices: list[int]):
-    """Remove the set elements sitting exactly at the given term positions.
-
-    A bare index loses its term point; a child index loses the copy's
-    included limit (the anchor) when present.
-    """
-    if not indices:
-        return [cl], []
-    kmax = max(indices)
-    if kmax - cl.start + 1 > MATERIALIZE_CAP:
-        raise UnrepresentableResult(
-            "difference needs too many explicit components")
-    drop = set(indices)
-    out_clusters: list[Cluster] = [cluster_tail(cl, kmax + 1)]
-    if not cl.children:
-        terms = _bare_terms(cl, cl.start, kmax)
-        return out_clusters, [x for k, x in enumerate(terms, cl.start)
-                              if k not in drop]
-    out_points: list[Fraction] = []
-    for k in range(cl.start, kmax + 1):
-        kind, obj = materialize_index(cl, k)
-        if kind == "point":
-            if k not in drop:
-                out_points.append(obj)
-        else:
-            if k in drop:
-                obj = _with_include(obj, False)
-            out_clusters.append(obj)
     return out_clusters, out_points
 
 
@@ -1071,12 +1018,15 @@ def set_union(a: RealSet, b: RealSet) -> RealSet:
 
 
 def _cluster_cluster_diff(a: Cluster, b: Cluster):
-    """Parts of a minus b, both normalized clusters."""
-    if not _hulls_overlap(a, b):
-        if a.include_limit and cluster_member(b, a.limit):
-            return [_with_include(a, False)], []
-        return [a], []
-    if a.limit == b.limit and a.above == b.above:
+    """Parts of a minus b, both normalized clusters.
+
+    Two clusters with one limit and side whose hulls overlap share a tail
+    of terms or none, found in closed form. Any other pair shares finitely
+    many points: limit points, and terms at least half the distance between
+    the limits from their own limit. a loses the ones that
+    _cluster_cluster_intersect finds, through the one cut of a cluster.
+    """
+    if a.limit == b.limit and a.above == b.above and _hulls_overlap(a, b):
         if a.children or b.children:
             raise UnrepresentableResult(
                 "difference of nested same-limit clusters is not supported")
@@ -1109,43 +1059,8 @@ def _cluster_cluster_diff(a: Cluster, b: Cluster):
             return [], pts
         raise UnrepresentableResult(
             "same-limit cross-family difference is not decidable here")
-    if a.limit == b.limit:  # opposite sides: only the limit can coincide
-        if a.include_limit and b.include_limit:
-            return [_with_include(a, False)], []
-        return [a], []
-    # different limits: finitely many term coincidences
-    sep = abs(a.limit - b.limit) / 2
-    hits: list[int] = []
-    k_far = _max_k_offset_ge(a.rule, a.start, sep)
-    if k_far is not None:
-        if k_far - a.start + 1 > MATERIALIZE_CAP:
-            raise UnrepresentableResult("coincidence scan too large")
-        for k in range(a.start, k_far + 1):
-            if a.block_at(k) is None and cluster_member(b, a.term(k)):
-                hits.append(k)
-    kb_far = _max_k_offset_ge(b.rule, b.start, sep)
-    if kb_far is not None:
-        if kb_far - b.start + 1 > MATERIALIZE_CAP:
-            raise UnrepresentableResult("coincidence scan too large")
-        for m in range(b.start, kb_far + 1):
-            if b.block_at(m) is not None:
-                continue
-            x = b.term(m)
-            off = x - a.limit if a.above else a.limit - x
-            if off <= 0:
-                continue
-            k1 = _max_k_offset_ge(a.rule, a.start, off)
-            cands = {a.start} if k1 is None else {k1, k1 + 1}
-            for k in cands:
-                if (k >= a.start and a.block_at(k) is None
-                        and a.term(k) == x and k not in hits):
-                    hits.append(k)
-    res_c, res_p = ([a], []) if not hits else _cluster_minus_term_indices(a, hits)
-    if a.include_limit and cluster_member(b, a.limit):
-        res_c = [_with_include(c, False) if c.limit == a.limit else c
-                 for c in res_c]
-        res_p = [p for p in res_p if p != a.limit]
-    return res_c, res_p
+    _, shared = _cluster_cluster_intersect(a, b)
+    return _cluster_minus_spans(a, sorted(map(_point_span, shared)))
 
 
 def set_diff(a: RealSet, b: RealSet) -> RealSet:
@@ -1246,8 +1161,6 @@ def _cluster_cluster_intersect(a: Cluster, b: Cluster):
             return [cluster_tail(_with_include(a, inc), k0)], []
         raise UnrepresentableResult(
             "same-limit cross-family intersection is not decidable here")
-    if a.limit == b.limit:
-        return [], pts
     # different limits: finitely many coincidences
     sep = abs(a.limit - b.limit) / 2
     for src, dst in ((a, b), (b, a)):

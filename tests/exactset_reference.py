@@ -108,30 +108,3 @@ def cluster_minus_spans(cl: Cluster, spans: list[Span]):
                     out_clusters.extend(sub_c)
                     out_points.extend(sub_p)
     return out_clusters, out_points
-
-
-def cluster_minus_term_indices(cl: Cluster, indices: list[int]):
-    """Remove the set elements sitting exactly at the given term positions.
-
-    A bare index loses its term point; a child index loses the copy's
-    included limit (the anchor) when present.
-    """
-    if not indices:
-        return [cl], []
-    kmax = max(indices)
-    if kmax - cl.start + 1 > MATERIALIZE_CAP:
-        raise UnrepresentableResult(
-            "difference needs too many explicit components")
-    drop = set(indices)
-    out_clusters: list[Cluster] = [cluster_tail(cl, kmax + 1)]
-    out_points: list[Fraction] = []
-    for k in range(cl.start, kmax + 1):
-        kind, obj = materialize_index(cl, k)
-        if kind == "point":
-            if k not in drop:
-                out_points.append(obj)
-        else:
-            if k in drop:
-                obj = _with_include(obj, False)
-            out_clusters.append(obj)
-    return out_clusters, out_points

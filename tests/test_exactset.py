@@ -45,6 +45,7 @@ from meanlab.exactset import (
     level,
     make_cluster,
     normalize,
+    placed_child,
     realset,
     reflect,
     scale,
@@ -581,25 +582,6 @@ def _cut_cases(rng: random.Random) -> list:
     return cases
 
 
-def test_outside_spans_matches_a_bisection_per_term():
-    # surviving head terms never fall in a span, so the cuts above cannot
-    # show what the filter drops; random lists and spans can
-    rng = random.Random(5)
-    for _ in range(2000):
-        grid = sorted({Q(rng.randint(0, 40), rng.choice((1, 2, 4)))
-                       for _ in range(12)})
-        xs = sorted(rng.sample(grid, rng.randint(0, len(grid))), reverse=True)
-        h = EMPTY
-        for _ in range(rng.randint(0, 4)):
-            lo, hi = sorted(rng.sample(grid, 2))
-            h = set_union(h, from_interval(lo, hi, rng.random() < 0.5,
-                                           rng.random() < 0.5)
-                          if rng.random() < 0.8 else from_points(lo))
-        spans = h._spans()
-        want = [x for x in xs if not exactset._span_contains(spans, x)]
-        assert exactset._outside_spans(xs, spans) == want
-
-
 def _truth(op, a, b, ia: bool, x) -> bool:
     if op is slice_le:
         return ia and x <= b
@@ -632,8 +614,6 @@ def test_bulk_cluster_cuts_match_the_per_term_reference(monkeypatch):
     monkeypatch.setattr(exactset, "materialize_index", materialize)
     monkeypatch.setattr(exactset, "_cluster_minus_spans",
                         cut_reference.cluster_minus_spans)
-    monkeypatch.setattr(exactset, "_cluster_minus_term_indices",
-                        cut_reference.cluster_minus_term_indices)
     want = [_outcome(op, a, b) for op, a, b in cases]
     assert got == want
     assert got[-2:] == ["UnrepresentableResult"] * 2
@@ -766,3 +746,16 @@ def test_cluster_difference_branches(text, want):
     got = setexpr.print_expr(setexpr.set_to_expr(
         setexpr.evaluate(setexpr.parse(text))))
     assert got == want
+
+
+def test_difference_removes_a_term_shared_with_a_child_copy():
+    # B's first term is a term of A's child copy at index 1: the difference
+    # must not keep it inside that copy
+    tpl = make_cluster(0, True, Harmonic(1), 1)
+    a = realset(clusters=[make_cluster(0, True, Harmonic(1), 1, False,
+                                       [(1, 1, tpl)])])
+    y = placed_child(a.clusters[0], 1).term(3)
+    assert y == Q(25, 24)
+    b = realset(clusters=[harmonic_cluster(5, c=5 - y, above=False)])
+    assert a.member(y) and b.member(y)
+    assert not set_diff(a, b).member(y)
