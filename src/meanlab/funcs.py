@@ -204,11 +204,11 @@ class ExpBase(MonotoneFunc):
         lo, hi = value_bounds(v)
         if lo <= 0:
             raise DomainViolation("exp images are positive")
+        if not self.increasing:
+            lo, hi = hi, lo  # the inverse decreases too
         b = self.base
         llo, _ = _certified(lambda: iv.log(_frac_to_iv(lo)) / iv.log(_frac_to_iv(b)), bits)
         _, lhi = _certified(lambda: iv.log(_frac_to_iv(hi)) / iv.log(_frac_to_iv(b)), bits)
-        if not self.increasing:
-            llo, lhi = min(llo, lhi), max(llo, lhi)
         return Approx((llo + lhi) / 2, (lhi - llo) / 2)
 
     def name(self) -> str:
@@ -238,16 +238,15 @@ class LogBase(MonotoneFunc):
         if x <= 0:
             raise DomainViolation("log transform domain is x > 0")
         b = self.base
-        lo, hi = _certified(lambda: iv.log(_frac_to_iv(x)) / iv.log(_frac_to_iv(b)), bits)
-        return (lo, hi) if lo <= hi else (hi, lo)
+        return _certified(lambda: iv.log(_frac_to_iv(x)) / iv.log(_frac_to_iv(b)), bits)
 
     def invert(self, v, bits: int = FORWARD_BITS):
         lo, hi = value_bounds(v)
+        if not self.increasing:
+            lo, hi = hi, lo  # the inverse decreases too
         b = self.base
         plo, _ = _certified(lambda: iv.exp(_frac_to_iv(lo) * iv.log(_frac_to_iv(b))), bits)
         _, phi = _certified(lambda: iv.exp(_frac_to_iv(hi) * iv.log(_frac_to_iv(b))), bits)
-        if not self.increasing:
-            plo, phi = min(plo, phi), max(plo, phi)
         return Approx((plo + phi) / 2, (phi - plo) / 2)
 
     def name(self) -> str:
@@ -284,10 +283,7 @@ class Compose(MonotoneFunc):
         ilo, ihi = self.inner.apply_bounds(x, bits + 10)
         olo = self.outer.apply_bounds(ilo, bits + 10)
         ohi = self.outer.apply_bounds(ihi, bits + 10)
-        lo, hi = min(olo[0], ohi[0]), max(olo[1], ohi[1])
-        if not self.outer.increasing:
-            pass  # min/max already order-agnostic
-        return lo, hi
+        return min(olo[0], ohi[0]), max(olo[1], ohi[1])
 
     def invert(self, v, bits: int = FORWARD_BITS):
         mid = self.outer.invert(v, bits + 10)

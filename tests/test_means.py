@@ -29,7 +29,7 @@ from meanlab.exactset import (
     set_union,
     translate,
 )
-from meanlab.funcs import SQUARE, Affine, ExpBase, OddPower
+from meanlab.funcs import SQUARE, Affine, ExpBase, LogBase, OddPower
 from meanlab.means import (
     AMEAN,
     AVG1,
@@ -51,7 +51,7 @@ from meanlab.means import (
     transform_kf,
 )
 from meanlab.measure import DensityMeasure
-from meanlab.values import Approx, RootValue
+from meanlab.values import Approx, RootValue, value_bounds
 
 
 def _harmonic_set(start: int = 1):
@@ -305,6 +305,19 @@ def test_certified_transform_of_the_finite_mean():
     assert isinstance(got, Approx) and not t.exact
     want = math.log2((1 + 2) / 2)
     assert abs(float(got.value) - want) <= float(got.error) + 1e-12
+
+
+def test_inverse_enclosures_of_decreasing_transforms_keep_both_ends():
+    # (1/2)^x maps [-2, -1] onto [2, 4], and log_(1/2) maps [2, 4] back
+    got = value_bounds(ExpBase(Q(1, 2)).invert(Approx(Q(3), Q(1))))
+    assert got[0] <= -2 and -1 <= got[1]
+    got = value_bounds(LogBase(Q(1, 2)).invert(Approx(Q(-3, 2), Q(1, 2))))
+    assert got[0] <= 2 and 4 <= got[1]
+    # log_(1/2) maps [1, 2] onto [-1, 0], whose length average -1/2 pulls
+    # back to (1/2)^(-1/2) = sqrt 2: an enclosure of it, not a point
+    got = transform_kf(AVG1, LogBase(Q(1, 2)))(from_interval(Q(1), Q(2)))
+    lo, hi = value_bounds(got)
+    assert 0 < lo < hi and lo * lo <= 2 <= hi * hi
 
 
 def test_certified_transforms_reject_other_means():
