@@ -141,6 +141,14 @@ def _cases() -> list[list[str]]:
          "--at", "0"],
         ["derive", "--json", "--mean", "avg1", "--f", "square", "--set",
          "[0,1]", "--at", "0"],
+        # decreasing transforms: certified enclosures pulled back through
+        # exp and log below base 1
+        ["eval", "--mean", "avg1", "--f", "log(1/2)", "--set", "[1,2]"],
+        ["eval", "--json", "--mean", "avg1", "--f", "log(1/2)", "--set",
+         "[1,2]"],
+        ["eval", "--mean", "amean", "--f", "exp(1/2)", "--set", "{0,1,5}"],
+        ["eval", "--json", "--mean", "amean", "--f", "exp(1/2)", "--set",
+         "{0,1,5}"],
     ]
 
     # bisection bounds on narrow clusters plus one far point: each cut near
