@@ -321,7 +321,8 @@ def _disjoint_parts_in_domain(k: MeanRef, cfg, rng, count: int
 
     Means carrying a density measure get interval unions drawn inside
     disjoint windows of the measure's support (appending a set beyond the
-    support would exit the domain); other means chain sets rightwards.
+    support would exit the domain); other means chain sets rightwards,
+    each a positive gap past the supremum of the one before.
     """
     if isinstance(k.param, DensityMeasure):
         lo, hi = _support_hull(k.param)
@@ -938,10 +939,7 @@ def _c_u_bounded(k, cfg, rng):
     h, p1, p2 = _disjoint_parts_in_domain(k, cfg, rng, 3)
     if not isinstance(k.param, DensityMeasure) and rng.random() < 0.3:
         lo = h.bounds()[0]
-        p2 = translate(p2, lo - 1 - p2.bounds()[1])
-    if not (set_intersect(h, p1).is_empty and set_intersect(h, p2).is_empty
-            and set_intersect(p1, p2).is_empty):
-        raise _Skip
+        p2 = translate(p2, lo - 1 - p2.bounds()[1])  # clear of H and p1
     return _u_bounded_core(k, cfg, h, (p1, p2))
 
 
@@ -960,12 +958,6 @@ def _c_u_bounded_overlap(k, cfg, rng):
 def _c_u_bounded_n_fold(k, cfg, rng):
     n = rng.randint(3, 6)
     h, *parts = _disjoint_parts_in_domain(k, cfg, rng, n + 1)
-    for i, p in enumerate(parts):
-        if not set_intersect(h, p).is_empty:
-            raise _Skip
-        for q in parts[i + 1:]:
-            if not set_intersect(p, q).is_empty:
-                raise _Skip
     return _u_bounded_core(k, cfg, h, tuple(parts))
 
 
