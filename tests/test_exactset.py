@@ -741,11 +741,54 @@ def test_set_algebra_on_hard_coordinates_matches_the_oracle():
     ("seq(limit=0, rule=harmonic(1), from=1, with_limit)"
      r" \ seq(limit=3/2, rule=harmonic(1/2), from=1, side=below, with_limit)",
      "seq(limit=0, rule=harmonic(1), from=2, with_limit)"),
+    # one limit and side: the shared terms, found in closed form
+    ("seq(limit=0, rule=harmonic(1), from=1)"
+     " & seq(limit=0, rule=harmonic(2/3), from=1)",
+     "seq(limit=0, rule=harmonic(1/3), from=1)"),
+    ("seq(limit=0, rule=geometric(1,1/2), from=1, with_limit)"
+     " & seq(limit=0, rule=geometric(3,1/2), from=1, with_limit)",
+     "{0}"),
+    ("seq(limit=0, rule=geometric(1,1/2), from=1)"
+     " & seq(limit=0, rule=geometric(1/4,1/2), from=1, with_limit)",
+     "seq(limit=0, rule=geometric(1/4,1/2), from=1)"),
+    ("seq(limit=0, rule=harmonic(2), from=1)"
+     " u seq(limit=0, rule=harmonic(1), from=1, with_limit)",
+     "seq(limit=0, rule=harmonic(2), from=1, with_limit)"),
+    ("seq(limit=0, rule=geometric(1,1/2), from=1)"
+     " u seq(limit=0, rule=geometric(3,1/2), from=1)",
+     "seq(limit=0, rule=geometric(1,1/2), from=1)"
+     " u seq(limit=0, rule=geometric(3,1/2), from=1)"),
+    ("seq(limit=0, rule=geometric(1/4,1/2), from=1)"
+     " u seq(limit=0, rule=geometric(1,1/2), from=3)",
+     "seq(limit=0, rule=geometric(1/4,1/2), from=1)"),
 ])
 def test_cluster_difference_branches(text, want):
     got = setexpr.print_expr(setexpr.set_to_expr(
         setexpr.evaluate(setexpr.parse(text))))
     assert got == want
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("seq(limit=0, rule=geometric(1,1/2), from=1)"
+     " & seq(limit=0, rule=geometric(1,1/3), from=1)",
+     UnrepresentableResult, "geometric intersection with mismatched ratios"),
+    ("seq(limit=0, rule=geometric(1,1/2), from=1)"
+     " & seq(limit=0, rule=harmonic(1), from=1)",
+     UnrepresentableResult,
+     "same-limit cross-family intersection is not decidable here"),
+    ("seq(limit=0, rule=harmonic(1), from=1)"
+     " u seq(limit=0, rule=harmonic(2/3), from=1)",
+     OverlappingClusterWindows,
+     "same-limit clusters with entangled term sets"),
+    ("seq(limit=0, rule=harmonic(1), from=1)"
+     r" \ seq(limit=0, rule=harmonic(1/2), from=1)",
+     UnrepresentableResult,
+     "harmonic difference leaves a term set outside the class"),
+])
+def test_same_limit_cluster_refusals(text, error, message):
+    with pytest.raises(error) as info:
+        setexpr.evaluate(setexpr.parse(text))
+    assert info.value.payload() == {"code": error.code, "message": message}
 
 
 def test_difference_removes_a_term_shared_with_a_child_copy():
