@@ -1,24 +1,25 @@
 #!/usr/bin/env python3
-"""Cluster-pair sweep: set_diff and set_intersect on seeded cluster pairs.
+"""Cluster-pair sweep: set_diff, set_intersect and set_union on seeded
+cluster pairs.
 
 Draws pairs of harmonic and geometric clusters near 0 on both sides of
 their limits, with and without the limit point, about a quarter of them
 carrying child copies. The second cluster of a pair is often a partner
 of the first: a multiple of its rule at the same limit, or a harmonic
 cluster from another limit through one of its terms or of its child
-copies' terms. For each pair it runs ``a \\ b``, ``a ∩ b`` and ``b ∩ a``
-and prints one line each: the operation, a depth tag (d1 when neither
-cluster has children, d2 otherwise), a short hash of the answer's
-``repr`` or of the error, and a judgement. An answer is ``ok`` when its
-membership agrees with the operation applied to the two inputs' at every
-probe point (the clusters' limits, their first 12 terms, and the limit
-and first 12 terms of each child copy among them), ``wrong`` when it
-does not; a refusal reads ``error``. The sweep ends with the counts and a
-digest of all the lines.
+copies' terms. For each pair it runs ``a \\ b``, ``a ∩ b``, ``b ∩ a``,
+``a ∪ b`` and ``b ∪ a`` and prints one line each: the operation, a depth
+tag (d1 when neither cluster has children, d2 otherwise), a short hash
+of the answer's ``repr`` or of the error, and a judgement. An answer is
+``ok`` when its membership agrees with the operation applied to the two
+inputs' at every probe point (the clusters' limits, their first 12
+terms, and the limit and first 12 terms of each child copy among them),
+``wrong`` when it does not; a refusal reads ``error``. The sweep ends
+with the counts and a digest of all the lines.
 
 Run it on two checkouts and diff the outputs: a refactor that keeps
 every answer prints byte-identical output. It imports meanlab from the
-``src/`` of its own checkout and takes about twenty seconds on one core.
+``src/`` of its own checkout and takes about thirty seconds on one core.
 
     python3 scripts/cluster_sweep.py > sweep.txt
 """
@@ -46,6 +47,7 @@ from meanlab.exactset import (  # noqa: E402
     realset,
     set_diff,
     set_intersect,
+    set_union,
 )
 
 SEEDS = (1, 3, 4)
@@ -122,7 +124,9 @@ def _pairs(seed: int):
 
 _OPS = (("diff", set_diff, lambda x, y: x and not y),
         ("meet", set_intersect, lambda x, y: x and y),
-        ("meet_ba", lambda a, b: set_intersect(b, a), lambda x, y: x and y))
+        ("meet_ba", lambda a, b: set_intersect(b, a), lambda x, y: x and y),
+        ("join", set_union, lambda x, y: x or y),
+        ("join_ba", lambda a, b: set_union(b, a), lambda x, y: x or y))
 
 
 def _lines(a, b) -> list[str]:
