@@ -149,6 +149,16 @@ def _cases() -> list[list[str]]:
         ["eval", "--mean", "amean", "--f", "exp(1/2)", "--set", "{0,1,5}"],
         ["eval", "--json", "--mean", "amean", "--f", "exp(1/2)", "--set",
          "{0,1,5}"],
+        # the log integral, and compositions: their integrals and inverses
+        ["eval", "--mean", "avg_f", "--f", "log(2)", "--set", "[1,2]"],
+        ["eval", "--mean", "avg1", "--f", "compose(square,affine(1,3))",
+         "--set", "[0,1]"],
+        ["eval", "--mean", "avg_f", "--f", "compose(square,affine(1,3))",
+         "--set", "[0,1]"],
+        ["eval", "--mean", "avg_f", "--f", "compose(affine(2,1),square)",
+         "--set", "[0,1]"],
+        ["eval", "--mean", "amean", "--f", "compose(exp(2),affine(1,3))",
+         "--set", "{0,1}"],
     ]
 
     # bisection bounds on narrow clusters plus one far point: each cut near
