@@ -23,6 +23,18 @@ non-adjacent; points sorted, deduplicated, never redundant with an interval
 or a cluster; clusters canonically based (geometric rules rebased to start
 index 1, child templates centered at 0) with pairwise disjoint hulls apart
 from a few provably-disjoint same-limit families that are admitted as-is.
+
+Two clusters a and b with one limit and side meet by one rule
+(``_shared_indices``), with s_a and s_b their first indices. For harmonic
+rules c_a/k and c_b/m with c_b/c_a = p/q in lowest terms, the indices of a
+whose terms are terms of b are the multiples of q from
+q·max(⌈s_a/q⌉, ⌈s_b/p⌉). For geometric rules with one ratio, where a's term
+k is b's term k + d, they are the k >= max(s_a, s_b - d); with no such d
+there are none. Any other pair is refused. Union merges the two when one's
+shared indices are all of it; difference keeps the terms of a before its
+first shared index, and refuses when the shared indices skip some;
+intersection is the shared indices as a cluster.
+
 The normal form is unique only for the interval/point part: two RealSets
 without clusters are equal exactly when they describe the same set. A set
 with clusters can have several normal forms (a cluster limit at an interval
@@ -699,8 +711,7 @@ def _cluster_minus_spans(cl: Cluster, spans: list[Span]):
         for k in range(k_lo, k_hi + 1):
             kind, obj = materialize_index(cl, k)
             if kind == "point":
-                if not _span_contains(spans, obj):
-                    out_points.append(obj)
+                out_points.append(obj)
             else:
                 w = cl.window(k)
                 t = cl.term(k)
@@ -847,10 +858,6 @@ def _from_spans_and_clusters(spans: list[Span], clusters: list[Cluster]) -> Real
     return RealSet(tuple(intervals), tuple(points), tuple(clusters))
 
 
-def _same_family(a: Rule, b: Rule) -> bool:
-    return type(a) is type(b)
-
-
 def _geom_power_shift(a: Geometric, b: Geometric) -> Optional[int]:
     """d with a.c == b.c * b.q**d when it exists (same q assumed)."""
     v = a.c / b.c
@@ -869,40 +876,43 @@ def _geom_power_shift(a: Geometric, b: Geometric) -> Optional[int]:
     return d if v == 1 else None
 
 
-def _merge_same_side_clusters(a: Cluster, b: Cluster) -> Optional[Cluster]:
-    """Exact union of two same-limit same-side clusters when one term set
-    contains the other; None when no safe merge exists."""
-    if a.children or b.children:
-        return None
-    if not _same_family(a.rule, b.rule):
-        return None
-    inc = a.include_limit or b.include_limit
+def _shared_indices(a: Cluster, b: Cluster, op: str) -> Optional[tuple[int, int]]:
+    """The indices of a whose terms are terms of b, for two clusters with
+    one limit and side: (first, step), meaning first, first + step, ...;
+    None when they share no term. op names the operation in a refusal."""
+    if type(a.rule) is not type(b.rule) or isinstance(a.rule, MappedRule):
+        raise UnrepresentableResult(
+            f"same-limit cross-family {op} is not decidable here")
     if isinstance(a.rule, Harmonic):
-        def subset(x: Cluster, y: Cluster) -> bool:
-            # x's term c_x/k equals y's term at index m = k*(c_y/c_x); x is
-            # contained in y iff that ratio is a positive integer and the
-            # smallest mapped index reaches y.start
-            r = y.rule.c / x.rule.c
-            return r.denominator == 1 and r >= 1 and r.numerator * x.start >= y.start
+        # c_a/k = c_b/m needs m = k*p/q integral: k a multiple of q
+        ratio = b.rule.c / a.rule.c
+        p, q = ratio.numerator, ratio.denominator
+        return q * max(-(-a.start // q), -(-b.start // p)), q
+    if a.rule.q != b.rule.q:
+        raise UnrepresentableResult(f"geometric {op} with mismatched ratios")
+    d = _geom_power_shift(a.rule, b.rule)
+    if d is None:
+        return None
+    return max(a.start, b.start - d), 1  # a's term k is b's term k + d
 
-        if subset(a, b):
-            return _with_include(b, inc)
-        if subset(b, a):
-            return _with_include(a, inc)
-        return None
-    if isinstance(a.rule, Geometric):
-        if a.rule.q != b.rule.q:
+
+def _merge_same_side_clusters(a: Cluster, b: Cluster) -> Optional[Cluster]:
+    """Union of two clusters with one limit and side as one cluster, when
+    one holds every term of the other; None when they share no term."""
+    try:
+        shared = _shared_indices(a, b, "union")
+        if shared is None:
             return None
-        d = _geom_power_shift(a.rule, b.rule)
-        if d is None:
-            return None
-        # a's term at index k equals b's term at index k + d
-        if a.start + d >= b.start:
-            return _with_include(b, inc)
-        if b.start - d >= a.start:
-            return _with_include(a, inc)
-        return None
-    return None
+        if not (a.children or b.children):
+            inc = a.include_limit or b.include_limit
+            if shared == (a.start, 1):  # every term of a is in b
+                return _with_include(b, inc)
+            if _shared_indices(b, a, "union") == (b.start, 1):
+                return _with_include(a, inc)
+    except UnrepresentableResult:
+        pass
+    raise OverlappingClusterWindows(
+        "same-limit clusters with entangled term sets")
 
 
 def _hulls_overlap(a: Cluster, b: Cluster) -> bool:
@@ -945,16 +955,10 @@ def normalize(intervals: Iterable[Interval] = (), points: Iterable = (),
                     continue
                 if c.limit == other.limit and c.above == other.above:
                     merged = _merge_same_side_clusters(c, other)
-                    if merged is not None:
-                        conflict = (i, merged)
-                        break
-                    if (isinstance(c.rule, Geometric)
-                            and isinstance(other.rule, Geometric)
-                            and c.rule.q == other.rule.q
-                            and _geom_power_shift(c.rule, other.rule) is None):
+                    if merged is None:
                         continue  # provably disjoint interleaved ladders
-                    raise OverlappingClusterWindows(
-                        "same-limit clusters with entangled term sets")
+                    conflict = (i, merged)
+                    break
                 raise OverlappingClusterWindows(
                     "cluster hulls overlap; the representation requires "
                     "separated clusters")
@@ -1031,34 +1035,17 @@ def _cluster_cluster_diff(a: Cluster, b: Cluster):
             raise UnrepresentableResult(
                 "difference of nested same-limit clusters is not supported")
         inc = a.include_limit and not b.include_limit
-        if _same_family(a.rule, b.rule) and isinstance(a.rule, Harmonic):
-            # a's term c_a/k equals b's term at index m = k*(c_b/c_a)
-            ratio = b.rule.c / a.rule.c
-            p, q = ratio.numerator, ratio.denominator
-            if ratio >= 1 and q == 1:
-                # beyond a threshold every a-term is a b-term
-                k_thresh = max(a.start, -(-b.start // p))  # ceil(b.start/p)
-                pts = _bare_terms(a, a.start, k_thresh - 1)
-                if inc:
-                    pts.append(a.limit)
-                return [], pts
+        shared = _shared_indices(a, b, "difference")
+        if shared is None:
+            return [_with_include(a, inc)], []  # provably disjoint
+        first, step = shared
+        if step > 1:
             raise UnrepresentableResult(
                 "harmonic difference leaves a term set outside the class")
-        if _same_family(a.rule, b.rule) and isinstance(a.rule, Geometric):
-            if a.rule.q != b.rule.q:
-                raise UnrepresentableResult(
-                    "geometric difference with mismatched ratios")
-            d = _geom_power_shift(a.rule, b.rule)
-            if d is None:
-                return [_with_include(a, inc)], []  # provably disjoint
-            # a's term at k equals b's term at k + d; dead once k + d >= b.start
-            k_dead = max(a.start, b.start - d)
-            pts = _bare_terms(a, a.start, k_dead - 1)
-            if inc:
-                pts.append(a.limit)
-            return [], pts
-        raise UnrepresentableResult(
-            "same-limit cross-family difference is not decidable here")
+        pts = _bare_terms(a, a.start, first - 1)
+        if inc:
+            pts.append(a.limit)
+        return [], pts
     _, shared = _cluster_cluster_intersect(a, b)
     return _cluster_minus_spans(a, sorted(map(_point_span, shared)))
 
@@ -1142,25 +1129,14 @@ def _cluster_cluster_intersect(a: Cluster, b: Cluster):
             raise UnrepresentableResult(
                 "intersection of nested same-limit clusters is not supported")
         inc = a.include_limit and b.include_limit
-        if _same_family(a.rule, b.rule) and isinstance(a.rule, Harmonic):
-            # shared terms: c_a/k = c_b/m needs m = k*(c_b/c_a) = k*p/q
-            # integral, so the shared a-indices are the multiples of q
-            ratio = b.rule.c / a.rule.c
-            p, q = ratio.numerator, ratio.denominator
-            t0 = max(-(-a.start // q), -(-b.start // p), 1)
-            return [Cluster(a.limit, a.above, Harmonic(a.rule.c / q), t0,
-                            inc, ())], []
-        if _same_family(a.rule, b.rule) and isinstance(a.rule, Geometric):
-            if a.rule.q != b.rule.q:
-                raise UnrepresentableResult(
-                    "geometric intersection with mismatched ratios")
-            d = _geom_power_shift(a.rule, b.rule)
-            if d is None:
-                return [], [a.limit] if inc else []
-            k0 = max(a.start, b.start - d)
-            return [cluster_tail(_with_include(a, inc), k0)], []
-        raise UnrepresentableResult(
-            "same-limit cross-family intersection is not decidable here")
+        shared = _shared_indices(a, b, "intersection")
+        if shared is None:
+            return [], [a.limit] if inc else []
+        first, step = shared
+        if step > 1:
+            return [Cluster(a.limit, a.above, Harmonic(a.rule.c / step),
+                            first // step, inc, ())], []
+        return [cluster_tail(_with_include(a, inc), first)], []
     # different limits: finitely many coincidences
     sep = abs(a.limit - b.limit) / 2
     for src, dst in ((a, b), (b, a)):

@@ -8,8 +8,10 @@ A mean evaluation returns one of three shapes:
 * ``Approx`` when the result is a limit estimate or a certified enclosure
   midpoint, always paired with an explicit error bound.
 
-Comparison helpers below work uniformly across the three shapes so the
-property checkers never need to branch on type.
+Values have no ordering of their own: every comparison goes through
+``value_le``, ``value_lt_strict`` and ``values_close`` on the exact
+rational bounds of ``value_bounds``, which work uniformly across the three
+shapes, so the property checkers never need to branch on type.
 """
 
 from __future__ import annotations
@@ -52,10 +54,6 @@ class RootValue:
         if self.degree % 2 == 0 and self.radicand < 0:
             raise ValueError("even root of a negative radicand")
 
-    def power(self) -> Fraction:
-        """The exact degree-th power of this value (its radicand)."""
-        return self.radicand
-
     def as_fraction(self) -> Fraction | None:
         """Exact rational value when the radicand is a perfect power."""
         if self.degree == 1:
@@ -66,29 +64,6 @@ class RootValue:
             return None
         root = Fraction(num, den)
         return -root if self.radicand < 0 else root
-
-    def compare(self, other: "Fraction | RootValue") -> int:
-        """Exact three-way comparison; -1, 0, +1."""
-        if isinstance(other, RootValue):
-            # r1^(1/n) vs r2^(1/m): compare r1^m vs r2^n on matching signs.
-            s1, s2 = _sign(self.radicand), _sign(other.radicand)
-            if s1 != s2:
-                return -1 if s1 < s2 else 1
-            a = self.radicand ** other.degree
-            b = other.radicand ** self.degree
-            if self.degree % 2 == 0 or other.degree % 2 == 0:
-                # all quantities nonnegative on the even side
-                a, b = abs(a), abs(b)
-                if s1 < 0:
-                    a, b = b, a
-            return (a > b) - (a < b)
-        s1, s2 = _sign(self.radicand), _sign(other)
-        if s1 != s2:
-            return -1 if s1 < s2 else 1
-        powered = other ** self.degree
-        if s1 < 0 and self.degree % 2 == 0:  # unreachable: even roots nonneg
-            powered = abs(powered)
-        return (self.radicand > powered) - (self.radicand < powered)
 
     def enclosure(self, scale_bits: int = 80) -> tuple[Fraction, Fraction]:
         """Exact rational bracket of width <= 2**-scale_bits."""
@@ -110,33 +85,6 @@ class RootValue:
     def __float__(self) -> float:
         lo, hi = self.enclosure(60)
         return float((lo + hi) / 2)
-
-    def __lt__(self, other):
-        return self.compare(_coerce(other)) < 0
-
-    def __le__(self, other):
-        return self.compare(_coerce(other)) <= 0
-
-    def __gt__(self, other):
-        return self.compare(_coerce(other)) > 0
-
-    def __ge__(self, other):
-        return self.compare(_coerce(other)) >= 0
-
-
-MeanValue = "Fraction | RootValue | Approx"
-
-
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
-
-
-def _coerce(x):
-    if isinstance(x, (RootValue, Fraction)):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"cannot compare RootValue with {type(x).__name__}")
 
 
 def _iroot_exact(n: int, k: int) -> int | None:
