@@ -791,6 +791,16 @@ def test_same_limit_cluster_refusals(text, error, message):
     assert info.value.payload() == {"code": error.code, "message": message}
 
 
+def test_nested_same_limit_intersection_is_refused():
+    tpl = make_cluster(0, True, Harmonic(1), 1)
+    a = realset(clusters=[make_cluster(0, True, Harmonic(1), 1, False,
+                                       [(1, 1, tpl)])])
+    b = realset(clusters=[harmonic_cluster(0, c=2)])
+    with pytest.raises(UnrepresentableResult, match="intersection of nested "
+                       "same-limit clusters is not supported"):
+        set_intersect(a, b)
+
+
 def test_difference_removes_a_term_shared_with_a_child_copy():
     # B's first term is a term of A's child copy at index 1: the difference
     # must not keep it inside that copy
