@@ -159,6 +159,11 @@ def _cases() -> list[list[str]]:
          "--set", "[0,1]"],
         ["eval", "--mean", "amean", "--f", "compose(exp(2),affine(1,3))",
          "--set", "{0,1}"],
+        # integrals of compositions with a certified (enclosed) part
+        ["eval", "--mean", "avg_f", "--f", "compose(affine(2,1),exp(2))",
+         "--set", "[1,2]"],
+        ["eval", "--mean", "avg_f", "--f", "compose(exp(2),affine(1,3))",
+         "--set", "[1,2]"],
     ]
 
     # bisection bounds on narrow clusters plus one far point: each cut near
