@@ -898,7 +898,8 @@ def _shared_indices(a: Cluster, b: Cluster, op: str) -> Optional[tuple[int, int]
 
 def _merge_same_side_clusters(a: Cluster, b: Cluster) -> Optional[Cluster]:
     """Union of two clusters with one limit and side as one cluster, when
-    one holds every term of the other; None when they share no term."""
+    one holds every term of the other; None when they share no term.
+    Raises OverlappingClusterWindows for any other pair."""
     try:
         shared = _shared_indices(a, b, "union")
         if shared is None:
