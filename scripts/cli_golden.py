@@ -196,6 +196,13 @@ def _cases() -> list[list[str]]:
                    "{0} u seq(limit=1, rule=geometric(1/4,1/3), from=1, "
                    "side=below, with_limit)"),
               )]
+    # the benchmark's bounds shape, in JSON, for each mean it times: one
+    # harmonic cluster and one point past it; c = 2^-36 makes a cut near
+    # the limit materialize a few hundred head terms
+    cases += [["bounds", "--json", "--mean", mean, *bounds_n, "--set", s]
+              for s in (f"{harm(40)} u {{1/2}}",
+                        f"{harm(36, False, True)} u {{3/2}}")
+              for mean in ("eds:3", "avg_fat:1/4", "m_acc", "iso:4", "amean")]
 
     # large and near-tied coordinates, digits written out: 200-digit ends
     # that differ past the 53rd bit, points past 10^400 (beyond the float
