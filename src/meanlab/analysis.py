@@ -67,41 +67,45 @@ def _bound_by_bisection(k: MeanRef, h: RealSet, *, upper: bool) -> Value:
 
     The equality set is assumed to be a ray ending at the answer, which
     holds for monotone means; non-monotone means get a best-effort bracket.
+
+    The cut sets at the two ends of the bracket are kept, and a cut equal
+    (``==``) to one of them takes that end's answer without evaluating the
+    mean again: an equal representation evaluates identically. Equal sets
+    written in different normal forms are evaluated anew.
     """
     base = k.evaluate(h)
     lo, hi = h.bounds()
+    ends: dict[bool, RealSet] = {}  # answer -> the cut set at that end
 
     def pred(x: Fraction) -> bool:
         try:
             sl = slice_le(h, x) if upper else slice_ge(h, x)
-            if sl.is_empty:
-                return False
-            return _values_equal(k, k.evaluate(sl), base)
         except MeanlabError:
             return False
+        for answer, end in ends.items():
+            if sl == end:
+                return answer
+        try:
+            answer = (not sl.is_empty
+                      and _values_equal(k, k.evaluate(sl), base))
+        except MeanlabError:
+            answer = False
+        ends[answer] = sl  # the caller moves that end of the bracket to x
+        return answer
 
-    if upper:
-        # pred(sup) is true by construction; find the smallest true x
-        if pred(lo):
-            return lo
-        good, bad = hi, lo  # invariant: pred(good), not pred(bad)
-        while good - bad > _BISECT_WIDTH:
-            mid = (good + bad) / 2
-            if pred(mid):
-                good = mid
-            else:
-                bad = mid
-        return Approx((good + bad) / 2, (good - bad) / 2)
-    if pred(hi):
-        return hi
-    good, bad = lo, hi
-    while bad - good > _BISECT_WIDTH:
+    # upper: pred(sup) is true by construction; find the smallest true x.
+    # lower: pred(inf) is true; find the largest true x.
+    # invariant: pred(good), not pred(bad)
+    first, good, bad = (lo, hi, lo) if upper else (hi, lo, hi)
+    if pred(first):
+        return first
+    while abs(good - bad) > _BISECT_WIDTH:
         mid = (good + bad) / 2
         if pred(mid):
             good = mid
         else:
             bad = mid
-    return Approx((good + bad) / 2, (bad - good) / 2)
+    return Approx((good + bad) / 2, abs(good - bad) / 2)
 
 
 def liminf_by_mean(k: MeanRef, h: RealSet, *,

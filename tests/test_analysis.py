@@ -45,6 +45,7 @@ from meanlab.means import (
     AMEAN,
     AVG1,
     M_ACC,
+    MeanRef,
     avg1,
     eds_ref,
     lavg_ref,
@@ -81,6 +82,26 @@ def test_mean_bounds_bisection_agrees_with_the_fast_path():
     hi = limsup_by_mean(AVG1, h, force_bisection=True)
     assert abs(value_mid(lo) - 0) <= INEXACT_TOL
     assert abs(value_mid(hi) - 3) <= INEXACT_TOL
+
+
+def test_mean_bounds_evaluate_each_distinct_cut_once():
+    # amean of {0, 1, 3} is 4/3: every cut above 0 is {1, 3} or {3}, and
+    # the bisection meets each of them many times
+    h = from_points(Q(0), Q(1), Q(3))
+    evaluated = []
+
+    def ev(s):
+        evaluated.append(s)
+        return AMEAN.evaluate(s)
+
+    counted = MeanRef("amean", ev, AMEAN.domain_predicate, exact=True)
+    for bound in (liminf_by_mean, limsup_by_mean):
+        evaluated.clear()
+        assert bound(counted, h) == bound(AMEAN, h)
+        whole, *cuts = evaluated
+        assert whole == h
+        assert len(cuts) >= 2
+        assert len(cuts) == len(set(cuts))
 
 
 def test_mean_bounds_bracket_the_mean():
