@@ -65,12 +65,22 @@ Value = Union[Fraction, RootValue, Approx]
 
 
 def amean(h: RealSet) -> Fraction:
-    """Arithmetic mean of a finite point set."""
+    """Arithmetic mean of a finite point set.
+
+    The points, sorted and distinct in normal form, are added in balanced
+    pairs of neighbours rather than left to right. The sum is the same
+    Fraction, but n harmonic head terms no longer carry a denominator near
+    lcm(1..n) through every one of n additions: only the last few levels
+    of pairs see it.
+    """
     if h.is_empty:
         raise EmptySet("arithmetic mean of the empty set is undefined")
     if not h.is_finite():
         raise NotFinite("arithmetic mean needs a finite point set")
-    return sum(h.points, Q(0)) / len(h.points)
+    xs = list(h.points)
+    while len(xs) > 1:
+        xs = [a + b for a, b in zip(xs[::2], xs[1::2])] + xs[len(xs) & ~1:]
+    return xs[0] / len(h.points)
 
 
 def avg1(h: RealSet) -> Fraction:
@@ -143,10 +153,44 @@ def _is_cell_boundary(x: Fraction, a: Fraction, w: Fraction) -> bool:
     return ((x - a) / w).denominator == 1
 
 
+def _point_cells(xs: tuple[Fraction, ...], a: Fraction,
+                 w: Fraction) -> list[int]:
+    """The cells of the sorted, distinct points xs, each once, in order.
+
+    The cell index does not decrease along sorted points, so a stretch
+    whose two ends share a cell lies wholly in it: halving the stretches
+    whose ends differ finds every cell without dividing at every point.
+    """
+    cells: list[int] = []
+
+    def add(c: int) -> None:
+        if not cells or cells[-1] != c:
+            cells.append(c)
+
+    def walk(i: int, ci: int, j: int, cj: int) -> None:
+        if ci == cj:
+            add(ci)
+        elif j - i == 1:
+            add(ci)
+            add(cj)
+        else:
+            m = (i + j) // 2
+            cm = _cell(xs[m], a, w)
+            walk(i, ci, m, cm)
+            walk(m, cm, j, cj)
+
+    if xs:
+        walk(0, _cell(xs[0], a, w), len(xs) - 1, _cell(xs[-1], a, w))
+    return cells
+
+
 def eds_n(h: RealSet, n: int) -> Fraction:
     """Equal-division mean: split [inf, sup] into n half-open cells
     [a+i*w, a+(i+1)*w), average the left endpoints of occupied cells
-    (the supremum occupies its own degenerate cell)."""
+    (the supremum occupies its own degenerate cell).
+
+    The points' cells come from ``_point_cells``, which relies on the
+    normal form keeping ``h.points`` sorted and distinct."""
     if n < 1:
         raise BadParameters("the division count must be >= 1")
     if h.is_empty:
@@ -168,8 +212,7 @@ def eds_n(h: RealSet, n: int) -> Fraction:
         else:
             i_hi = _cell(iv.hi, a, w)
         add(i_lo, i_hi)
-    for p in h.points:
-        i = _cell(p, a, w)
+    for i in _point_cells(h.points, a, w):
         add(i, i)
     for c in h.clusters:
         _native_depth1(c)

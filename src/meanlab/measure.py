@@ -161,10 +161,42 @@ def _merge_index(rule: Rule, start: int, threshold: Fraction) -> int:
     return hi
 
 
+def _runs(xs: tuple[Fraction, ...],
+          width: Fraction) -> list[tuple[Fraction, Fraction]]:
+    """(first, last) of each maximal run of the sorted, distinct points xs
+    in which consecutive points are less than width apart.
+
+    A stretch narrower than width is one run whatever lies inside it, so
+    halving only the wider stretches finds the runs without looking at
+    every gap.
+    """
+    runs: list[tuple[Fraction, Fraction]] = []
+
+    def walk(i: int, j: int) -> None:
+        if xs[j] - xs[i] < width:
+            if runs and xs[i] - runs[-1][1] < width:
+                runs[-1] = (runs[-1][0], xs[j])
+            else:
+                runs.append((xs[i], xs[j]))
+        else:
+            m = (i + j) // 2
+            walk(i, m)
+            walk(m + 1, j)
+
+    if xs:
+        walk(0, len(xs) - 1)
+    return runs
+
+
 def fatten(h: RealSet, delta) -> RealSet:
     """The open delta-neighborhood: the union of (x - delta, x + delta)
     over the elements x of h. Exact; the result is a finite union of open
     intervals. Clusters must be plain depth-1 harmonic/geometric components.
+
+    The points' balls come from ``_runs``, which relies on the normal form
+    keeping ``h.points`` sorted and distinct: one ball per run of points
+    closer than 2·delta. Points exactly 2·delta apart leave the midpoint
+    between their balls out.
     """
     delta = Q(delta)
     if delta <= 0:
@@ -174,8 +206,8 @@ def fatten(h: RealSet, delta) -> RealSet:
     ivs: list[Interval] = []
     for iv in h.intervals:
         ivs.append(Interval(iv.lo - delta, iv.hi + delta, False, False))
-    for p in h.points:
-        ivs.append(Interval(p - delta, p + delta, False, False))
+    for lo, hi in _runs(h.points, 2 * delta):
+        ivs.append(Interval(lo - delta, hi + delta, False, False))
     for c in h.clusters:
         _native_depth1(c)
         # Terms with consecutive gap < 2*delta chain together and connect
