@@ -336,9 +336,15 @@ def rule_scaled(rule: Rule, factor: Fraction) -> Rule:
 
 
 def _max_k_offset_ge(rule: Rule, start: int, t: Fraction) -> Optional[int]:
-    """Largest k >= start with offset(k) >= t, or None. Requires t > 0."""
+    """Largest k >= start with offset(k) >= t, or None. Requires t > 0.
+
+    A harmonic rule answers in closed form (c/k >= t exactly when
+    k <= c/t); other rules search by doubling and then bisecting."""
     if t <= 0:
         raise BadParameters("offset threshold must be positive")
+    if isinstance(rule, Harmonic):
+        k = math.floor(rule.c / t)
+        return k if k >= start else None
     if rule_offset(rule, start) < t:
         return None
     step = 1
