@@ -120,6 +120,18 @@ def test_limit_point_merges_into_cluster():
     assert not h.points and h.clusters[0].include_limit
 
 
+def test_point_a_placed_cluster_holds_is_absorbed():
+    # B's tail falls in I, so its head 1/3, 5/12, 4/9 becomes points only
+    # after the tail of A (from 1/3, as I took 1/2) is already placed
+    a = set_union(realset(clusters=[harmonic_cluster(Q(0))]),
+                  from_interval(Q(9, 20), Q(11, 20)))
+    b = realset(clusters=[harmonic_cluster(Q(1, 2), Q(1, 6), above=False)])
+    h = set_union(b, a)
+    assert h.points == (Q(5, 12), Q(4, 9), Q(1))
+    assert h.clusters == (harmonic_cluster(Q(0), start=3),)
+    assert h.member(Q(1, 3))
+
+
 def test_overlapping_cluster_windows_rejected():
     with pytest.raises(OverlappingClusterWindows):
         realset(clusters=[harmonic_cluster(Q(0), start=1),
