@@ -48,6 +48,7 @@ from meanlab.exactset import (
     placed_child,
     realset,
     reflect,
+    rule_offset,
     scale,
     set_diff,
     set_intersect,
@@ -161,6 +162,21 @@ def test_cluster_membership_terms_and_limit():
     assert h.member(Q(1, 3)) and h.member(Q(1, 997))
     assert not h.member(Q(1, 2)) and not h.member(Q(0))
     assert not h.member(Q(2, 7))
+
+
+@pytest.mark.parametrize("rule", [Harmonic(Q(3, 7)), Geometric(Q(3), Q(2, 3))],
+                         ids=["harmonic", "geometric"])
+def test_max_index_with_offset_at_least_matches_a_scan(rule):
+    rng = random.Random(5)
+    for _ in range(200):
+        start = rng.randint(1, 20)
+        k = rng.randint(1, 40)
+        # thresholds at a term's offset, just above and below it
+        for t in (rule_offset(rule, k), rule_offset(rule, k) * Q(101, 100),
+                  rule_offset(rule, k) * Q(99, 100)):
+            ks = [j for j in range(start, 200) if rule_offset(rule, j) >= t]
+            want = ks[-1] if ks else None
+            assert exactset._max_k_offset_ge(rule, start, t) == want
 
 
 # --------------------------------------------------------------------------
