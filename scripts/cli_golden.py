@@ -368,6 +368,33 @@ def _cases() -> list[list[str]]:
         ["derive", "--mean", "avg1", "--set", "[0,1]", "--side", "up"],
         ["eval", "--mean", "avg1", "--set", "[0,1]", "--json"],
     ]
+
+    # paths no earlier call reaches: an empty answer, the occupancy hint
+    # and its absence, the exact lavg limit when the schedule is too short
+    # to settle, an enclosed value pulled back through square, two clusters
+    # that both hold one limit, a root divided by an affine slope, a
+    # composition whose inner part leaves its domain, the identity, an
+    # exponential enclosure that needs more precision, and every property
+    cases += [
+        ["accpoints", "--mean", "avg1", "--set", "{0,1}"],
+        ["derive", "--json", "--mean", "avg1", "--set", "[0,1]", "--at", "0"],
+        ["derive", "--mean", "avg1", "--max-n", "64", "--set", "[0,1]",
+         "--at", "129/128"],
+        ["limit", "--mean", "lavg", "--max-n", "64", "--set", "[0,1] u {5}"],
+        ["eval", "--mean", "m_iso", "--f", "square", "--tol", "1/100", *MAX_N,
+         "--set", "{1,2} u seq(limit=3, rule=harmonic(1), from=1)"],
+        ["eval", "--mean", "m_acc", "--set",
+         f"{H_ABOVE_L} u seq(limit=0, rule=harmonic(1), from=1, side=below, "
+         "with_limit)"],
+        ["eval", "--mean", "amean", "--f", "compose(pow(3),affine(2,0))",
+         "--set", "{1,2}"],
+        ["eval", "--mean", "avg_f", "--f", "compose(affine(2,1),square)",
+         "--set", "[-1,0]"],
+        ["eval", "--mean", "avg1", "--f", "identity", "--set", "[0,1]"],
+        ["eval", "--mean", "amean", "--f", "exp(2)", "--set", "{200}"],
+        ["report", "--csv", "--mean", "amean", "--trials", "1",
+         "--max-n", "256"],
+    ]
     return cases
 
 
