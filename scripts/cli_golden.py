@@ -395,6 +395,9 @@ def _cases() -> list[list[str]]:
         ["report", "--csv", "--mean", "amean", "--trials", "1",
          "--max-n", "256"],
     ]
+    # an embedded parameter that is not a number
+    cases += [["eval", "--mean", mean, "--set", "{0,1}"]
+              for mean in ("iso:abc", "eds:1.5", "avg_fat:1/0")]
     return cases
 
 

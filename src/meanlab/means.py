@@ -667,12 +667,17 @@ def resolve_mean(name: str, *, n: int | None = None, delta=None,
     if ":" in key:
         key, _, tag = key.partition(":")
         key = _ALIASES.get(key, key)
-        if key in ("iso", "eds"):
-            n = int(tag)
-        elif key == "avg_fat":
-            delta = Q(tag)
-        else:
-            raise BadParameters(f"{key} does not take an embedded parameter")
+        try:
+            if key in ("iso", "eds"):
+                n = int(tag)
+            elif key == "avg_fat":
+                delta = Q(tag)
+            else:
+                raise BadParameters(
+                    f"{key} does not take an embedded parameter")
+        except (ValueError, ZeroDivisionError):
+            raise BadParameters(
+                f"not a parameter for {key}: {tag!r}") from None
     key = _ALIASES.get(key, key)
     sched = schedule if schedule is not None else DEFAULT_SCHEDULE
 
