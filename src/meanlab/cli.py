@@ -145,8 +145,8 @@ def _parse_density(text: str) -> DensityMeasure:
 def _build_schedule(args) -> LimitSchedule:
     tol = parse_rational_text(args.tol) if args.tol else Q(1, 10 ** 9)
     max_n = args.max_n if args.max_n else 2 ** 20
-    if max_n < 16:
-        raise BadParameters("--max-n must be at least 16")
+    if max_n < 64:  # the schedule doubles from 16 and needs three samples
+        raise BadParameters("--max-n must be at least 64")
     indices = []
     n = 16
     while n <= max_n:

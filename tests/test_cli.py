@@ -144,6 +144,17 @@ def test_limit_reports_non_convergence(capsys):
     assert payload["trace"][0][0] == 16
 
 
+@pytest.mark.parametrize("max_n", ("8", "16", "32"))
+def test_a_schedule_shorter_than_three_samples_is_refused(capsys, max_n):
+    for command in ("eval", "limit"):
+        code, out, err = run_cli(capsys, [command, "--mean", "lavg",
+                                          "--max-n", max_n, "--set", "{0,1}"])
+        assert code == 1 and out == ""
+        assert error_payload(err) == {
+            "code": "bad_parameters",
+            "message": "--max-n must be at least 64"}
+
+
 # ------------------------------------------------------------------- derive
 
 
