@@ -237,17 +237,15 @@ def _cmd_limit(args) -> list[str]:
         rows.append((n, v))
         return v
 
-    exact_value = None
-    if k.id == "lavg" and h.intervals:
-        exact_value = k.evaluate(h)
+    # lavg on interval mass is exact; the samples are still traced
+    exact_value = k.evaluate(h) if k.id == "lavg" and h.intervals else None
     try:
         est = limit_estimate(recorder, schedule, label=f"{k.id} limit")
     except NoConvergence:
         if exact_value is None:
             raise
-        est = Approx(exact_value, schedule.tolerance)
     if exact_value is not None:
-        est = Approx(exact_value, min(est.error, schedule.tolerance))
+        est = Approx(exact_value, schedule.tolerance)
     if args.json:
         return [json.dumps({
             "command": "limit", "mean": k.id,
