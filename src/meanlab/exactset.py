@@ -62,7 +62,7 @@ from .errors import (
     UnrepresentableResult,
     ZeroScale,
 )
-from .funcs import MonotoneFunc
+from .funcs import Affine, Compose, MonotoneFunc
 
 Q = Fraction
 
@@ -98,24 +98,6 @@ def _key(x: Fraction, e: int) -> Key:
 def _point_span(p: Fraction) -> Span:
     k = _key(p, 0)
     return (k, k)
-
-
-def _key_succ(k: Key) -> Optional[Key]:
-    f, x, e = k
-    if e == -1:
-        return (f, x, 0)
-    if e == 0:
-        return (f, x, 1)
-    return None  # nothing is adjacent above "just above x"
-
-
-def _key_pred(k: Key) -> Optional[Key]:
-    f, x, e = k
-    if e == 1:
-        return (f, x, 0)
-    if e == 0:
-        return (f, x, -1)
-    return None
 
 
 Span = tuple[Key, Key]  # closed range in key space, start <= end
@@ -157,8 +139,13 @@ def _span_intersect(a: list[Span], b: list[Span]) -> list[Span]:
 
 
 def _span_diff(a: list[Span], b: list[Span]) -> list[Span]:
-    """Key-ranges of a not covered by b; both sorted. One forward pass:
-    the start index into b only moves ahead, so the cost is O(|a| + |b|)."""
+    """Key-ranges of a not covered by b; both sorted, b merged. One forward
+    pass: the start index into b only moves ahead, so the cost is
+    O(|a| + |b|).
+
+    A span starts on side 0 or +1 and ends on side 0 or -1, so the key
+    just below a start of b, or just above an end of b, is the same
+    position one side over, and it still bounds a span."""
     out: list[Span] = []
     j, nb = 0, len(b)
     for lo, hi in a:
@@ -167,19 +154,17 @@ def _span_diff(a: list[Span], b: list[Span]) -> list[Span]:
         cur: Optional[Key] = lo
         for k in range(j, nb):
             blo, bhi = b[k]
-            if cur is None or blo > hi:
+            if blo > hi:
                 break
-            if bhi < cur:
-                continue
             if blo > cur:
-                pre = _key_pred(blo)
-                if pre is not None and cur <= pre:
-                    out.append((cur, pre))
+                f, x, e = blo
+                out.append((cur, (f, x, e - 1)))
             if bhi >= hi:
                 cur = None
-            else:
-                cur = _key_succ(bhi)
-        if cur is not None and cur <= hi:
+                break
+            f, x, e = bhi
+            cur = (f, x, e + 1)  # b is merged: b[k + 1] starts above it
+        if cur is not None:
             out.append((cur, hi))
     return out
 
@@ -329,8 +314,6 @@ def rule_scaled(rule: Rule, factor: Fraction) -> Rule:
         return Harmonic(rule.c * factor)
     if isinstance(rule, Geometric):
         return Geometric(rule.c * factor, rule.q)
-    from .funcs import Affine, Compose
-
     return MappedRule(rule.base, rule.base_limit, rule.base_above,
                       Compose(Affine(factor, Q(0)), rule.func))
 
@@ -568,9 +551,7 @@ def cluster_member(cl: Cluster, x: Fraction) -> bool:
         cands.add(cl.start)
     else:
         cands.update((k1, k1 + 1))
-    for k in cands:
-        if k < cl.start:
-            continue
+    for k in cands:  # _max_k_offset_ge answers no index below start
         if cl.block_at(k) is None:
             if cl.term(k) == x:
                 return True
@@ -677,9 +658,9 @@ def _cluster_minus_spans(cl: Cluster, spans: list[Span]):
 
     survivors: list[tuple[int, int]] = []
     cur: Optional[int] = cl.start
+    # only the lowest span can reach the limit (k_hi None), and its range
+    # sorts last
     for k_lo, k_hi in sorted(covered, key=lambda r: r[0]):
-        if cur is None:
-            break
         if k_lo > cur:
             survivors.append((cur, k_lo - 1))
         if k_hi is None:
@@ -1086,11 +1067,7 @@ def set_diff(a: RealSet, b: RealSet) -> RealSet:
                 raise UnrepresentableResult(
                     "removing cluster points from an interval leaves holes "
                     "outside the class")
-        kind2, obj2 = _span_to_part(trimmed)
-        if kind2 == "point":
-            out_points.append(obj2)
-        else:
-            out_intervals.append(obj2)
+        out_intervals.append(Interval(sx, sy, se == 0, sye == 0))  # sx < sy
     out_clusters: list[Cluster] = []
     for c in a.clusters:
         parts_c, parts_p = _cluster_minus_spans(c, b_spans)
