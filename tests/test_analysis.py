@@ -40,6 +40,7 @@ from meanlab.exactset import (
     realset,
     set_union,
 )
+from meanlab.funcs import SQUARE
 from meanlab.limits import LimitSchedule
 from meanlab.means import (
     AMEAN,
@@ -117,8 +118,19 @@ def test_mean_bounds_bracket_the_mean():
 
 
 def test_mean_bounds_need_a_nonempty_set():
-    with pytest.raises(DomainViolation):
-        liminf_by_mean(AVG1, realset())
+    for bound in (liminf_by_mean, limsup_by_mean):
+        with pytest.raises(DomainViolation):
+            bound(AVG1, realset())
+
+
+def test_mean_bounds_of_a_mean_with_root_values():
+    # avg1 conjugated by square takes root values, which compare through
+    # their enclosures, equal within INEXACT_TOL: the cut stops that close
+    # to the ends of [1, 2], and the null point 5 is cut away
+    k = resolve_mean("avg1", func=SQUARE)
+    h = set_union(from_interval(Q(1), Q(2)), from_points(Q(5)))
+    assert abs(value_mid(liminf_by_mean(k, h)) - 1) < 2 ** 8 * INEXACT_TOL
+    assert abs(value_mid(limsup_by_mean(k, h)) - 2) < 2 ** 8 * INEXACT_TOL
 
 
 def test_core_restriction_keeps_the_mean():
@@ -131,6 +143,9 @@ def test_core_restriction_keeps_the_mean():
         a, b = core.bounds()
         planted = set_union(core, from_points(a - 3, b + Q(7, 2)))
         assert core_restriction_check(AVG1, planted)
+    # the bisected bounds of {0, 1} by amean lie just inside 0 and 1, so
+    # the core they cut holds no point
+    assert not core_restriction_check(AMEAN, from_points(Q(0), Q(1)))
 
 
 # --------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 witnesses for the known failures, and sampled positives for the catalogue."""
 
 import itertools
+import random
 from fractions import Fraction as Q
 
 import pytest
@@ -284,6 +285,66 @@ def test_self_accumulated_witness_on_a_planted_accumulation_set(monkeypatch):
     for (thunk, expected), (_, value) in zip(w.replays, w.values):
         assert expected == value
         assert thunk() == expected
+
+
+def planted(name, fn):
+    """A planted exact "mean" on nonempty finite sets."""
+    return MeanRef(name, fn, lambda h: not h.is_empty and h.is_finite(),
+                   exact=True)
+
+
+def test_branches_of_order_and_union_checks_no_catalogue_mean_reaches():
+    # -amean reverses every order, so each disjoint pair, drawn left to
+    # right, is judged in value order, right to left
+    neg = planted("neg_amean", lambda h: -amean(h))
+    assert check("disjoint_monotone", neg, trials=10).verdict == \
+        "holds_on_sample"
+    # the point count mod 3 rises and falls as sets are joined
+    mod3 = planted("count_mod_3", lambda h: Q(len(h.points) % 3))
+    assert check("disjoint_monotone", mod3, trials=10).verdict == \
+        "counterexample"
+    for seed, note in ((0, "both enlargements raise the mean but the joint "
+                           "one lowers it"),
+                       (2, "both enlargements lower the mean but the joint "
+                           "one raises it")):
+        report = check("union_monotone", mod3, trials=10, seed=seed)
+        assert report.witness.note == note
+    # the largest point is its own liminf, and its limsup by bisection
+    # comes as close as the bisection goes: a sandwich with equal ends
+    # holds whatever the mean
+    top = planted("max", lambda h: h.points[-1])
+    assert check("strict_strong_internal", top, trials=10).verdict == \
+        "holds_on_sample"
+    # a finite modification that leaves the domain is not compared
+    pair = MeanRef("amean_of_at_most_two", amean,
+                   lambda h: h.is_finite() and 0 < len(h.points) <= 2,
+                   exact=True)
+    assert check("finite_independent", pair, trials=10).verdict == \
+        "counterexample"
+
+
+def test_a_sandwich_that_is_not_strict_is_a_witness():
+    # a value strictly outside its own bounds fails the plain sandwich
+    # first, so a bracket judged not strict enough is planted
+    w = axioms._strong_internal(resolve_mean("amean"), CFG, random.Random(0),
+                                lambda v, li, ls: True)
+    assert w.note == "bounds differ but sandwich is not strict"
+    assert [label for label, _ in w.values] == ["K(H)", "liminf_K",
+                                                "limsup_K"]
+
+
+def test_a_limit_just_past_its_tolerance_is_inconclusive():
+    # constant samples: the estimate is the sample, with error 2/100
+    sched = LimitSchedule(indices=(16, 32, 64), tolerance=Q(1, 100),
+                          agreements=1)
+    amean_k = resolve_mean("amean")
+
+    def matches(sample):
+        return axioms._limit_matches(amean_k, lambda n: sample, Q(0), sched)
+
+    assert matches(Q(1, 100)) is True
+    assert matches(Q(3, 100)) is None  # 1/100 apart: within 3 errors
+    assert matches(Q(1)) is False
 
 
 # ------------------------------------------------------------ inapplicable

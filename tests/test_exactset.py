@@ -31,6 +31,7 @@ from meanlab.exactset import (
     Cluster,
     Geometric,
     Harmonic,
+    Interval,
     RealSet,
     acc_bounds,
     closure,
@@ -60,7 +61,7 @@ from meanlab.exactset import (
     union_cluster_free,
 )
 from meanlab.funcs import SQUARE, Affine, OddPower
-from meanlab.means import image_set
+from meanlab.means import image_set, m_acc
 
 
 # --------------------------------------------------------------------------
@@ -267,6 +268,7 @@ def test_slice_examples():
     assert slice_ge(h, Q(3, 2)) == from_interval(2, 3)
     assert set_intersect(h, from_interval(Q(-10), Q(5, 2))) == \
         set_union(from_interval(0, 1), from_interval(2, Q(5, 2)))
+    assert slice_le(EMPTY, Q(1)) is EMPTY and slice_ge(EMPTY, Q(1)) is EMPTY
 
 
 def test_slice_through_cluster_keeps_tail():
@@ -356,6 +358,53 @@ def test_level_and_derived_iter():
     assert derived_iter(tail, 1) == from_points(Q(0))
 
 
+def _level_two_cluster() -> Cluster:
+    """Anchors 1 + 1/k above the limit 1, each carrying a copy of the
+    harmonic sequence 1/j (written at the limit 5, so it is recentered):
+    bounded blocks at k = 1, 2 and an unbounded one from k = 3."""
+    tpl = harmonic_cluster(5)
+    return harmonic_cluster(1, children=[(1, 2, tpl), (3, None, tpl)])
+
+
+def test_a_level_two_set_by_hand():
+    # H is the union over k >= 1 of the copies {1 + 1/k + w_k/j : j >= 1},
+    # w_k = (1/k - 1/(k+1))/4 the window of anchor k. Each copy accumulates
+    # at its anchor alone, and the anchors at 1: the first derived set is
+    # {1 + 1/k} u {1}, the second {1}, the third empty. So H has level 2
+    # and m_acc(H) = 1.
+    c = _level_two_cluster()
+    h = realset(clusters=[c])
+    assert c.depth == 2 and c.children[0].template.limit == 0
+    d = derived(h)
+    assert level(h) == 2
+    assert derived_iter(h, 2) == from_points(Q(1))
+    assert derived_iter(h, 3).is_empty
+    assert m_acc(h) == 1
+    assert d.member(Q(1))
+    for k in range(1, 12):
+        anchor, w = 1 + Q(1, k), c.window(k)
+        assert w == Q(1, 4 * k * (k + 1))
+        assert d.member(anchor) and not h.member(anchor)
+        assert h.member(anchor + w) and h.member(anchor + w / 3)
+        assert not d.member(anchor + w) and not h.member(anchor + w * 3 / 2)
+
+
+def test_a_level_two_set_meets_a_range_only_through_a_child_copy():
+    # a copy lies above its anchor, which it does not hold: the anchor
+    # alone, and the stretch just below it, miss H; any stretch just above
+    # it, with the anchor or without, holds the copy's tail
+    c = _level_two_cluster()
+    h = realset(clusters=[c])
+    for k in range(1, 12):
+        anchor, w = 1 + Q(1, k), c.window(k)
+        assert not intersects_interval(h, Interval(anchor, anchor))
+        assert not intersects_interval(
+            h, Interval(anchor - w / 2, anchor, True, False))
+        assert intersects_interval(h, Interval(anchor, anchor + w / 2))
+        assert intersects_interval(
+            h, Interval(anchor, anchor + w / 2, False, False))
+
+
 def test_acc_bounds_examples():
     h = set_union(from_points(Q(-5)), from_interval(0, 1))
     assert acc_bounds(h) == (Q(0), Q(1))
@@ -429,6 +478,17 @@ def _transformed(rng: random.Random, c: Cluster) -> Cluster:
     (out,) = image_set(image_set(base, f), Affine(Q(1), c.limit - 1)).clusters
     assert isinstance(out.rule, exactset.MappedRule) and out.limit == c.limit
     return out
+
+
+def test_scaling_a_transformed_cluster_scales_its_offsets():
+    # the squares of 1 + 1/(2k), k >= 2, scaled by 3: terms 3(1 + 1/(2k))^2
+    # above the limit 3
+    base = realset(clusters=[harmonic_cluster(1, c=Q(1, 2), start=2)])
+    (c,) = scale(image_set(base, SQUARE), 3).clusters
+    assert isinstance(c.rule, exactset.MappedRule)
+    assert c.limit == 3 and c.above and c.start == 2
+    assert [c.term(k) for k in (2, 3, 10)] == [
+        3 * (1 + Q(1, 2 * k)) ** 2 for k in (2, 3, 10)]
 
 
 def _random_sided_cluster_set(rng: random.Random,

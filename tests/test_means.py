@@ -320,6 +320,14 @@ def test_inverse_enclosures_of_decreasing_transforms_keep_both_ends():
     assert 0 < lo < hi and lo * lo <= 2 <= hi * hi
 
 
+def test_inverses_of_roots_and_enclosures():
+    # a root that is rational comes back through an affine map exactly
+    assert Affine(Q(2), Q(1)).invert(RootValue(Q(8), 3)) == Q(1, 2)
+    # an enclosure pulls back through an odd power as an enclosure
+    lo, hi = value_bounds(OddPower(3).invert(Approx(Q(27), Q(1, 100))))
+    assert lo < 3 < hi and hi - lo < Q(1, 100)
+
+
 def test_certified_transforms_reject_other_means():
     t = transform_kf(eds_ref(3), ExpBase(Q(2)))
     with pytest.raises(UnsupportedMean):
@@ -377,3 +385,16 @@ def test_mean_refs_report_their_domains():
     assert M_ACC.in_domain(_harmonic_set()) and not M_ACC.in_domain(h)
     assert resolve_mean("iso:3").in_domain(_harmonic_set())
     assert not resolve_mean("iso:3").in_domain(h)
+
+
+def test_limit_means_judge_their_domain_at_the_first_stage():
+    lavg_k, m_iso_k, m_eds_k = (resolve_mean(name)
+                                for name in ("lavg", "m_iso", "m_eds"))
+    pts, unit = from_points(Q(0), Q(1)), from_interval(Q(0), Q(1))
+    nested = realset(clusters=[harmonic_cluster(
+        Q(0), children=[(1, None, harmonic_cluster(Q(0)))])])
+    assert lavg_k.in_domain(unit) and lavg_k.in_domain(pts)
+    assert not lavg_k.in_domain(realset())
+    assert not lavg_k.in_domain(nested)  # fatten takes depth 1 only
+    assert m_iso_k.in_domain(pts) and not m_iso_k.in_domain(unit)
+    assert m_eds_k.in_domain(pts) and not m_eds_k.in_domain(from_points(Q(1)))

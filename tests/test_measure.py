@@ -285,6 +285,13 @@ def test_hausdorff_ignores_missing_endpoints():
     assert hausdorff_distance(a, b) == 0
 
 
+def test_hausdorff_joins_closures_that_touch():
+    a = realset(intervals=[Interval(Q(0), Q(1), True, False),
+                           Interval(Q(1), Q(2), False, True)])
+    assert hausdorff_distance(a, from_interval(Q(0), Q(2))) == 0
+    assert hausdorff_distance(a, from_points(Q(0), Q(2))) == 1
+
+
 def test_hausdorff_rejects_clusters_and_empty_sets():
     tail = realset(clusters=[harmonic_cluster(Q(0), c=Q(1))])
     with pytest.raises(UnsupportedDepth):

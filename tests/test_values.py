@@ -1,12 +1,20 @@
 """Value shapes: exact integer roots, integers too long to print."""
 
+import math
 import sys
 from fractions import Fraction
 
 import pytest
 
 from meanlab.errors import UnrepresentableResult
-from meanlab.values import _iroot_exact, decimal_str, printable
+from meanlab.values import (
+    Approx,
+    RootValue,
+    _iroot_exact,
+    decimal_str,
+    printable,
+    value_bounds,
+)
 
 
 def test_iroot_exact_on_small_numbers():
@@ -39,3 +47,12 @@ def test_printable_stops_exactly_at_the_digit_limit():
             str(n)
     with pytest.raises(UnrepresentableResult):
         decimal_str(Fraction(top * 3, 2))
+
+
+def test_value_shapes_convert_to_floats_and_bounds():
+    assert float(Approx(Fraction(1, 4), Fraction(1, 100))) == 0.25
+    assert float(RootValue(Fraction(2), 2)) == math.sqrt(2)
+    assert RootValue(Fraction(-3, 7), 1).as_fraction() == Fraction(-3, 7)
+    assert RootValue(Fraction(9, 4), 2).enclosure() == (Fraction(3, 2),
+                                                        Fraction(3, 2))
+    assert value_bounds(3) == (Fraction(3), Fraction(3))
