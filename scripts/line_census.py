@@ -10,11 +10,22 @@ can over-count unrun lines there, never under-count them.
 
 It counts the lines that carry bytecode in function bodies (every
 ``def`` and ``lambda``, with the comprehensions and inner functions in
-it); module and class bodies, and the ``def`` lines, are left out. For
-each module it prints the unrun count over that total, then each unrun
-range (a maximal run of counted lines none of which ran) with its first
-source line, then the grand total and a digest of the module and range
-lines. The pytest report goes to stderr.
+it); module and class bodies, and the ``def`` lines, are left out. An
+unrun range is a maximal run of counted lines none of which ran. For each
+module it prints the unrun count over that total and each unlisted range
+with its first source line; then the ranges of ``GUARDS`` and of
+``ITEM_1``, each with its reason; then the grand total, a digest of the
+module lines and of every range line (in the unlisted form) and, last,
+the count of unlisted ranges. The pytest report goes to stderr.
+
+``GUARDS`` lists code that tier-1 need not run: validation raises, and
+fall-backs for an engine error or a skipped trial. ``ITEM_1`` lists the
+nested-cluster code that ROADMAP item 1 keeps for sets of level 2 and up.
+Each entry is keyed by the innermost function holding the range (dotted
+through enclosing classes and functions) and the stripped text of the
+range's first line, not by line number, and it covers every range that
+starts on such a line. ``tests/test_line_census.py`` checks that each
+entry still names a function and a line that exist.
 
 It needs Python 3.11 or later (instruction positions). Run it from the
 repository root, on any checkout; it takes no options and about five
@@ -25,6 +36,7 @@ minutes on one core (the tracer runs tier-1 about five times slower):
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import dis
 import hashlib
@@ -40,6 +52,159 @@ SRC = ROOT / "src"
 PACKAGE = SRC / "meanlab"
 
 _FUNC = 0x02  # CO_NEWLOCALS: a function's own frame, not a module or class
+
+_REFUSED = "refuses an input outside the mean's or the engine's domain"
+_SKIPPED = "a drawn trial outside the judge's premise is skipped"
+_CAUGHT = "an engine error on a derived set counts as a definite answer"
+
+# (file, function, first line of the range) -> why tier-1 need not run it
+GUARDS: dict[tuple[str, str, str], str] = {
+    ("analysis.py", "_bound_by_bisection.pred", "except MeanlabError:"):
+        "a cut the engine cannot represent is judged as moving the mean",
+    ("analysis.py", "core_restriction_check", "except MeanlabError:"):
+        _CAUGHT,
+    ("analysis.py", "uniformity_witness_at", "except MeanlabError:"):
+        "a family member outside a mean's domain is passed over",
+    **{("axioms.py", fn, "raise _Skip"): _SKIPPED for fn in (
+        "_disjoint_parts_in_domain", "_c_disjoint_monotone",
+        "_c_union_monotone", "_j_equi_monotone", "_c_slice_continuous",
+        "_c_point_continuous", "_c_hausdorff_continuous",
+        "_j_finite_independent", "_u_bounded_core", "_c_u_bounded_overlap",
+        "_c_u_bounded_infinite")},
+    ("axioms.py", "gen_sets", "continue"): _SKIPPED,
+    ("axioms.py", "gen_disjoint_pairs", "except _Skip:"): _SKIPPED,
+    ("axioms.py", "gen_equal_mean_pairs", "except _Skip:"): _SKIPPED,
+    ("axioms.py", "_verify_witness",
+     'raise MeanlabError("witness failed replay within tolerance")'):
+        "a witness whose replay disagrees is an engine fault, never shown",
+    ("cli.py", "value_json", 'raise BadParameters(f"not a value: {v!r}")'):
+        _REFUSED,
+    ("cli.py", "value_text", 'raise BadParameters(f"not a value: {v!r}")'):
+        _REFUSED,
+    ("cli.py", "_set_text", "except MeanlabError:"):
+        "a set outside the expression grammar prints as its repr",
+    ("exactset.py", "Harmonic.__post_init__",
+     'raise BadParameters("harmonic rule needs c > 0")'): _REFUSED,
+    ("exactset.py", "Geometric.__post_init__",
+     'raise BadParameters("geometric rule needs c > 0")'): _REFUSED,
+    ("exactset.py", "Geometric.__post_init__",
+     'raise BadParameters("geometric rule needs 0 < q < 1")'): _REFUSED,
+    ("exactset.py", "MappedRule.__post_init__",
+     'raise BadParameters("mapped rule needs an exact transform")'):
+        _REFUSED,
+    ("exactset.py", "rule_scaled",
+     'raise BadParameters("offset scale factor must be positive")'):
+        _REFUSED,
+    ("exactset.py", "_max_k_offset_ge",
+     'raise BadParameters("offset threshold must be positive")'): _REFUSED,
+    ("exactset.py", "make_cluster",
+     'raise BadParameters("cluster start index must be >= 1")'): _REFUSED,
+    ("exactset.py", "make_cluster",
+     'raise BadParameters("no child block may follow an unbounded one")'):
+        _REFUSED,
+    ("exactset.py", "make_cluster",
+     'raise BadParameters("child block indices out of range")'): _REFUSED,
+    ("exactset.py", "make_cluster",
+     'raise BadParameters("child blocks must be disjoint and sorted")'):
+        _REFUSED,
+    ("exactset.py", "make_cluster",
+     'raise BadParameters("child template must be a cluster")'): _REFUSED,
+    ("exactset.py", "cluster_affine",
+     'raise ZeroScale("scale factor must be nonzero")'): _REFUSED,
+    ("exactset.py", "placed_child",
+     'raise BadParameters(f"index {k} carries no child copy")'): _REFUSED,
+    ("exactset.py", "RealSet.bounds",
+     'raise EmptySet("the empty set has no bounds")'): _REFUSED,
+    ("exactset.py", "normalize", 'raise OverlappingClusterWindows('
+     '"cluster normalization did not settle")'):
+        "a bound on the merge loop, which no known input reaches",
+    ("exactset.py", "_cluster_cluster_intersect",
+     'raise UnrepresentableResult("coincidence scan too large")'):
+        "a resource bound: MATERIALIZE_CAP explicit terms",
+    ("exactset.py", "derived_iter",
+     'raise BadParameters("derived iteration count must be >= 0")'):
+        _REFUSED,
+    ("exactset.py", "level",
+     'raise EmptySet("level of the empty set is undefined")'): _REFUSED,
+    ("funcs.py", "_certified", 'raise BadParameters("enclosure failed to '
+     'reach the requested width")'):
+        "six doublings of the precision always suffice for these inputs",
+    ("funcs.py", "MonotoneFunc.apply", 'raise DomainViolation(f"{self.name()}'
+     ' has no exact forward evaluation")'): _REFUSED,
+    ("funcs.py", "MonotoneFunc.invert", "raise NotImplementedError"):
+        "an abstract method: every transform overrides it",
+    ("funcs.py", "Affine.__post_init__",
+     'raise BadParameters("affine transform needs a nonzero slope")'):
+        _REFUSED,
+    ("funcs.py", "OddPower.__post_init__", 'raise BadParameters('
+     '"power kind needs an odd positive exponent")'): _REFUSED,
+    ("funcs.py", "SquareOnNonneg.apply",
+     'raise DomainViolation("square transform domain is x >= 0")'):
+        _REFUSED,
+    ("funcs.py", "SquareOnNonneg.invert",
+     'raise DomainViolation("square images are nonnegative")'): _REFUSED,
+    ("funcs.py", "ExpBase.__post_init__",
+     'raise BadParameters("exp kind needs base > 0, base != 1")'): _REFUSED,
+    ("funcs.py", "ExpBase.invert",
+     'raise DomainViolation("exp images are positive")'): _REFUSED,
+    ("funcs.py", "LogBase.__post_init__",
+     'raise BadParameters("log kind needs base > 0, base != 1")'): _REFUSED,
+    ("funcs.py", "LogBase.apply_bounds",
+     'raise DomainViolation("log transform domain is x > 0")'): _REFUSED,
+    ("funcs.py", "parse_func",
+     'raise BadParameters("compose needs two arguments")'): _REFUSED,
+    ("funcs.py", "parse_func",
+     'raise BadParameters(f"wrong arguments for {head}(...)")'): _REFUSED,
+    ("means.py", "m_mu",
+     'raise EmptySet("average of the empty set is undefined")'): _REFUSED,
+    ("means.py", "_interval_integral", 'raise DomainViolation("logarithm '
+     'integral needs a positive domain")'): _REFUSED,
+    ("means.py", "_interval_integral", "raise BadParameters("): _REFUSED,
+    ("means.py", "avg_f",
+     'raise EmptySet("average of the empty set is undefined")'): _REFUSED,
+    ("means.py", "image_set", "raise UnsupportedDepth("): _REFUSED,
+    ("means.py", "avg_fat_ref", 'raise BadParameters("the neighborhood '
+     'radius must be positive")'): _REFUSED,
+    ("means.py", "transform_kf.evaluate", 'raise EmptySet("arithmetic mean '
+     'of the empty set is undefined")'): _REFUSED,
+    ("means.py", "transform_kf.evaluate",
+     'raise EmptySet("average of the empty set is undefined")'): _REFUSED,
+    ("means.py", "resolve_mean", 'raise BadParameters("the neighborhood '
+     'average needs a radius")'): _REFUSED,
+    ("measure.py", "_native_depth1", "raise UnsupportedDepth("): _REFUSED,
+    ("measure.py", "_directed_hausdorff", 'raise EmptySet("distance to the '
+     'empty set is undefined")'): _REFUSED,
+    ("setexpr.py", "parse", 'raise UnsupportedDepth("set expression nested '
+     'too deeply to "'): _REFUSED,
+    ("setexpr.py", "print_expr", 'raise UnsupportedDepth("set expression '
+     'nested too deeply to "'): _REFUSED,
+    ("setexpr.py", "_print",
+     'raise BadParameters(f"not a set expression: {e!r}")'): _REFUSED,
+    ("setexpr.py", "evaluate", 'raise UnsupportedDepth("set expression '
+     'nested too deeply to "'): _REFUSED,
+    ("setexpr.py", "_evaluate",
+     'raise BadParameters(f"not a set expression: {e!r}")'): _REFUSED,
+    ("setexpr.py", "set_to_expr", "raise UnrepresentableResult("): _REFUSED,
+    ("values.py", "RootValue.__post_init__",
+     'raise ValueError("root degree must be >= 1")'): _REFUSED,
+    ("values.py", "RootValue.__post_init__",
+     'raise ValueError("even root of a negative radicand")'): _REFUSED,
+    ("values.py", "value_bounds",
+     'raise TypeError(f"not a mean value: {type(v).__name__}")'): _REFUSED,
+}
+
+# (file, function, first line of the range) -> what of item 1 it is
+ITEM_1: dict[tuple[str, str, str], str] = {
+    ("exactset.py", "_envelope_below", "return cl.start"):
+        "a copy window that clears every span from the first index",
+    ("exactset.py", "normalize", "work.append(c)"):
+        "the parts after a merge, more than one only with child copies",
+    ("exactset.py", "_derived_cluster", "sub_p, sub_c = _derived_cluster("
+     "placed_child(c, k))"): "the derived set of a copy of depth 2 or more",
+    ("exactset.py", "_derived_cluster",
+     "sub_p, sub_c = _derived_cluster(tpl)"):
+        "the derived set of an unbounded block of depth 2 or more",
+}
 
 
 def _body_lines(code) -> set[int]:
@@ -66,6 +231,24 @@ def _function_lines(code, out: set[int], in_function: bool) -> None:
         if inside:
             out.update(_body_lines(const))
         _function_lines(const, out, inside)
+
+
+def function_names(path: Path) -> dict[int, str]:
+    """Line -> dotted name of the innermost def or class holding it."""
+    out: dict[int, str] = {}
+
+    def walk(node, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            name = prefix
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                name = f"{prefix}.{child.name}" if prefix else child.name
+                for line in range(child.lineno, child.end_lineno + 1):
+                    out[line] = name
+            walk(child, name)
+
+    walk(ast.parse(path.read_text(encoding="utf-8")), "")
+    return out
 
 
 def counted_lines(path: Path) -> set[int]:
@@ -142,7 +325,9 @@ def main() -> int:
           "bytecode in function bodies")
     print(f"pytest exit {int(code)}: {outcomes}")
     digest = hashlib.sha256()
-    total = unrun = 0
+    total = unrun = unlisted = 0
+    listed: dict[str, list[str]] = {"guards": [], "item 1": []}
+    matched = set()
     for path in paths:
         lines = sorted(counted_lines(path))
         seen = census.seen[str(path)]
@@ -150,15 +335,34 @@ def main() -> int:
         total += len(lines)
         unrun += len(missed)
         source = path.read_text(encoding="utf-8").splitlines()
-        out = [f"{path.stem} {len(missed)}/{len(lines)}"]
+        names = function_names(path)
+        head = f"{path.stem} {len(missed)}/{len(lines)}"
+        print(head)
+        digest.update(head.encode() + b"\n")
         for lo, hi in _ranges(lines, seen):
+            text = source[lo - 1].strip()
             span = str(lo) if lo == hi else f"{lo}-{hi}"
-            out.append(f"  {path.name}:{span}  {source[lo - 1].strip()}")
+            line = f"  {path.name}:{span}  {text}"
+            digest.update(line.encode() + b"\n")
+            key = (path.name, names.get(lo, ""), text)
+            for section, table in (("guards", GUARDS), ("item 1", ITEM_1)):
+                if key in table:
+                    listed[section].append(f"{line}  [{key[1]}: "
+                                           f"{table[key]}]")
+                    matched.add(key)
+                    break
+            else:
+                print(line)
+                unlisted += 1
+    for section, out in listed.items():
+        print(f"{section}: {len(out)} ranges")
         for line in out:
             print(line)
-            digest.update(line.encode() + b"\n")
+    for key in sorted((GUARDS.keys() | ITEM_1.keys()) - matched):
+        print(f"listed but run: {key[0]} {key[1]}: {key[2]}")
     print(f"total {unrun}/{total} unrun")
     print(f"digest {digest.hexdigest()}")
+    print(f"unlisted ranges {unlisted}")
     return 0
 
 
