@@ -128,7 +128,7 @@ GUARDS: dict[tuple[str, str, str], str] = {
      'raise EmptySet("level of the empty set is undefined")'): _REFUSED,
     ("funcs.py", "_certified", 'raise BadParameters("enclosure failed to '
      'reach the requested width")'):
-        "six doublings of the precision always suffice for these inputs",
+        "a bound on the precision loop, which no known input reaches",
     ("funcs.py", "MonotoneFunc.apply", 'raise DomainViolation(f"{self.name()}'
      ' has no exact forward evaluation")'): _REFUSED,
     ("funcs.py", "MonotoneFunc.invert", "raise NotImplementedError"):
