@@ -667,14 +667,13 @@ def resolve_mean(name: str, *, n: int | None = None, delta=None,
     if ":" in key:
         key, _, tag = key.partition(":")
         key = _ALIASES.get(key, key)
+        if key not in ("iso", "eds", "avg_fat"):
+            raise BadParameters(f"{key} does not take an embedded parameter")
         try:
-            if key in ("iso", "eds"):
-                n = int(tag)
-            elif key == "avg_fat":
+            if key == "avg_fat":
                 delta = Q(tag)
             else:
-                raise BadParameters(
-                    f"{key} does not take an embedded parameter")
+                n = int(tag)
         except (ValueError, ZeroDivisionError):
             raise BadParameters(
                 f"not a parameter for {key}: {tag!r}") from None
