@@ -36,6 +36,7 @@ from meanlab.errors import (
 from meanlab.exactset import (
     from_interval,
     from_points,
+    geometric_cluster,
     harmonic_cluster,
     realset,
     set_union,
@@ -143,9 +144,11 @@ def test_core_restriction_keeps_the_mean():
         a, b = core.bounds()
         planted = set_union(core, from_points(a - 3, b + Q(7, 2)))
         assert core_restriction_check(AVG1, planted)
-    # the bisected bounds of {0, 1} by amean lie just inside 0 and 1, so
-    # the core they cut holds no point
-    assert not core_restriction_check(AMEAN, from_points(Q(0), Q(1)))
+    # by m_acc both bounds of H are the limit 1 of its cluster, which H
+    # does not hold: the core is empty, so it cannot keep the mean
+    h = set_union(from_points(Q(0), Q(3)), realset(
+        clusters=[geometric_cluster(Q(1), c=Q(1), q=Q(1, 3))]))
+    assert not core_restriction_check(M_ACC, h)
 
 
 # --------------------------------------------------------------------------
