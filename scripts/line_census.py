@@ -14,9 +14,10 @@ it); module and class bodies, and the ``def`` lines, are left out. An
 unrun range is a maximal run of counted lines none of which ran. For each
 module it prints the unrun count over that total and each unlisted range
 with its first source line; then the ranges of ``GUARDS`` and of
-``ITEM_1``, each with its reason; then the grand total, a digest of the
-module lines and of every range line (in the unlisted form) and, last,
-the count of unlisted ranges. The pytest report goes to stderr.
+``ITEM_1``, each with its reason, and any entry that matched no unrun
+range; then the grand total, a digest of the module lines and of every
+range line (in the unlisted form) and, last, the count of unlisted
+ranges. The pytest report goes to stderr.
 
 ``GUARDS`` lists code that tier-1 need not run: validation raises, and
 fall-backs for an engine error or a skipped trial. ``ITEM_1`` lists the
@@ -55,14 +56,13 @@ _FUNC = 0x02  # CO_NEWLOCALS: a function's own frame, not a module or class
 
 _REFUSED = "refuses an input outside the mean's or the engine's domain"
 _SKIPPED = "a drawn trial outside the judge's premise is skipped"
-_CAUGHT = "an engine error on a derived set counts as a definite answer"
 
 # (file, function, first line of the range) -> why tier-1 need not run it
 GUARDS: dict[tuple[str, str, str], str] = {
     ("analysis.py", "_bound_by_bisection.pred", "except MeanlabError:"):
         "a cut the engine cannot represent is judged as moving the mean",
     ("analysis.py", "core_restriction_check", "except MeanlabError:"):
-        _CAUGHT,
+        "a core outside the mean's domain does not keep the mean",
     ("analysis.py", "uniformity_witness_at", "except MeanlabError:"):
         "a family member outside a mean's domain is passed over",
     **{("axioms.py", fn, "raise _Skip"): _SKIPPED for fn in (
