@@ -3,13 +3,13 @@
 Everything here is parameterized by a ``MeanRef``: liminf/limsup of a set
 *with respect to a mean*, accumulation points *by a mean*, closedness in
 that sense, two derivative-like quantities built from shrinking or appended
-neighborhoods, extremal bounds for length-constrained subsets, and the
-pointwise/uniform convergence framework for sequences of means.
+neighborhoods, extremal bounds for length-constrained subsets, and
+witnesses against uniform convergence of a sequence of means (the
+sequences themselves, and their pointwise limits, live in ``means``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
@@ -35,7 +35,7 @@ from .exactset import (
     subset_of,
 )
 from .limits import DEFAULT_SCHEDULE, LimitSchedule, aitken_accelerate, limit_estimate
-from .means import MeanRef, amean, avg1, m_acc
+from .means import MeanRef, MeanSequence, amean, avg1, m_acc
 from .measure import essential_bounds, lebesgue, support
 from .values import Approx, RootValue, value_mid, values_close
 
@@ -236,7 +236,7 @@ def d_mean(k: MeanRef, h: RealSet, x, schedule: LimitSchedule = DEFAULT_SCHEDULE
     tail = quotients[-schedule.agreements:]
     if all(t == tail[0] for t in tail):
         return tail[0], tail[0], hint
-    acc = aitken_accelerate(quotients) or quotients
+    acc = aitken_accelerate(quotients)
     tail = acc[-schedule.agreements:]
     lo, hi = min(tail), max(tail)
     spread = max(hi - lo, schedule.tolerance)
@@ -298,53 +298,7 @@ def sup_bound_check(h: RealSet) -> bool:
 
 
 # --------------------------------------------------------------------------
-# sequences of means: pointwise and uniform convergence
-
-
-@dataclass(frozen=True)
-class MeanSequence:
-    """An index-to-mean rule with the shared domain contract."""
-
-    id: str
-    at: Callable[[int], MeanRef]
-    domain_predicate: Callable[[RealSet], bool]
-
-    def in_domain(self, h: RealSet) -> bool:
-        return bool(self.domain_predicate(h))
-
-
-def avg_fat_sequence() -> MeanSequence:
-    from .means import avg_fat_ref
-
-    return MeanSequence(
-        "avg_fat(1/n)",
-        lambda n: avg_fat_ref(Q(1, n)),
-        lambda h: not h.is_empty)
-
-
-def eds_sequence() -> MeanSequence:
-    from .means import eds_ref
-
-    return MeanSequence(
-        "eds(n)",
-        lambda n: eds_ref(n),
-        lambda h: (not h.is_empty) and h.bounds()[0] < h.bounds()[1])
-
-
-def iso_sequence() -> MeanSequence:
-    from .means import iso_ref
-
-    return MeanSequence(
-        "iso(n)",
-        lambda n: iso_ref(n),
-        lambda h: (not h.is_empty) and not h.intervals)
-
-
-def pointwise_limit(seq: MeanSequence, h: RealSet,
-                    schedule: LimitSchedule = DEFAULT_SCHEDULE) -> Approx:
-    """Accelerated limit of the stage-n means on a fixed set."""
-    return limit_estimate(lambda n: value_mid(seq.at(n).evaluate(h)),
-                          schedule, label=f"{seq.id} pointwise limit")
+# sequences of means: uniform convergence
 
 
 def grid_family(m: int) -> RealSet:

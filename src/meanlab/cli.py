@@ -41,7 +41,7 @@ from .errors import BadParameters, MeanlabError, NoConvergence, ParseError
 from .exactset import RealSet
 from .funcs import parse_func
 from .limits import LimitSchedule, limit_estimate
-from .means import MeanRef, avg_fat, eds_n, iso_n, resolve_mean
+from .means import MeanRef, MeanSequence, resolve_mean
 from .measure import DensityMeasure
 from .setexpr import (
     evaluate,
@@ -214,31 +214,23 @@ def _cmd_eval(args) -> list[str]:
     return [f"{lb}: {value_text(v)}" for lb, v in results.items()]
 
 
-# keyed by mean id: a mean conjugated by --f has no stage sampler
-_STAGE_SAMPLERS = {
-    "lavg": lambda h, n: avg_fat(h, Q(1, n)),
-    "m_iso": lambda h, n: iso_n(h, n),
-    "m_eds": lambda h, n: eds_n(h, n),
-}
-
-
 def _cmd_limit(args) -> list[str]:
     schedule = _build_schedule(args)
     k = _build_mean(args, schedule)
-    if k.id not in _STAGE_SAMPLERS:
+    seq = k.param  # a conjugate's param is (mean, transform)
+    if not isinstance(seq, MeanSequence):
         raise BadParameters(
             "limit needs a limit-type mean: lavg, m_iso, or m_eds")
     h = _read_set(args.set)
-    stage = _STAGE_SAMPLERS[k.id]
     rows: list[tuple[int, Fraction]] = []
 
     def recorder(n: int) -> Fraction:
-        v = stage(h, n)
+        v = seq.at(n).evaluate(h)
         rows.append((n, v))
         return v
 
-    # lavg on interval mass is exact; the samples are still traced
-    exact_value = k.evaluate(h) if k.id == "lavg" and h.intervals else None
+    # a closed form is exact; the samples are still traced
+    exact_value = seq.closed_form(h)
     try:
         est = limit_estimate(recorder, schedule, label=f"{k.id} limit")
     except NoConvergence:
@@ -248,14 +240,10 @@ def _cmd_limit(args) -> list[str]:
         est = Approx(exact_value, schedule.tolerance)
     if args.json:
         return [json.dumps({
-            "command": "limit", "mean": k.id,
-            "estimate": _frac_json(est.value),
-            "error": _frac_json(est.error),
-            "decimal": decimal_str(est.value),
+            "command": "limit", "mean": k.id, **value_json(est),
             "trace": [{"n": n, "value": _frac_json(v)} for n, v in rows],
         })]
-    return [f"estimate {_trim(decimal_str(est.value))} "
-            f"± {float(est.error):.3g}",
+    return [f"estimate {value_text(est)}",
             "n,value",
             *(f"{n},{decimal_str(v)}" for n, v in rows)]
 

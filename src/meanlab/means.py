@@ -53,7 +53,7 @@ from .measure import (
     mu_moment,
     support,
 )
-from .values import Approx, RootValue
+from .values import Approx, RootValue, value_mid
 
 Q = Fraction
 
@@ -140,8 +140,8 @@ def iso_n(h: RealSet, n: int) -> Fraction:
 
 
 def m_iso(h: RealSet, schedule: LimitSchedule = DEFAULT_SCHEDULE) -> Approx:
-    """Limit of iso_n along the schedule."""
-    return limit_estimate(lambda n: iso_n(h, n), schedule, label="iso limit")
+    """Limit of iso_n along the schedule (see ``m_iso_ref``)."""
+    return m_iso_ref(schedule).evaluate(h)
 
 
 def _cell(x: Fraction, a: Fraction, w: Fraction) -> int:
@@ -252,8 +252,8 @@ def eds_n(h: RealSet, n: int) -> Fraction:
 
 
 def m_eds(h: RealSet, schedule: LimitSchedule = DEFAULT_SCHEDULE) -> Approx:
-    """Limit of eds_n along the schedule."""
-    return limit_estimate(lambda n: eds_n(h, n), schedule, label="eds limit")
+    """Limit of eds_n along the schedule (see ``m_eds_ref``)."""
+    return m_eds_ref(schedule).evaluate(h)
 
 
 # --------------------------------------------------------------------------
@@ -266,18 +266,15 @@ def avg_fat(h: RealSet, delta) -> Fraction:
 
 
 def lavg(h: RealSet, schedule: LimitSchedule = DEFAULT_SCHEDULE) -> Value:
-    """Limit of avg_fat as the radius shrinks to zero.
+    """Limit of avg_fat as the radius shrinks to zero (see ``lavg_ref``)."""
+    return lavg_ref(schedule).evaluate(h)
 
-    When the set carries length the null parts vanish in the limit and the
-    value equals the plain average of the interval mass, returned exactly.
-    Otherwise the limit is estimated along the schedule.
-    """
-    if h.is_empty:
-        raise EmptySet("average of the empty set is undefined")
-    if h.intervals:
-        return avg1(support(h))
-    return limit_estimate(lambda n: avg_fat(h, Q(1, n)), schedule,
-                          label="shrinking-neighborhood average")
+
+def _interval_mass_average(h: RealSet) -> Fraction | None:
+    """The limit of avg_fat(h, 1/n) when h carries length: the null parts
+    vanish in the limit, leaving the plain average of the interval mass.
+    None on a null set, whose limit has no closed form here."""
+    return avg1(support(h)) if h.intervals else None
 
 
 # --------------------------------------------------------------------------
@@ -437,7 +434,8 @@ class MeanRef:
     which is a convergence report, not a domain fact). ``exact`` promises
     Fraction/RootValue results; otherwise values may be certified Approx.
     ``param`` carries the defining parameter (stage, radius, density,
-    transform, schedule) so checkers can reconstruct canonical inputs.
+    transform, or a limit mean's stage sequence) so checkers can
+    reconstruct canonical inputs.
     """
 
     id: str
@@ -523,53 +521,81 @@ def m_mu_ref(mu: DensityMeasure) -> MeanRef:
                    param=mu)
 
 
-def lavg_ref(schedule: LimitSchedule = DEFAULT_SCHEDULE) -> MeanRef:
-    """Shrinking-neighborhood limit average as a catalogue entry."""
+# --------------------------------------------------------------------------
+# sequences of means and the limit-type means they define
+
+
+@dataclass(frozen=True)
+class MeanSequence:
+    """An index-to-mean rule with the shared domain contract.
+
+    ``closed_form(h)`` is the exact pointwise limit of the stage means on
+    h where one is known, and None where the limit is only sampled.
+    """
+
+    id: str
+    at: Callable[[int], MeanRef]
+    domain_predicate: Callable[[RealSet], bool]
+    closed_form: Callable[[RealSet], Value | None] = lambda h: None
+
+    def in_domain(self, h: RealSet) -> bool:
+        return bool(self.domain_predicate(h))
+
+
+def avg_fat_sequence() -> MeanSequence:
+    return MeanSequence("avg_fat(1/n)", lambda n: avg_fat_ref(Q(1, n)),
+                        lambda h: not h.is_empty, _interval_mass_average)
+
+
+def eds_sequence() -> MeanSequence:
+    return MeanSequence("eds(n)", eds_ref, lambda h: not h.is_empty
+                        and h.bounds()[0] < h.bounds()[1])
+
+
+def iso_sequence() -> MeanSequence:
+    return MeanSequence("iso(n)", iso_ref,
+                        lambda h: not h.is_empty and not h.intervals)
+
+
+def pointwise_limit(seq: MeanSequence, h: RealSet,
+                    schedule: LimitSchedule = DEFAULT_SCHEDULE) -> Approx:
+    """Accelerated limit of the stage-n means on a fixed set."""
+    return limit_estimate(lambda n: value_mid(seq.at(n).evaluate(h)),
+                          schedule, label=f"{seq.id} pointwise limit")
+
+
+def _limit_ref(name: str, seq: MeanSequence,
+               schedule: LimitSchedule) -> MeanRef:
+    """The limit-type mean ``name``: the closed form of ``seq`` where it
+    applies, else the stage means' limit estimated along the schedule.
+    Its domain: the closed form applies or the first stage is defined."""
     def ev(h: RealSet) -> Value:
-        return lavg(h, schedule)
+        exact = seq.closed_form(h)
+        if exact is not None:
+            return exact
+        return limit_estimate(lambda n: seq.at(n).evaluate(h), schedule,
+                              label=f"{name} limit")
 
     def dom(h: RealSet) -> bool:
-        if h.is_empty:
-            return False
-        if h.intervals:
-            return True  # exact fast path
-        try:
-            fatten(h, Q(1, schedule.indices[0]))
-        except MeanlabError:
-            return False
-        return True
+        return (seq.closed_form(h) is not None
+                or seq.at(schedule.indices[0]).in_domain(h))
 
-    return MeanRef("lavg", ev, dom, exact=False, param=schedule)
+    return MeanRef(name, ev, dom, exact=False, param=seq)
+
+
+def lavg_ref(schedule: LimitSchedule = DEFAULT_SCHEDULE) -> MeanRef:
+    """Shrinking-neighborhood limit average as a catalogue entry."""
+    return _limit_ref("lavg", avg_fat_sequence(), schedule)
 
 
 def m_iso_ref(schedule: LimitSchedule = DEFAULT_SCHEDULE) -> MeanRef:
     """Limit of the isolated-point means as a catalogue entry."""
-    def ev(h: RealSet) -> Approx:
-        return m_iso(h, schedule)
-
-    def dom(h: RealSet) -> bool:
-        try:
-            iso_n(h, schedule.indices[0])
-        except MeanlabError:
-            return False
-        return True
-
-    return MeanRef("m_iso", ev, dom, exact=False, param=schedule)
+    return _limit_ref("m_iso", iso_sequence(), schedule)
 
 
 def m_eds_ref(schedule: LimitSchedule = DEFAULT_SCHEDULE) -> MeanRef:
     """Limit of the equal-division means as a catalogue entry."""
-    def ev(h: RealSet) -> Approx:
-        return m_eds(h, schedule)
-
-    def dom(h: RealSet) -> bool:
-        try:
-            eds_n(h, schedule.indices[0])
-        except MeanlabError:
-            return False
-        return True
-
-    return MeanRef("m_eds", ev, dom, exact=False, param=schedule)
+    return _limit_ref("m_eds", eds_sequence(), schedule)
 
 
 def avg_f_ref(f: MonotoneFunc) -> MeanRef:

@@ -12,7 +12,6 @@ from conftest import random_mixed_set, random_points, random_union
 
 from meanlab.analysis import (
     acc_points_by_mean,
-    avg_fat_sequence,
     core_restriction_check,
     d_mean,
     d_probe,
@@ -45,6 +44,7 @@ from meanlab.means import (
     avg1,
     avg_f,
     avg_fat,
+    avg_fat_sequence,
     eds_n,
     image_set,
     iso_n,

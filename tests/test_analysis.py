@@ -9,18 +9,14 @@ from conftest import random_union
 from meanlab.analysis import (
     INEXACT_TOL,
     acc_points_by_mean,
-    avg_fat_sequence,
     core_restriction_check,
     d_mean,
     d_probe,
-    eds_sequence,
     extremal_avg,
     grid_family,
     is_k_closed,
-    iso_sequence,
     liminf_by_mean,
     limsup_by_mean,
-    pointwise_limit,
     sup_bound_check,
     uniformity_witness,
     uniformity_witness_at,
@@ -49,9 +45,13 @@ from meanlab.means import (
     M_ACC,
     MeanRef,
     avg1,
+    avg_fat_sequence,
     eds_ref,
+    eds_sequence,
+    iso_sequence,
     lavg_ref,
     m_eds,
+    pointwise_limit,
     resolve_mean,
 )
 from meanlab.measure import lebesgue

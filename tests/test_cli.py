@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction as Q
@@ -11,7 +12,9 @@ from pathlib import Path
 import pytest
 
 import meanlab
+from conftest import random_mixed_set
 from meanlab.cli import main
+from meanlab.exactset import Interval, from_points, harmonic_cluster, realset
 
 
 def run_cli(capsys, argv, stdin=None, monkeypatch=None):
@@ -153,6 +156,67 @@ def test_a_schedule_shorter_than_three_samples_is_refused(capsys, max_n):
         assert error_payload(err) == {
             "code": "bad_parameters",
             "message": "--max-n must be at least 64"}
+
+
+@pytest.mark.parametrize("name,family", (
+    ("lavg", meanlab.avg_fat_sequence), ("m_iso", meanlab.iso_sequence),
+    ("m_eds", meanlab.eds_sequence)))
+def test_a_limit_mean_is_the_pointwise_limit_of_its_sequence(capsys, name,
+                                                             family):
+    k = meanlab.resolve_mean(name)
+    assert isinstance(k.param, meanlab.MeanSequence)
+    assert k.param.id == family().id
+    # eval and limit sample the same stages, so they settle alike
+    argv = ["--json", "--mean", name, "--tol", "1/10", "--max-n", "1024",
+            "--set", "{0,1,5}"]
+    assert k.param.closed_form(from_points(Q(0), Q(1), Q(5))) is None
+    code, out, _ = run_cli(capsys, ["eval", *argv])
+    assert code == 0
+    evaluated = json.loads(out)["values"]["H"]
+    code, out, _ = run_cli(capsys, ["limit", *argv])
+    assert code == 0
+    traced = json.loads(out)
+    assert evaluated["estimate"] == traced["estimate"]
+    assert evaluated["error"] == traced["error"]
+    # the domain is the first stage's, on seeded sets of every shape
+    first = k.param.at(meanlab.DEFAULT_SCHEDULE.indices[0])
+    rng = random.Random(14)
+    for _ in range(12):
+        h = random_mixed_set(rng)
+        assert k.in_domain(h) == first.in_domain(h), h
+
+
+def test_lavg_is_exact_on_interval_mass_in_eval_and_limit(capsys):
+    tail = ["--tol", "1/1000000000", "--max-n", "1024", "--set",
+            "{0} u [2,3]"]
+    code, out, _ = run_cli(capsys, ["eval", "--mean", "lavg", *tail])
+    assert code == 0 and out == "2.5 (exact 5/2)\n"
+    # the samples do not settle on this short schedule; the closed form
+    # still gives the estimate
+    code, out, _ = run_cli(capsys, ["limit", "--json", "--mean", "lavg",
+                                    *tail])
+    assert code == 0
+    assert json.loads(out)["estimate"] == {"num": 5, "den": 2}
+    # interval mass is in lavg's domain even where no stage is defined
+    nested = harmonic_cluster(1, children=[(1, 2, harmonic_cluster(0))])
+    h = realset(intervals=[Interval(Q(5), Q(6), True, True)],
+                clusters=[nested])
+    lavg = meanlab.lavg_ref()
+    assert not lavg.param.at(16).in_domain(h)
+    assert lavg.in_domain(h) and lavg.evaluate(h) == Q(11, 2)
+
+
+def test_eval_and_limit_report_one_non_convergence(capsys):
+    messages = []
+    for command in ("eval", "limit"):
+        code, _, err = run_cli(capsys, [
+            command, "--mean", "m_eds", "--tol", "1/1000000000",
+            "--max-n", "1024", "--set", "{0} u [2,3]"])
+        assert code == 1
+        payload = error_payload(err)
+        assert payload["code"] == "no_convergence"
+        messages.append(payload["message"])
+    assert messages == ["m_eds limit did not stabilize within the schedule"] * 2
 
 
 # ------------------------------------------------------------------- derive
