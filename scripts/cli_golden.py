@@ -398,6 +398,20 @@ def _cases() -> list[list[str]]:
     # an embedded parameter that is not a number
     cases += [["eval", "--mean", mean, "--set", "{0,1}"]
               for mean in ("iso:abc", "eds:1.5", "avg_fat:1/0")]
+    # a limit that does not settle says so in the same words in eval and
+    # limit; stage values and error radii past the float range print as
+    # decimal text
+    far = "0" * 400
+    cases += [
+        ["eval", "--mean", "m_eds", "--tol", "1/1000000000", *MAX_N,
+         "--set", "{0} u [2,3]"],
+        ["limit", "--mean", "m_eds", "--tol", "1/1000000000", *MAX_N,
+         "--set", f"{{0}} u [2{far},3{far}]"],
+        ["eval", "--mean", "m_eds", "--tol", "1e400", *MAX_N,
+         "--set", "{0,1,5}"],
+        ["limit", "--mean", "m_eds", "--tol", "1e400", *MAX_N,
+         "--set", "{0,1,5}"],
+    ]
     return cases
 
 

@@ -55,6 +55,7 @@ from .values import (
     Approx,
     RootValue,
     decimal_str,
+    float_or_decimal,
     printable,
     value_bounds,
     value_mid,
@@ -100,7 +101,10 @@ def value_text(v) -> str:
         return (f"{_trim(decimal_str(value_mid(v)))} "
                 f"(exact {format_rational(v.radicand)}^(1/{v.degree}))")
     if isinstance(v, Approx):
-        return f"{_trim(decimal_str(v.value))} ± {float(v.error):.3g}"
+        err = float_or_decimal(v.error)  # decimal text past the float range
+        if isinstance(err, float):
+            err = f"{err:.3g}"
+        return f"{_trim(decimal_str(v.value))} ± {err}"
     raise BadParameters(f"not a value: {v!r}")
 
 

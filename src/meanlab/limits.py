@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import BadConfig, NoConvergence
-from .values import Approx
+from .values import Approx, float_or_decimal
 
 Q = Fraction
 
@@ -67,7 +67,8 @@ def limit_estimate(sampler: Callable[[int], Fraction],
     """Estimate lim sampler(n) along the schedule.
 
     Stabilizes when `agreements` consecutive accelerated values agree within
-    the tolerance; raises NoConvergence with the sampled trace otherwise.
+    the tolerance; raises NoConvergence with the sampled trace otherwise,
+    each sample a float or, past the float range, its decimal text.
     """
     samples: list[Fraction] = []
     accel: list[Fraction] = []
@@ -83,6 +84,7 @@ def limit_estimate(sampler: Callable[[int], Fraction],
             accel.append(acc)
             if streak + 1 >= schedule.agreements:
                 return Approx(acc, 2 * schedule.tolerance)
-    trace = [(n, float(v)) for n, v in zip(schedule.indices, samples)]
+    trace = [(n, float_or_decimal(v))
+             for n, v in zip(schedule.indices, samples)]
     raise NoConvergence(
         f"{label} did not stabilize within the schedule", trace=trace)

@@ -165,6 +165,15 @@ def decimal_str(x: Fraction, places: int = 12) -> str:
     return f"{sign}{printable(whole)}.{str(frac).zfill(places)}"
 
 
+def float_or_decimal(x: Fraction) -> float | str:
+    """x as a float, or as its ``decimal_str`` text when it lies past the
+    float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return decimal_str(x)
+
+
 # The interpreter's int-string digit limit (0: none); older ones have none.
 _max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 

@@ -219,6 +219,25 @@ def test_eval_and_limit_report_one_non_convergence(capsys):
     assert messages == ["m_eds limit did not stabilize within the schedule"] * 2
 
 
+def test_values_past_the_float_range_print_as_decimal_text(capsys):
+    far = "0" * 400
+    for command in ("eval", "limit"):
+        code, out, err = run_cli(capsys, [
+            command, "--mean", "m_eds", "--tol", "1/1000000000",
+            "--max-n", "1024", "--set", f"{{0}} u [2{far},3{far}]"])
+        assert code == 1 and out == ""
+        trace = error_payload(err)["trace"]
+        assert trace[0] == [16, "21328125" + "0" * 393 + ".000000000000"]
+    # an error radius past the float range: 2 * 10^400
+    radius = "2" + "0" * 400 + ".000000000000"
+    for command, prefix in (("eval", ""), ("limit", "estimate ")):
+        code, out, _ = run_cli(capsys, [
+            command, "--mean", "m_eds", "--tol", "1e400", "--max-n", "1024",
+            "--set", "{0,1,5}"])
+        assert code == 0
+        assert out.splitlines()[0] == f"{prefix}2.005208333333 ± {radius}"
+
+
 # ------------------------------------------------------------------- derive
 
 

@@ -78,6 +78,14 @@ def test_no_convergence_carries_the_sampled_trace():
     assert all(isinstance(v, float) for _, v in err.trace)
 
 
+def test_samples_past_the_float_range_are_traced_as_decimal_text():
+    sched = LimitSchedule(indices=(16, 32, 64, 128), tolerance=Q(1, 10 ** 9))
+    with pytest.raises(NoConvergence) as exc:
+        limit_estimate(lambda n: Q(10 ** 400 * (n.bit_length() % 2)), sched)
+    far = "1" + "0" * 400 + ".000000000000"
+    assert exc.value.trace == [(16, far), (32, 0.0), (64, far), (128, 0.0)]
+
+
 def test_slow_drift_does_not_stabilize_on_a_short_schedule():
     # harmonic drift under a tight tolerance and a short schedule
     sched = LimitSchedule(indices=(16, 32, 64), tolerance=Q(1, 10 ** 12))
