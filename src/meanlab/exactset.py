@@ -18,6 +18,8 @@ prefix, ``(float(x), x, side)``, so that keys compare as tuples in C: the
 prefix decides only when the floats differ, and equal floats fall through
 to the exact ``Fraction``.
 
+The boolean operations hand their results to one normalizer as key spans
+and clusters; spans become intervals and points only in the set it returns.
 Normalization sorts and merges: intervals sorted, disjoint and
 non-adjacent; points sorted, deduplicated, never redundant with an interval
 or a cluster; clusters canonically based (geometric rules rebased to start
@@ -226,13 +228,6 @@ class Interval:
     @property
     def length(self) -> Fraction:
         return self.hi - self.lo
-
-
-def _span_to_part(s: Span):
-    (_, x, ex), (_, y, ey) = s
-    if s[0] == s[1]:  # a start side is 0 or 1 and an end side 0 or -1
-        return ("point", x)
-    return ("interval", Interval(x, y, ex == 0, ey == 0))
 
 
 # --------------------------------------------------------------------------
@@ -832,11 +827,11 @@ def _from_spans_and_clusters(spans: list[Span], clusters: list[Cluster]) -> Real
     intervals: list[Interval] = []
     points: list[Fraction] = []
     for s in spans:
-        kind, obj = _span_to_part(s)
-        if kind == "point":
-            points.append(obj)
+        (_, x, ex), (_, y, ey) = s
+        if s[0] == s[1]:  # a start side is 0 or 1 and an end side 0 or -1
+            points.append(x)
         else:
-            intervals.append(obj)
+            intervals.append(Interval(x, y, ex == 0, ey == 0))
     if len(clusters) > 1:  # the key redoes each cluster's term arithmetic
         clusters = sorted(clusters, key=lambda c: (c.inf(), c.sup(),
                                                    not c.above,
@@ -917,8 +912,12 @@ def normalize(intervals: Iterable[Interval] = (), points: Iterable = (),
         if not isinstance(p, Fraction):
             p = Q(p)
         spans.append(_point_span(p))
-    spans = _merge_spans(spans)
+    return _normalize_spans(spans, clusters)
 
+
+def _normalize_spans(spans: list[Span], clusters: Iterable[Cluster]) -> RealSet:
+    """Normal-form RealSet of the union of key spans and clusters."""
+    spans = _merge_spans(spans)
     work = [_canonical_cluster(c) for c in clusters]
     final_clusters: list[Cluster] = []
     guard = 0
@@ -962,11 +961,10 @@ def normalize(intervals: Iterable[Interval] = (), points: Iterable = (),
     if spans and final_clusters:
         keep_spans: list[Span] = []
         for s in spans:
-            kind, obj = _span_to_part(s)
-            if kind != "point":
+            if s[0] != s[1]:
                 keep_spans.append(s)
                 continue
-            p = obj
+            p = s[0][1]
             absorbed = False
             for i, c in enumerate(final_clusters):
                 if cluster_member(c, p):
@@ -991,22 +989,14 @@ def realset(intervals=(), points=(), clusters=()) -> RealSet:
 # boolean operations
 
 
-def union_cluster_free(sets: Iterable[RealSet]) -> RealSet:
-    """Union of sets without clusters: one merge of their canonical span
-    lists, with no pass through normalize."""
+def set_union(*sets: RealSet) -> RealSet:
+    """Union of any number of sets, normalized once."""
     spans: list[Span] = []
+    clusters: list[Cluster] = []
     for h in sets:
-        if h.clusters:
-            raise BadParameters("union_cluster_free got a set with clusters")
         spans.extend(h._spans())
-    return _from_spans_and_clusters(_merge_spans(spans), [])
-
-
-def set_union(a: RealSet, b: RealSet) -> RealSet:
-    if not a.clusters and not b.clusters:
-        return union_cluster_free((a, b))
-    return normalize(a.intervals + b.intervals, a.points + b.points,
-                     a.clusters + b.clusters)
+        clusters.extend(h.clusters)
+    return _normalize_spans(spans, clusters)
 
 
 def _cluster_cluster_diff(a: Cluster, b: Cluster):
@@ -1043,16 +1033,14 @@ def set_diff(a: RealSet, b: RealSet) -> RealSet:
     spans = _span_diff(a._spans(), b_spans)
     if not a.clusters and not b.clusters:
         return _from_spans_and_clusters(spans, [])  # already canonical
-    out_intervals: list[Interval] = []
-    out_points: list[Fraction] = []
+    out_spans: list[Span] = []
     for s in spans:
-        kind, obj = _span_to_part(s)
-        if kind == "point":
-            if not any(cluster_member(c, obj) for c in b.clusters):
-                out_points.append(obj)
+        if s[0] == s[1]:
+            if not any(cluster_member(c, s[0][1]) for c in b.clusters):
+                out_spans.append(s)
             continue
         if not b.clusters:
-            out_intervals.append(obj)
+            out_spans.append(s)
             continue
         # removing cluster elements from interval mass: endpoint hits trim
         # the interval; interior hits leave holes outside the class
@@ -1067,7 +1055,7 @@ def set_diff(a: RealSet, b: RealSet) -> RealSet:
                 raise UnrepresentableResult(
                     "removing cluster points from an interval leaves holes "
                     "outside the class")
-        out_intervals.append(Interval(sx, sy, se == 0, sye == 0))  # sx < sy
+        out_spans.append(trimmed)
     out_clusters: list[Cluster] = []
     for c in a.clusters:
         parts_c, parts_p = _cluster_minus_spans(c, b_spans)
@@ -1081,12 +1069,8 @@ def set_diff(a: RealSet, b: RealSet) -> RealSet:
         parts_p = [p for p in parts_p
                    if not any(cluster_member(bc, p) for bc in b.clusters)]
         out_clusters.extend(parts_c)
-        out_points.extend(parts_p)
-    return normalize(out_intervals, out_points, out_clusters)
-
-
-def _complement_spans(spans: list[Span], lo: Key, hi: Key) -> list[Span]:
-    return _span_diff([(lo, hi)], spans)
+        out_spans.extend(map(_point_span, parts_p))
+    return _normalize_spans(out_spans, out_clusters)
 
 
 def _cluster_intersect_spans(cl: Cluster, spans: list[Span]):
@@ -1095,8 +1079,7 @@ def _cluster_intersect_spans(cl: Cluster, spans: list[Span]):
         at = _key(cl.limit, 0)
         lo = min(lo, at)
         hi = max(hi, at)
-    comp = _complement_spans(spans, lo, hi)
-    return _cluster_minus_spans(cl, comp)
+    return _cluster_minus_spans(cl, _span_diff([(lo, hi)], spans))
 
 
 def _cluster_cluster_intersect(a: Cluster, b: Cluster):
@@ -1144,28 +1127,19 @@ def set_intersect(a: RealSet, b: RealSet) -> RealSet:
     if not a.clusters and not b.clusters:
         return _from_spans_and_clusters(spans, [])  # already canonical
     out_clusters: list[Cluster] = []
-    out_points: list[Fraction] = []
     for c in a.clusters:
         pc, pp = _cluster_intersect_spans(c, b_spans)
         out_clusters.extend(pc)
-        out_points.extend(pp)
+        spans.extend(map(_point_span, pp))
         for bc in b.clusters:
             ic, ip = _cluster_cluster_intersect(c, bc)
             out_clusters.extend(ic)
-            out_points.extend(ip)
+            spans.extend(map(_point_span, ip))
     for c in b.clusters:
         pc, pp = _cluster_intersect_spans(c, a_spans)
         out_clusters.extend(pc)
-        out_points.extend(pp)
-    ivs: list[Interval] = []
-    pts: list[Fraction] = list(out_points)
-    for s in spans:
-        kind, obj = _span_to_part(s)
-        if kind == "point":
-            pts.append(obj)
-        else:
-            ivs.append(obj)
-    return normalize(ivs, pts, out_clusters)
+        spans.extend(map(_point_span, pp))
+    return _normalize_spans(spans, out_clusters)
 
 
 def slice_le(h: RealSet, y) -> RealSet:

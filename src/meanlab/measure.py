@@ -25,6 +25,7 @@ from .exactset import (
     Interval,
     RealSet,
     Rule,
+    closure,
     normalize,
     rule_gap,
     rule_offset,
@@ -231,17 +232,10 @@ def fatten(h: RealSet, delta) -> RealSet:
 
 
 def _closed_spans(h: RealSet) -> list[tuple[Fraction, Fraction]]:
-    """Closure of the interval/point mass as merged closed [lo, hi] pairs."""
-    raw = sorted([(iv.lo, iv.hi) for iv in h.intervals]
-                 + [(p, p) for p in h.points])
-    out: list[tuple[Fraction, Fraction]] = []
-    for lo, hi in raw:
-        if out and lo <= out[-1][1]:
-            if hi > out[-1][1]:
-                out[-1] = (out[-1][0], hi)
-        else:
-            out.append((lo, hi))
-    return out
+    """The components of the closure of h as sorted closed [lo, hi] pairs."""
+    c = closure(h)
+    return sorted([(iv.lo, iv.hi) for iv in c.intervals]
+                  + [(p, p) for p in c.points])
 
 
 def _dist_to_closed(x: Fraction, spans: list[tuple[Fraction, Fraction]]) -> Fraction:

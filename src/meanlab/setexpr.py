@@ -58,7 +58,6 @@ from .exactset import (
     slice_ge,
     slice_le,
     translate,
-    union_cluster_free,
 )
 from .measure import fatten
 from .values import printable
@@ -485,8 +484,8 @@ def _apply_run(acc: RealSet, op: str, run: list[RealSet]) -> RealSet:
     if not run:
         return acc
     if op == "u":
-        return union_cluster_free([acc, *run])
-    return set_diff(acc, union_cluster_free(run))
+        return set_union(acc, *run)
+    return set_diff(acc, set_union(*run))
 
 
 def _evaluate_chain(e: BinaryOp) -> RealSet:

@@ -58,7 +58,6 @@ from meanlab.exactset import (
     slice_le,
     subset_of,
     translate,
-    union_cluster_free,
 )
 from meanlab.funcs import SQUARE, Affine, OddPower
 from meanlab.means import image_set, m_acc
@@ -217,17 +216,11 @@ def test_boolean_laws_pointwise(a, b):
 def test_cluster_free_algebra_returns_the_normal_form(a, b, c):
     # these results skip normalize; they must equal what it would return
     for h in (set_union(a, b), set_diff(a, b), set_intersect(a, b),
-              union_cluster_free([a, b, c])):
+              set_union(a, b, c)):
         assert h == normalize(h.intervals, h.points)
-    assert union_cluster_free([a, b, c]) == set_union(set_union(a, b), c)
+    assert set_union(a, b, c) == set_union(set_union(a, b), c)
     assert set_diff(set_diff(a, b), c) == \
-        set_diff(a, union_cluster_free([b, c]))
-
-
-def test_union_cluster_free_rejects_clusters():
-    h = realset(clusters=[harmonic_cluster(Q(0))])
-    with pytest.raises(BadParameters):
-        union_cluster_free([from_points(Q(1)), h])
+        set_diff(a, set_union(b, c))
 
 
 def test_boolean_laws_with_clusters():

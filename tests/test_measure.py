@@ -292,6 +292,19 @@ def test_hausdorff_joins_closures_that_touch():
     assert hausdorff_distance(a, from_points(Q(0), Q(2))) == 1
 
 
+def test_hausdorff_reads_closed_ranges_that_touch_or_leave_a_gap():
+    def open_iv(lo, hi):
+        return from_interval(Q(lo), Q(hi), False, False)
+
+    whole = from_interval(Q(0), Q(2))
+    assert hausdorff_distance(set_union(open_iv(0, 1), open_iv(1, 2)),
+                              whole) == 0
+    with_points = set_union(open_iv(0, 1), from_points(Q(1), Q(3)))
+    assert hausdorff_distance(with_points, from_interval(Q(0), Q(1))) == 2
+    assert hausdorff_distance(set_union(open_iv(0, 1), open_iv(2, 3)),
+                              from_interval(Q(0), Q(3))) == Q(1, 2)
+
+
 def test_hausdorff_rejects_clusters_and_empty_sets():
     tail = realset(clusters=[harmonic_cluster(Q(0), c=Q(1))])
     with pytest.raises(UnsupportedDepth):
