@@ -1284,8 +1284,10 @@ def derived_iter(h: RealSet, n: int) -> RealSet:
 def level(h: RealSet) -> int:
     """Largest n with the n-th derived set nonempty.
 
-    Finite point sets have level 0; a depth-d cluster contributes level d;
-    interval mass makes every derived set nonempty.
+    Finite point sets have level 0; interval mass makes every derived set
+    nonempty. A cluster has level 1 at least, a bounded block of child
+    copies its template's level, and an unbounded block one more, since
+    those copies accumulate at the cluster's limit.
     """
     if h.is_empty:
         raise EmptySet("level of the empty set is undefined")
@@ -1293,7 +1295,12 @@ def level(h: RealSet) -> int:
         raise InfiniteLevel("interval components make every derived set nonempty")
     if not h.clusters:
         return 0
-    return max(c.depth for c in h.clusters)
+    return max(map(_cluster_level, h.clusters))
+
+
+def _cluster_level(c: Cluster) -> int:
+    return max([1] + [_cluster_level(b.template) + (b.hi is None)
+                      for b in c.children])
 
 
 def acc_bounds(h: RealSet) -> tuple[Fraction, Fraction]:

@@ -223,6 +223,22 @@ def test_cluster_free_algebra_returns_the_normal_form(a, b, c):
         set_diff(a, set_union(b, c))
 
 
+def test_algebra_with_clusters_returns_the_normal_form():
+    # normalize on a result's own parts is the identity, clusters or not
+    rng = random.Random(11)
+    checked = 0
+    for _ in range(400):
+        a, b = random_mixed_set(rng), random_mixed_set(rng)
+        for op in (set_union, set_diff, set_intersect):
+            try:
+                h = op(a, b)
+            except (OverlappingClusterWindows, UnrepresentableResult):
+                continue
+            assert h == normalize(h.intervals, h.points, h.clusters)
+            checked += 1
+    assert checked > 1000
+
+
 def test_boolean_laws_with_clusters():
     rng = random.Random(11)
     for _ in range(60):
@@ -380,6 +396,17 @@ def test_a_level_two_set_by_hand():
         assert d.member(anchor) and not h.member(anchor)
         assert h.member(anchor + w) and h.member(anchor + w / 3)
         assert not d.member(anchor + w) and not h.member(anchor + w * 3 / 2)
+
+
+def test_bounded_child_blocks_do_not_raise_the_level():
+    # copies at the anchors 2 and 3/2 only: finitely many, so they do not
+    # accumulate. The first derived set is {1, 3/2, 2}, the second empty.
+    h = realset(clusters=[harmonic_cluster(
+        1, children=[(1, 2, harmonic_cluster(0))])])
+    assert level(h) == 1
+    assert derived(h) == from_points(Q(1), Q(3, 2), Q(2))
+    assert derived_iter(h, 2).is_empty
+    assert m_acc(h) == Q(3, 2)
 
 
 def test_a_level_two_set_meets_a_range_only_through_a_child_copy():
