@@ -412,6 +412,14 @@ def _cases() -> list[list[str]]:
         ["limit", "--mean", "m_eds", "--tol", "1e400", *MAX_N,
          "--set", "{0,1,5}"],
     ]
+    # root values of radicands past 6,000 bits: enclosed (twice, for the
+    # JSON's midpoint and radius) and refused as too long to print
+    z = "0" * 2000
+    cases += [
+        ["eval", "--mean", "avg_f", "--f", "square", "--set", f"[0,1{z}]",
+         "--json"],
+        ["eval", "--mean", "avg_f", "--f", "pow(3)", "--set", f"[-1{z},1]"],
+    ]
     return cases
 
 

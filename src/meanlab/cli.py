@@ -234,7 +234,7 @@ def _cmd_limit(args) -> list[str]:
         return v
 
     # a closed form is exact; the samples are still traced
-    exact_value = seq.closed_form(h)
+    exact_value = seq.exact_limit(h) if seq.applies(h) else None
     try:
         est = limit_estimate(recorder, schedule, label=f"{k.id} limit")
     except NoConvergence:

@@ -270,11 +270,10 @@ def lavg(h: RealSet, schedule: LimitSchedule = DEFAULT_SCHEDULE) -> Value:
     return lavg_ref(schedule).evaluate(h)
 
 
-def _interval_mass_average(h: RealSet) -> Fraction | None:
+def _interval_mass_average(h: RealSet) -> Fraction:
     """The limit of avg_fat(h, 1/n) when h carries length: the null parts
-    vanish in the limit, leaving the plain average of the interval mass.
-    None on a null set, whose limit has no closed form here."""
-    return avg1(support(h)) if h.intervals else None
+    vanish in the limit, leaving the plain average of the interval mass."""
+    return avg1(support(h))
 
 
 # --------------------------------------------------------------------------
@@ -529,14 +528,16 @@ def m_mu_ref(mu: DensityMeasure) -> MeanRef:
 class MeanSequence:
     """An index-to-mean rule with the shared domain contract.
 
-    ``closed_form(h)`` is the exact pointwise limit of the stage means on
-    h where one is known, and None where the limit is only sampled.
+    ``applies(h)`` tells from h's structure alone whether the pointwise
+    limit of the stage means on h has a closed form, and ``exact_limit(h)``
+    computes it there; elsewhere the limit is only sampled.
     """
 
     id: str
     at: Callable[[int], MeanRef]
     domain_predicate: Callable[[RealSet], bool]
-    closed_form: Callable[[RealSet], Value | None] = lambda h: None
+    applies: Callable[[RealSet], bool] = lambda h: False
+    exact_limit: Callable[[RealSet], Value] | None = None
 
     def in_domain(self, h: RealSet) -> bool:
         return bool(self.domain_predicate(h))
@@ -544,7 +545,8 @@ class MeanSequence:
 
 def avg_fat_sequence() -> MeanSequence:
     return MeanSequence("avg_fat(1/n)", lambda n: avg_fat_ref(Q(1, n)),
-                        lambda h: not h.is_empty, _interval_mass_average)
+                        lambda h: not h.is_empty, lambda h: bool(h.intervals),
+                        _interval_mass_average)
 
 
 def eds_sequence() -> MeanSequence:
@@ -570,15 +572,13 @@ def _limit_ref(name: str, seq: MeanSequence,
     applies, else the stage means' limit estimated along the schedule.
     Its domain: the closed form applies or the first stage is defined."""
     def ev(h: RealSet) -> Value:
-        exact = seq.closed_form(h)
-        if exact is not None:
-            return exact
+        if seq.applies(h):
+            return seq.exact_limit(h)
         return limit_estimate(lambda n: seq.at(n).evaluate(h), schedule,
                               label=f"{name} limit")
 
     def dom(h: RealSet) -> bool:
-        return (seq.closed_form(h) is not None
-                or seq.at(schedule.indices[0]).in_domain(h))
+        return seq.applies(h) or seq.at(schedule.indices[0]).in_domain(h)
 
     return MeanRef(name, ev, dom, exact=False, param=seq)
 

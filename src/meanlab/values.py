@@ -66,51 +66,49 @@ class RootValue:
         return -root if self.radicand < 0 else root
 
     def enclosure(self, scale_bits: int = 80) -> tuple[Fraction, Fraction]:
-        """Exact rational bracket of width <= 2**-scale_bits."""
+        """Exact rational bracket of width <= 2**-scale_bits: exactly the
+        one a bisection of [0, h] to that width would reach, h = max(1, |r|)
+        = p/q. After its j steps it is [m, m+1]·h/2**j, with m one integer
+        floor root (Brent and Zimmermann, *Modern Computer Arithmetic*,
+        2010, section 1.5)."""
         exact = self.as_fraction()
         if exact is not None:
             return (exact, exact)
-        neg = self.radicand < 0
+        d = self.degree
         r = abs(self.radicand)
-        lo, hi = Fraction(0), max(Fraction(1), r)
-        tol = Fraction(1, 2 ** scale_bits)
-        while hi - lo > tol:
-            mid = (lo + hi) / 2
-            if mid ** self.degree <= r:
-                lo = mid
-            else:
-                hi = mid
-        return (-hi, -lo) if neg else (lo, hi)
+        h = max(Fraction(1), r)
+        p, q = h.numerator, h.denominator
+        j = (-(-(p << scale_bits) // q) - 1).bit_length()
+        step = q << j
+        n = r.numerator * step ** d // (r.denominator * p ** d)
+        m = _iroot_floor(n, d)
+        lo, hi = Fraction(p * m, step), Fraction(p * (m + 1), step)
+        return (-hi, -lo) if self.radicand < 0 else (lo, hi)
 
     def __float__(self) -> float:
         lo, hi = self.enclosure(60)
         return float((lo + hi) / 2)
 
 
+def _iroot_floor(n: int, k: int) -> int:
+    """The largest m with m**k <= n, for n >= 0, by integer Newton steps
+    down from a power of two above the root."""
+    if n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def _iroot_exact(n: int, k: int) -> int | None:
     """Integer k-th root of n when exact, else None."""
     if n < 0:
         return None
-    if n in (0, 1):
-        return n
-    if n.bit_length() < 1024:  # n converts to a float without overflow
-        r = round(n ** (1.0 / k))
-        for cand in (r - 1, r, r + 1):
-            if cand >= 0 and cand ** k == n:
-                return cand
-    # the float seed can be off for large n, and beyond the float range
-    # there is none; fall back to bit-length bisection
-    lo, hi = 1, 1 << (n.bit_length() // k + 1)
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        p = mid ** k
-        if p == n:
-            return mid
-        if p < n:
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    return None
+    m = _iroot_floor(n, k)
+    return m if m ** k == n else None
 
 
 def value_bounds(v) -> tuple[Fraction, Fraction]:

@@ -7,6 +7,7 @@ from fractions import Fraction as Q
 import pytest
 
 from conftest import random_mixed_set, random_union
+from meanlab import means
 from meanlab.errors import (
     BadParameters,
     DegenerateSet,
@@ -43,6 +44,7 @@ from meanlab.means import (
     image_set,
     iso_n,
     lavg,
+    lavg_ref,
     m_acc,
     m_eds,
     m_iso,
@@ -213,6 +215,17 @@ def test_shrinking_average_with_length_is_the_plain_average():
     # satellite points never influence the exact path
     g = set_union(h, from_points(Q(-50)))
     assert lavg(g) == Q(5, 2)
+
+
+def test_lavg_domain_test_computes_no_average(monkeypatch):
+    h = set_union(from_interval(Q(0), Q(1)), from_interval(Q(3), Q(4)),
+                  from_points(Q(7)), realset(clusters=[harmonic_cluster(
+                      Q(10), c=Q(1), start=1)]))
+    calls = []
+    monkeypatch.setattr(means, "avg1", lambda g: calls.append(g) or avg1(g))
+    k = lavg_ref()
+    assert k.in_domain(h) and calls == []
+    assert k.evaluate(h) == Q(2) and len(calls) == 1
 
 
 def test_shrinking_average_of_finite_sets_stabilizes_exactly():
