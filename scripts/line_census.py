@@ -165,9 +165,9 @@ GUARDS: dict[tuple[str, str, str], str] = {
     ("means.py", "image_set", "raise UnsupportedDepth("): _REFUSED,
     ("means.py", "avg_fat_ref", 'raise BadParameters("the neighborhood '
      'radius must be positive")'): _REFUSED,
-    ("means.py", "transform_kf.evaluate", 'raise EmptySet("arithmetic mean '
+    ("means.py", "_amean_certified", 'raise EmptySet("arithmetic mean '
      'of the empty set is undefined")'): _REFUSED,
-    ("means.py", "transform_kf.evaluate",
+    ("means.py", "_avg1_certified",
      'raise EmptySet("average of the empty set is undefined")'): _REFUSED,
     ("means.py", "resolve_mean", 'raise BadParameters("the neighborhood '
      'average needs a radius")'): _REFUSED,

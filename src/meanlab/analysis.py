@@ -23,11 +23,8 @@ from .errors import (
 )
 from .exactset import (
     RealSet,
-    derived_iter,
     from_interval,
     from_points,
-    level,
-    set_diff,
     set_intersect,
     set_union,
     slice_ge,
@@ -35,8 +32,8 @@ from .exactset import (
     subset_of,
 )
 from .limits import DEFAULT_SCHEDULE, LimitSchedule, aitken_accelerate, limit_estimate
-from .means import MeanRef, MeanSequence, amean, avg1, m_acc
-from .measure import essential_bounds, lebesgue, support
+from .means import MeanRef, MeanSequence, avg1
+from .measure import lebesgue
 from .values import Approx, RootValue, value_mid, values_close
 
 Q = Fraction
@@ -108,29 +105,27 @@ def _bound_by_bisection(k: MeanRef, h: RealSet, *, upper: bool) -> Value:
     return Approx((good + bad) / 2, abs(good - bad) / 2)
 
 
-def liminf_by_mean(k: MeanRef, h: RealSet, *,
-                   force_bisection: bool = False) -> Value:
+def liminf_by_mean(k: MeanRef, h: RealSet) -> Value:
     """The largest x below which the set can be cut without moving the mean:
     sup{x : K(H ∩ [x, ∞)) = K(H)}.
 
-    For the plain length average this is the essential infimum, returned
-    exactly; other means go through bisection on the cut predicate.
+    The mean's ``bounds`` hook answers exactly where it has one; other
+    means go through bisection on the cut predicate.
     """
     if h.is_empty:
         raise DomainViolation("mean bounds need a nonempty set")
-    if k.id == "avg1" and not force_bisection:
-        return essential_bounds(h)[0]
+    if k.bounds is not None:
+        return k.bounds(h)[0]
     return _bound_by_bisection(k, h, upper=False)
 
 
-def limsup_by_mean(k: MeanRef, h: RealSet, *,
-                   force_bisection: bool = False) -> Value:
-    """inf{x : K(H ∩ (−∞, x]) = K(H)}; essential supremum for the plain
-    length average."""
+def limsup_by_mean(k: MeanRef, h: RealSet) -> Value:
+    """inf{x : K(H ∩ (−∞, x]) = K(H)}; from the ``bounds`` hook where the
+    mean has one (the essential supremum for the plain length average)."""
     if h.is_empty:
         raise DomainViolation("mean bounds need a nonempty set")
-    if k.id == "avg1" and not force_bisection:
-        return essential_bounds(h)[1]
+    if k.bounds is not None:
+        return k.bounds(h)[1]
     return _bound_by_bisection(k, h, upper=True)
 
 
@@ -157,30 +152,14 @@ def acc_points_by_mean(k: MeanRef, h: RealSet) -> RealSet:
     """The set of points near which some removable piece would change the
     mean (removal that exits the mean's domain counts as a change).
 
-    Supported exactly for the plain length average (its answer is the
-    essential support), the finite arithmetic mean, and the deep-derived
-    mean; other catalogue entries, and conjugates of the last two, have no
-    structural evaluation.
+    Supported exactly by the mean's ``acc_points`` hook: the essential
+    support for the plain length average and its conjugates, and the
+    finite arithmetic mean and the deep-derived mean (not their conjugates).
     """
-    if k.kind() == "avg1":
-        # a conjugate too: a continuous strictly monotone transform maps
-        # the essential support onto the essential support of the image
-        return support(h)
-    if k.id == "amean":
-        if h.is_empty or not h.is_finite():
-            raise DomainViolation("the finite arithmetic mean needs a "
-                                  "nonempty finite set")
-        if len(h.points) == 1:
-            return h
-        return set_diff(h, from_points(amean(h)))
-    if k.id == "m_acc":
-        ell = level(h)
-        deep = derived_iter(h, ell)
-        if deep.is_finite() and len(deep.points) == 1:
-            return deep
-        return set_diff(deep, from_points(m_acc(h)))
-    raise UnsupportedMean(
-        f"no structural accumulation-point evaluation for {k.id}")
+    if k.acc_points is None:
+        raise UnsupportedMean(
+            f"no structural accumulation-point evaluation for {k.id}")
+    return k.acc_points(h)
 
 
 def is_k_closed(k: MeanRef, h: RealSet) -> bool:
@@ -192,30 +171,15 @@ def is_k_closed(k: MeanRef, h: RealSet) -> bool:
 # derivative-like quantities
 
 
-def _avg1_occupancy_hint(h: RealSet, x: Fraction) -> Optional[Fraction]:
-    """Closed-form shrinking-neighborhood derivative for the length average:
-    0 in the interior of the mass, ±1/2 at one-sided edges, None if the
-    point carries no nearby length."""
-    left = any(iv.lo < x <= iv.hi for iv in h.intervals)
-    right = any(iv.lo <= x < iv.hi for iv in h.intervals)
-    if left and right:
-        return Q(0)
-    if left:
-        return Q(-1, 2)
-    if right:
-        return Q(1, 2)
-    return None
-
-
 def d_mean(k: MeanRef, h: RealSet, x, schedule: LimitSchedule = DEFAULT_SCHEDULE
            ) -> tuple[Value, Value, Optional[Fraction]]:
     """Difference quotient (K(ball(x, δ) ∩ H) − x)/δ along shrinking δ.
 
     Returns (lower, upper, exact_hint): equal exact values when the
     quotient is eventually constant, otherwise a bracket from the
-    accelerated tail. The hint carries the closed-form value for the plain
-    length average (``avg1`` itself, not a conjugate of it) when the point
-    sits on interval mass.
+    accelerated tail. The hint is the mean's ``occupancy`` hook: for the
+    plain length average (``avg1`` itself, not a conjugate of it), the
+    closed-form value when the point sits on interval mass.
     """
     x = Q(x)
     quotients: list[Fraction] = []
@@ -232,7 +196,7 @@ def d_mean(k: MeanRef, h: RealSet, x, schedule: LimitSchedule = DEFAULT_SCHEDULE
             raise DomainExit(
                 f"the slice at radius 1/{n} leaves the mean's domain: {e}")
         quotients.append((value_mid(v) - x) / delta)
-    hint = _avg1_occupancy_hint(h, x) if k.id == "avg1" else None
+    hint = k.occupancy(h, x) if k.occupancy is not None else None
     tail = quotients[-schedule.agreements:]
     if all(t == tail[0] for t in tail):
         return tail[0], tail[0], hint
@@ -249,20 +213,18 @@ def d_probe(k: MeanRef, h: RealSet, side: str,
     """Rate of change of the mean when a vanishing interval is appended at
     the supremum (side="sup_append") or infimum (side="inf_append").
 
-    Exact for the plain length average: (sup − mean)/length, respectively
-    (inf − mean)/length. A conjugate of it takes the generic probe.
+    Exact by the mean's ``append_rate`` hook, which only the plain length
+    average sets; a conjugate of it takes the generic probe.
     """
     if side not in ("sup_append", "inf_append"):
         raise BadParameters("side must be sup_append or inf_append")
     if not h.is_compact_rep():
         raise NotCompact("the probe needs a compact set")
-    a, b = h.bounds()
-    if k.id == "avg1":
-        v = avg1(h)
-        lam = lebesgue(h)
-        exact = (b - v) / lam if side == "sup_append" else (a - v) / lam
+    if k.append_rate is not None:
+        exact = k.append_rate(h, side)
         return exact, exact
 
+    a, b = h.bounds()
     base = value_mid(k.evaluate(h))
 
     def sampler(n: int) -> Fraction:

@@ -36,6 +36,7 @@ from .exactset import (
     RealSet,
     derived,
     derived_iter,
+    from_points,
     level,
     normalize,
     set_diff,
@@ -46,6 +47,7 @@ from .measure import (
     DensityMeasure,
     _merge_index,
     _native_depth1,
+    essential_bounds,
     fatten,
     lebesgue,
     moment,
@@ -83,6 +85,32 @@ def amean(h: RealSet) -> Fraction:
     return xs[0] / len(h.points)
 
 
+def _amean_acc_points(h: RealSet) -> RealSet:
+    """Removing the only point, or any point but the mean, moves the mean."""
+    if h.is_empty or not h.is_finite():
+        raise DomainViolation("the finite arithmetic mean needs a "
+                              "nonempty finite set")
+    if len(h.points) == 1:
+        return h
+    return set_diff(h, from_points(amean(h)))
+
+
+def _amean_certified(f: MonotoneFunc, h: RealSet) -> Approx:
+    """Enclose the mean of f over the points from enclosures of each f(p)."""
+    if h.is_empty:
+        raise EmptySet("arithmetic mean of the empty set is undefined")
+    if not h.is_finite():
+        raise NotFinite("arithmetic mean needs a finite point set")
+    lo_sum = Q(0)
+    hi_sum = Q(0)
+    for p in h.points:
+        b_lo, b_hi = f.apply_bounds(p)
+        lo_sum += b_lo
+        hi_sum += b_hi
+    n = len(h.points)
+    return Approx((lo_sum + hi_sum) / (2 * n), (hi_sum - lo_sum) / (2 * n))
+
+
 def avg1(h: RealSet) -> Fraction:
     """Length-weighted average: first moment over total length."""
     if h.is_empty:
@@ -91,6 +119,57 @@ def avg1(h: RealSet) -> Fraction:
     if lam == 0:
         raise NullSet("the set carries no length; the average is undefined")
     return moment(h) / lam
+
+
+def _avg1_occupancy(h: RealSet, x: Fraction) -> Fraction | None:
+    """Closed-form shrinking-neighborhood derivative for the length average:
+    0 in the interior of the mass, ±1/2 at one-sided edges, None if the
+    point carries no nearby length."""
+    left = any(iv.lo < x <= iv.hi for iv in h.intervals)
+    right = any(iv.lo <= x < iv.hi for iv in h.intervals)
+    if left and right:
+        return Q(0)
+    if left:
+        return Q(-1, 2)
+    if right:
+        return Q(1, 2)
+    return None
+
+
+def _avg1_append_rate(h: RealSet, side: str) -> Fraction:
+    """Exact append rate: (sup − mean)/length, or (inf − mean)/length."""
+    a, b = h.bounds()
+    v = avg1(h)
+    lam = lebesgue(h)
+    return (b - v) / lam if side == "sup_append" else (a - v) / lam
+
+
+def _avg1_certified(f: MonotoneFunc, h: RealSet) -> Approx:
+    """The image of each interval is an interval; bound its length and
+    first moment through certified endpoint enclosures."""
+    if h.is_empty:
+        raise EmptySet("average of the empty set is undefined")
+    mom_lo = Q(0)
+    mom_hi = Q(0)
+    len_lo = Q(0)
+    len_hi = Q(0)
+    for iv_ in h.intervals:
+        a_lo, a_hi = f.apply_bounds(iv_.lo)
+        b_lo, b_hi = f.apply_bounds(iv_.hi)
+        if not f.increasing:
+            a_lo, a_hi, b_lo, b_hi = b_lo, b_hi, a_lo, a_hi
+        # image interval [A, B] with A in [a_lo,a_hi], B in [b_lo,b_hi]
+        len_lo += max(Q(0), b_lo - a_hi)
+        len_hi += b_hi - a_lo
+        m_cands = [(b * b - a * a) / 2
+                   for a in (a_lo, a_hi) for b in (b_lo, b_hi)]
+        mom_lo += min(m_cands)
+        mom_hi += max(m_cands)
+    if len_lo <= 0:
+        raise NullSet("the image carries no certified length")
+    cands = [m / l for m in (mom_lo, mom_hi) for l in (len_lo, len_hi)]
+    v_lo, v_hi = min(cands), max(cands)
+    return Approx((v_lo + v_hi) / 2, (v_hi - v_lo) / 2)
 
 
 def m_mu(mu: DensityMeasure, h: RealSet) -> Fraction:
@@ -111,6 +190,15 @@ def m_acc(h: RealSet) -> Fraction:
     """Arithmetic mean of the deepest nonempty derived set."""
     ell = level(h)  # raises InfiniteLevel on interval mass, EmptySet on empty
     return amean(derived_iter(h, ell))
+
+
+def _m_acc_acc_points(h: RealSet) -> RealSet:
+    """As for ``amean``, on the deepest derived set, which alone moves it."""
+    ell = level(h)
+    deep = derived_iter(h, ell)
+    if deep.is_finite() and len(deep.points) == 1:
+        return deep
+    return set_diff(deep, from_points(m_acc(h)))
 
 
 def iso_n(h: RealSet, n: int) -> Fraction:
@@ -415,11 +503,6 @@ def image_set(h: RealSet, f: MonotoneFunc) -> RealSet:
     return normalize(ivs, pts, cls)
 
 
-def invert_value(f: MonotoneFunc, v: Value) -> Value:
-    """Pull a mean value back through the transform."""
-    return f.invert(v)
-
-
 # --------------------------------------------------------------------------
 # the MeanRef catalogue
 
@@ -435,6 +518,9 @@ class MeanRef:
     ``param`` carries the defining parameter (stage, radius, density,
     transform, or a limit mean's stage sequence) so checkers can
     reconstruct canonical inputs.
+
+    The optional hooks give ``analysis`` and ``transform_kf`` structural
+    answers; a mean without one takes the generic path there.
     """
 
     id: str
@@ -442,6 +528,11 @@ class MeanRef:
     domain_predicate: Callable[[RealSet], bool]
     exact: bool
     param: object = None
+    bounds: Callable[[RealSet], tuple[Value, Value]] | None = None
+    acc_points: Callable[[RealSet], RealSet] | None = None
+    occupancy: Callable[[RealSet, Fraction], Fraction | None] | None = None
+    append_rate: Callable[[RealSet, str], Fraction] | None = None
+    certified: Callable[[MonotoneFunc, RealSet], Approx] | None = None
 
     def __call__(self, h: RealSet) -> Value:
         return self.evaluate(h)
@@ -468,17 +559,19 @@ def _domain_by_trial(evaluate: Callable[[RealSet], Value]):
 AMEAN = MeanRef(
     "amean", amean,
     lambda h: (not h.is_empty) and h.is_finite(),
-    exact=True)
+    exact=True, acc_points=_amean_acc_points, certified=_amean_certified)
 
 AVG1 = MeanRef(
     "avg1", avg1,
     lambda h: (not h.is_empty) and lebesgue(h) > 0,
-    exact=True)
+    exact=True, bounds=essential_bounds, acc_points=support,
+    occupancy=_avg1_occupancy, append_rate=_avg1_append_rate,
+    certified=_avg1_certified)
 
 M_ACC = MeanRef(
     "m_acc", m_acc,
     lambda h: (not h.is_empty) and not h.intervals,
-    exact=True)
+    exact=True, acc_points=_m_acc_acc_points)
 
 
 def iso_ref(n: int) -> MeanRef:
@@ -613,58 +706,21 @@ def transform_kf(k: MeanRef, f: MonotoneFunc) -> MeanRef:
     The returned mean evaluates the base mean on the image of the set and
     pulls the value back through the inverse. Exact transforms work with
     every catalogue mean and keep the base mean's exactness; certified
-    transforms (exponential/logarithmic) are supported for the finite
-    arithmetic mean and the plain length average via enclosure arithmetic.
+    transforms (exponential/logarithmic) need the base mean's ``certified``
+    hook. The essential support maps onto the image's, so it carries over.
     """
     def evaluate(h: RealSet) -> Value:
         if f.exact:
-            return invert_value(f, k.evaluate(image_set(h, f)))
-        if k.id == "amean":
-            if h.is_empty:
-                raise EmptySet("arithmetic mean of the empty set is undefined")
-            if not h.is_finite():
-                raise NotFinite("arithmetic mean needs a finite point set")
-            lo_sum = Q(0)
-            hi_sum = Q(0)
-            for p in h.points:
-                b_lo, b_hi = f.apply_bounds(p)
-                lo_sum += b_lo
-                hi_sum += b_hi
-            n = len(h.points)
-            return invert_value(f, Approx((lo_sum + hi_sum) / (2 * n),
-                                          (hi_sum - lo_sum) / (2 * n)))
-        if k.id == "avg1":
-            if h.is_empty:
-                raise EmptySet("average of the empty set is undefined")
-            # the image of each interval is an interval; bound its length
-            # and first moment through certified endpoint enclosures
-            mom_lo = Q(0)
-            mom_hi = Q(0)
-            len_lo = Q(0)
-            len_hi = Q(0)
-            for iv_ in h.intervals:
-                a_lo, a_hi = f.apply_bounds(iv_.lo)
-                b_lo, b_hi = f.apply_bounds(iv_.hi)
-                if not f.increasing:
-                    a_lo, a_hi, b_lo, b_hi = b_lo, b_hi, a_lo, a_hi
-                # image interval [A, B] with A in [a_lo,a_hi], B in [b_lo,b_hi]
-                len_lo += max(Q(0), b_lo - a_hi)
-                len_hi += b_hi - a_lo
-                m_cands = [(b * b - a * a) / 2
-                           for a in (a_lo, a_hi) for b in (b_lo, b_hi)]
-                mom_lo += min(m_cands)
-                mom_hi += max(m_cands)
-            if len_lo <= 0:
-                raise NullSet("the image carries no certified length")
-            cands = [m / l for m in (mom_lo, mom_hi) for l in (len_lo, len_hi)]
-            v_lo, v_hi = min(cands), max(cands)
-            return invert_value(f, Approx((v_lo + v_hi) / 2, (v_hi - v_lo) / 2))
-        raise UnsupportedMean(
-            "certified transforms support only the finite arithmetic mean "
-            "and the plain length average")
+            return f.invert(k.evaluate(image_set(h, f)))
+        if k.certified is None:
+            raise UnsupportedMean(
+                "certified transforms support only the finite arithmetic "
+                "mean and the plain length average")
+        return f.invert(k.certified(f, h))
 
     return MeanRef(f"{k.id}^{f.name()}", evaluate, _domain_by_trial(evaluate),
-                   exact=k.exact and f.exact, param=(k, f))
+                   exact=k.exact and f.exact, param=(k, f),
+                   acc_points=support if k.acc_points is support else None)
 
 
 # --------------------------------------------------------------------------

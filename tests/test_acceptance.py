@@ -4,6 +4,7 @@ Each test stands alone and prints one pass/fail line under ``pytest -v``.
 Random draws are seeded, so every run exercises identical instances.
 """
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction as Q
@@ -221,10 +222,9 @@ def test_criterion_10_mean_bounds_match_essential_bounds():
         lo, hi = essential_bounds(h)
         assert liminf_by_mean(AVG1, h) == lo
         assert limsup_by_mean(AVG1, h) == hi
-        for exact, bisected in ((lo, liminf_by_mean(AVG1, h,
-                                                    force_bisection=True)),
-                                (hi, limsup_by_mean(AVG1, h,
-                                                    force_bisection=True))):
+        by_bisection = dataclasses.replace(AVG1, bounds=None)
+        for exact, bisected in ((lo, liminf_by_mean(by_bisection, h)),
+                                (hi, limsup_by_mean(by_bisection, h))):
             assert abs(bisected.value - exact) <= Q(1, 2 ** 40) \
                 + bisected.error
         if lo != hi:

@@ -1,5 +1,6 @@
 """Mean-relative bounds, accumulation structure, derivatives, limits."""
 
+import dataclasses
 import random
 from fractions import Fraction as Q
 
@@ -80,8 +81,9 @@ def test_mean_bounds_fast_path_on_an_interval_union():
 
 def test_mean_bounds_bisection_agrees_with_the_fast_path():
     h = _two_interval_set()
-    lo = liminf_by_mean(AVG1, h, force_bisection=True)
-    hi = limsup_by_mean(AVG1, h, force_bisection=True)
+    bisected = dataclasses.replace(AVG1, bounds=None)
+    lo = liminf_by_mean(bisected, h)
+    hi = limsup_by_mean(bisected, h)
     assert abs(value_mid(lo) - 0) <= INEXACT_TOL
     assert abs(value_mid(hi) - 3) <= INEXACT_TOL
 
@@ -263,6 +265,20 @@ def test_append_probe_generic_path():
     v, exact = d_probe(eds_ref(1), from_points(Q(0), Q(1)), "sup_append")
     assert exact is None
     assert isinstance(v, Approx) and v.value == Q(1, 2)
+
+
+def test_a_mean_named_avg1_without_hooks_takes_every_generic_path():
+    # the structural answers come from the MeanRef's hooks, not its name
+    bare = MeanRef("avg1", avg1, AVG1.domain_predicate, exact=True)
+    h = from_interval(Q(0), Q(1))
+    lo = liminf_by_mean(bare, h)
+    assert isinstance(lo, Approx) and abs(lo.value) <= INEXACT_TOL
+    assert isinstance(limsup_by_mean(bare, h), Approx)
+    with pytest.raises(UnsupportedMean):
+        acc_points_by_mean(bare, h)
+    assert d_mean(bare, h, Q(0))[2] is None
+    v, exact = d_probe(bare, h, "sup_append")
+    assert exact is None and isinstance(v, Approx)
 
 
 def test_append_probe_requires_a_compact_set():
