@@ -131,8 +131,9 @@ GUARDS: dict[tuple[str, str, str], str] = {
         "a bound on the precision loop, which no known input reaches",
     ("funcs.py", "MonotoneFunc.apply", 'raise DomainViolation(f"{self.name()}'
      ' has no exact forward evaluation")'): _REFUSED,
-    ("funcs.py", "MonotoneFunc.invert", "raise NotImplementedError"):
-        "an abstract method: every transform overrides it",
+    **{("funcs.py", fn, "raise NotImplementedError"):
+       "an abstract method: every transform overrides it"
+       for fn in ("MonotoneFunc.inverse_bounds", "MonotoneFunc.name")},
     ("funcs.py", "Affine.__post_init__",
      'raise BadParameters("affine transform needs a nonzero slope")'):
         _REFUSED,
@@ -141,12 +142,8 @@ GUARDS: dict[tuple[str, str, str], str] = {
     ("funcs.py", "SquareOnNonneg.apply",
      'raise DomainViolation("square transform domain is x >= 0")'):
         _REFUSED,
-    ("funcs.py", "SquareOnNonneg.invert",
-     'raise DomainViolation("square images are nonnegative")'): _REFUSED,
     ("funcs.py", "ExpBase.__post_init__",
      'raise BadParameters("exp kind needs base > 0, base != 1")'): _REFUSED,
-    ("funcs.py", "ExpBase.invert",
-     'raise DomainViolation("exp images are positive")'): _REFUSED,
     ("funcs.py", "LogBase.__post_init__",
      'raise BadParameters("log kind needs base > 0, base != 1")'): _REFUSED,
     ("funcs.py", "LogBase.apply_bounds",
@@ -157,9 +154,6 @@ GUARDS: dict[tuple[str, str, str], str] = {
      'raise BadParameters(f"wrong arguments for {head}(...)")'): _REFUSED,
     ("means.py", "m_mu",
      'raise EmptySet("average of the empty set is undefined")'): _REFUSED,
-    ("means.py", "_interval_integral", 'raise DomainViolation("logarithm '
-     'integral needs a positive domain")'): _REFUSED,
-    ("means.py", "_interval_integral", "raise BadParameters("): _REFUSED,
     ("means.py", "avg_f",
      'raise EmptySet("average of the empty set is undefined")'): _REFUSED,
     ("means.py", "image_set", "raise UnsupportedDepth("): _REFUSED,
@@ -195,8 +189,6 @@ GUARDS: dict[tuple[str, str, str], str] = {
 
 # (file, function, first line of the range) -> what of item 1 it is
 ITEM_1: dict[tuple[str, str, str], str] = {
-    ("exactset.py", "_envelope_below", "return cl.start"):
-        "a copy window that clears every span from the first index",
     ("exactset.py", "_normalize_spans", "work.append(c)"):
         "the parts after a merge, more than one only with child copies",
     ("exactset.py", "_derived_cluster", "sub_p, sub_c = _derived_cluster("

@@ -31,7 +31,13 @@ from .exactset import (
     slice_le,
     subset_of,
 )
-from .limits import DEFAULT_SCHEDULE, LimitSchedule, aitken_accelerate, limit_estimate
+from .limits import (
+    AGREEMENTS,
+    DEFAULT_SCHEDULE,
+    LimitSchedule,
+    aitken_accelerate,
+    limit_estimate,
+)
 from .means import MeanRef, MeanSequence, avg1
 from .measure import lebesgue
 from .values import Approx, RootValue, value_mid, values_close
@@ -197,11 +203,11 @@ def d_mean(k: MeanRef, h: RealSet, x, schedule: LimitSchedule = DEFAULT_SCHEDULE
                 f"the slice at radius 1/{n} leaves the mean's domain: {e}")
         quotients.append((value_mid(v) - x) / delta)
     hint = k.occupancy(h, x) if k.occupancy is not None else None
-    tail = quotients[-schedule.agreements:]
+    tail = quotients[-AGREEMENTS:]
     if all(t == tail[0] for t in tail):
         return tail[0], tail[0], hint
     acc = aitken_accelerate(quotients)
-    tail = acc[-schedule.agreements:]
+    tail = acc[-AGREEMENTS:]
     lo, hi = min(tail), max(tail)
     spread = max(hi - lo, schedule.tolerance)
     return Approx(lo, spread), Approx(hi, spread), hint
@@ -274,12 +280,11 @@ def grid_family(m: int) -> RealSet:
 
 def uniformity_witness_at(seq: MeanSequence, k_limit: MeanRef,
                           family: Callable[[int], RealSet], epsilon,
-                          n: int, *, m_cap: int | None = None
-                          ) -> Optional[RealSet]:
+                          n: int) -> Optional[RealSet]:
     """Search the family (doubling the index) for a set where the stage-n
     mean sits at least epsilon away from the limit mean."""
     epsilon = Q(epsilon)
-    cap = m_cap if m_cap is not None else max(8 * n + 16, 64)
+    cap = max(8 * n + 16, 64)
     m = 1
     while m <= cap:
         try:

@@ -199,9 +199,9 @@ def _shape_points(rng, cfg, lo=None, hi=None) -> RealSet:
     return from_points(*_rand_cuts(rng, cfg, m, lo, hi))
 
 
-def _shape_union(rng, cfg, *, closed_only=False, lo=None, hi=None,
-                 n_min=1) -> RealSet:
-    m = rng.randint(n_min, cfg.max_intervals)
+def _shape_union(rng, cfg, *, closed_only=False, lo=None,
+                 hi=None) -> RealSet:
+    m = rng.randint(1, cfg.max_intervals)
     cuts = _rand_cuts(rng, cfg, 2 * m, lo, hi)
     ivs = []
     for i in range(m):

@@ -187,9 +187,9 @@ def _add_mean_flags(p: argparse.ArgumentParser) -> None:
                    help="largest schedule index (default 2^20)")
 
 
-def _add_common(p: argparse.ArgumentParser, *, set_required=True) -> None:
+def _add_common(p: argparse.ArgumentParser) -> None:
     _add_mean_flags(p)
-    p.add_argument("--set", required=set_required,
+    p.add_argument("--set", required=True,
                    help="set expression ('-' reads stdin)")
     p.add_argument("--json", action="store_true", help="emit JSON")
 

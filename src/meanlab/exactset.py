@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from .errors import (
     BadParameters,
@@ -313,29 +313,36 @@ def rule_scaled(rule: Rule, factor: Fraction) -> Rule:
                       Compose(Affine(factor, Q(0)), rule.func))
 
 
+def _first_index(pred: Callable[[int], bool], start: int) -> int:
+    """Smallest k >= start with pred(k), for a pred that is false up to
+    some index and true from there on: doubling steps, then bisection."""
+    if pred(start):
+        return start
+    step = 1
+    while not pred(start + step):
+        step *= 2
+    lo, hi = start + step // 2, start + step  # not pred(lo), pred(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def _max_k_offset_ge(rule: Rule, start: int, t: Fraction) -> Optional[int]:
     """Largest k >= start with offset(k) >= t, or None. Requires t > 0.
 
     A harmonic rule answers in closed form (c/k >= t exactly when
-    k <= c/t); other rules search by doubling and then bisecting."""
+    k <= c/t); other rules find the first index whose offset is below t."""
     if t <= 0:
         raise BadParameters("offset threshold must be positive")
     if isinstance(rule, Harmonic):
         k = math.floor(rule.c / t)
         return k if k >= start else None
-    if rule_offset(rule, start) < t:
-        return None
-    step = 1
-    while rule_offset(rule, start + step) >= t:
-        step *= 2
-    lo, hi = start + step // 2, start + step  # offset(lo) >= t > offset(hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if rule_offset(rule, mid) >= t:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    k = _first_index(lambda j: rule_offset(rule, j) < t, start)
+    return k - 1 if k > start else None
 
 
 # --------------------------------------------------------------------------
@@ -599,28 +606,14 @@ def _envelope_below(cl: Cluster, key: Key) -> int:
     """Smallest k with term(k) plus window allowance strictly below key.
 
     Valid for above-clusters when pos(key) > limit; the envelope
-    term(k) + window(k) is strictly decreasing in k, so binary search works.
+    term(k) + window(k) is strictly decreasing in k, so the search is exact.
     """
 
     def below(k: int) -> bool:
         w = cl.window(k) if cl.children else Q(0)
         return _key(cl.term(k) + w, 0) < key
 
-    if below(cl.start):
-        return cl.start
-    step = 1
-    hi = cl.start + step
-    while not below(hi):
-        step *= 2
-        hi = cl.start + step
-    lo = cl.start  # invariant: not below(lo) and below(hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if below(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _first_index(below, cl.start)
 
 
 def _with_include(cl: Cluster, flag: bool) -> Cluster:
@@ -734,7 +727,7 @@ def _cluster_intersects_span(cl: Cluster, s: Span) -> bool:
         k1 = _max_k_offset_ge(cl.rule, cl.start, off)
         cands = {cl.start} if k1 is None else {k1, k1 + 1}
         for k in cands:
-            if k < cl.start or cl.block_at(k) is None:
+            if cl.block_at(k) is None:
                 continue
             if abs(pos - cl.term(k)) <= cl.window(k):
                 if _cluster_intersects_span(placed_child(cl, k), s):

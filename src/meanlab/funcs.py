@@ -53,6 +53,16 @@ def _certified(compute, bits: int) -> tuple[Fraction, Fraction]:
     raise BadParameters("enclosure failed to reach the requested width")
 
 
+def _exp_bounds(base: Fraction, x: Fraction, bits: int) -> tuple[Fraction, Fraction]:
+    """Enclosure of base**x."""
+    return _certified(lambda: iv.exp(_frac_to_iv(x) * iv.log(_frac_to_iv(base))), bits)
+
+
+def _log_bounds(base: Fraction, x: Fraction, bits: int) -> tuple[Fraction, Fraction]:
+    """Enclosure of log_base(x) for x > 0."""
+    return _certified(lambda: iv.log(_frac_to_iv(x)) / iv.log(_frac_to_iv(base)), bits)
+
+
 class MonotoneFunc:
     """Base: strictly monotone continuous function on a declared domain."""
 
@@ -69,9 +79,22 @@ class MonotoneFunc:
         v = self.apply(x)
         return v, v
 
-    def invert(self, v, bits: int = FORWARD_BITS):
-        """Inverse image of a value shape; exact shape when possible."""
+    def integral(self, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
+        """Bounds on the integral of f over [lo, hi]; equal for an exact kind."""
+        raise BadParameters(f"no closed-form integral for transform {self.name()}")
+
+    def inverse_bounds(self, y: Fraction, bits: int) -> tuple[Fraction, Fraction]:
+        """Enclosure of the inverse image of the rational y."""
         raise NotImplementedError
+
+    def invert(self, v, bits: int = FORWARD_BITS):
+        """Enclosure of the inverse image of a value shape, from its bounds."""
+        lo, hi = value_bounds(v)
+        if not self.increasing:
+            lo, hi = hi, lo  # the inverse decreases too
+        rlo, _ = self.inverse_bounds(lo, bits)
+        _, rhi = self.inverse_bounds(hi, bits)
+        return Approx((rlo + rhi) / 2, (rhi - rlo) / 2)
 
     def name(self) -> str:
         raise NotImplementedError
@@ -97,6 +120,14 @@ class Affine(MonotoneFunc):
     def apply(self, x: Fraction) -> Fraction:
         return self.slope * x + self.shift
 
+    def integral(self, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
+        v = self.slope * (hi * hi - lo * lo) / 2 + self.shift * (hi - lo)
+        return v, v
+
+    def inverse_bounds(self, y: Fraction, bits: int) -> tuple[Fraction, Fraction]:
+        x = (y - self.shift) / self.slope
+        return x, x
+
     def invert(self, v, bits: int = FORWARD_BITS):
         if isinstance(v, Fraction):
             return (v - self.shift) / self.slope
@@ -108,10 +139,7 @@ class Affine(MonotoneFunc):
                 # (r^(1/n))/a = (r/a^n)^(1/n), sign handled for odd n
                 if self.slope > 0 or v.degree % 2 == 1:
                     return RootValue(v.radicand / self.slope ** v.degree, v.degree)
-        lo, hi = value_bounds(v)
-        a, b = (v0 := (lo - self.shift) / self.slope), (hi - self.shift) / self.slope
-        lo2, hi2 = min(v0, b), max(v0, b)
-        return Approx((lo2 + hi2) / 2, (hi2 - lo2) / 2)
+        return super().invert(v, bits)
 
     def name(self) -> str:
         return f"affine({self.slope},{self.shift})"
@@ -133,15 +161,20 @@ class OddPower(MonotoneFunc):
     def apply(self, x: Fraction) -> Fraction:
         return x ** self.n
 
+    def integral(self, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
+        m = self.n + 1
+        v = (hi ** m - lo ** m) / m
+        return v, v
+
+    def inverse_bounds(self, y: Fraction, bits: int) -> tuple[Fraction, Fraction]:
+        return RootValue(y, self.n).enclosure(bits)
+
     def invert(self, v, bits: int = FORWARD_BITS):
         if isinstance(v, Fraction):
             r = RootValue(v, self.n)
             exact = r.as_fraction()
             return exact if exact is not None else r
-        lo, hi = value_bounds(v)
-        rlo, _ = RootValue(lo, self.n).enclosure(bits)
-        _, rhi = RootValue(hi, self.n).enclosure(bits)
-        return Approx((rlo + rhi) / 2, (rhi - rlo) / 2)
+        return super().invert(v, bits)
 
     def name(self) -> str:
         return f"pow({self.n})"
@@ -162,6 +195,15 @@ class SquareOnNonneg(MonotoneFunc):
             raise DomainViolation("square transform domain is x >= 0")
         return x * x
 
+    def integral(self, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
+        v = (hi ** 3 - lo ** 3) / 3
+        return v, v
+
+    def inverse_bounds(self, y: Fraction, bits: int) -> tuple[Fraction, Fraction]:
+        if y < 0:
+            raise DomainViolation("square images are nonnegative")
+        return RootValue(y, 2).enclosure(bits)
+
     def invert(self, v, bits: int = FORWARD_BITS):
         if isinstance(v, Fraction):
             if v < 0:
@@ -169,12 +211,7 @@ class SquareOnNonneg(MonotoneFunc):
             r = RootValue(v, 2)
             exact = r.as_fraction()
             return exact if exact is not None else r
-        lo, hi = value_bounds(v)
-        if lo < 0:
-            raise DomainViolation("square images are nonnegative")
-        rlo, _ = RootValue(lo, 2).enclosure(bits)
-        _, rhi = RootValue(hi, 2).enclosure(bits)
-        return Approx((rlo + rhi) / 2, (rhi - rlo) / 2)
+        return super().invert(v, bits)
 
     def name(self) -> str:
         return "square"
@@ -197,19 +234,21 @@ class ExpBase(MonotoneFunc):
         return self.base > 1
 
     def apply_bounds(self, x: Fraction, bits: int = FORWARD_BITS) -> tuple[Fraction, Fraction]:
-        b, e = self.base, x
-        return _certified(lambda: iv.exp(_frac_to_iv(e) * iv.log(_frac_to_iv(b))), bits)
+        return _exp_bounds(self.base, x, bits)
 
-    def invert(self, v, bits: int = FORWARD_BITS):
-        lo, hi = value_bounds(v)
-        if lo <= 0:
+    def integral(self, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
+        # integral of b**x = (b**hi - b**lo) / ln(b)
+        def compute():
+            lnb = iv.log(_frac_to_iv(self.base))
+            return (iv.exp(_frac_to_iv(hi) * lnb)
+                    - iv.exp(_frac_to_iv(lo) * lnb)) / lnb
+
+        return _certified(compute, FORWARD_BITS)
+
+    def inverse_bounds(self, y: Fraction, bits: int) -> tuple[Fraction, Fraction]:
+        if y <= 0:
             raise DomainViolation("exp images are positive")
-        if not self.increasing:
-            lo, hi = hi, lo  # the inverse decreases too
-        b = self.base
-        llo, _ = _certified(lambda: iv.log(_frac_to_iv(lo)) / iv.log(_frac_to_iv(b)), bits)
-        _, lhi = _certified(lambda: iv.log(_frac_to_iv(hi)) / iv.log(_frac_to_iv(b)), bits)
-        return Approx((llo + lhi) / 2, (lhi - llo) / 2)
+        return _log_bounds(self.base, y, bits)
 
     def name(self) -> str:
         return f"exp({self.base})"
@@ -237,17 +276,23 @@ class LogBase(MonotoneFunc):
     def apply_bounds(self, x: Fraction, bits: int = FORWARD_BITS) -> tuple[Fraction, Fraction]:
         if x <= 0:
             raise DomainViolation("log transform domain is x > 0")
-        b = self.base
-        return _certified(lambda: iv.log(_frac_to_iv(x)) / iv.log(_frac_to_iv(b)), bits)
+        return _log_bounds(self.base, x, bits)
 
-    def invert(self, v, bits: int = FORWARD_BITS):
-        lo, hi = value_bounds(v)
-        if not self.increasing:
-            lo, hi = hi, lo  # the inverse decreases too
-        b = self.base
-        plo, _ = _certified(lambda: iv.exp(_frac_to_iv(lo) * iv.log(_frac_to_iv(b))), bits)
-        _, phi = _certified(lambda: iv.exp(_frac_to_iv(hi) * iv.log(_frac_to_iv(b))), bits)
-        return Approx((plo + phi) / 2, (phi - plo) / 2)
+    def integral(self, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
+        # integral of log_b(x) = (x ln x - x) / ln(b)
+        if lo <= 0:
+            raise DomainViolation("logarithm integral needs a positive domain")
+
+        def compute():
+            lnb = iv.log(_frac_to_iv(self.base))
+            xlo, xhi = _frac_to_iv(lo), _frac_to_iv(hi)
+            return ((xhi * iv.log(xhi) - xhi)
+                    - (xlo * iv.log(xlo) - xlo)) / lnb
+
+        return _certified(compute, FORWARD_BITS)
+
+    def inverse_bounds(self, y: Fraction, bits: int) -> tuple[Fraction, Fraction]:
+        return _exp_bounds(self.base, y, bits)
 
     def name(self) -> str:
         return f"log({self.base})"
@@ -284,6 +329,19 @@ class Compose(MonotoneFunc):
         olo = self.outer.apply_bounds(ilo, bits + 10)
         ohi = self.outer.apply_bounds(ihi, bits + 10)
         return min(olo[0], ohi[0]), max(olo[1], ohi[1])
+
+    def integral(self, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
+        if isinstance(self.outer, Affine):
+            a, shift = self.outer.slope, self.outer.shift * (hi - lo)
+            ilo, ihi = sorted(a * b for b in self.inner.integral(lo, hi))
+            return ilo + shift, ihi + shift
+        if isinstance(self.inner, Affine):
+            # integral of g(a*x + s) over [lo, hi] = (1/a) integral of g(u)
+            a, s = self.inner.slope, self.inner.shift
+            u1, u2 = sorted((a * lo + s, a * hi + s))
+            ilo, ihi = self.outer.integral(u1, u2)
+            return ilo / abs(a), ihi / abs(a)
+        return super().integral(lo, hi)
 
     def invert(self, v, bits: int = FORWARD_BITS):
         mid = self.outer.invert(v, bits + 10)

@@ -19,6 +19,9 @@ from .values import Approx, float_or_decimal
 
 Q = Fraction
 
+#: consecutive accelerated values that must agree for a limit to settle
+AGREEMENTS = 3
+
 
 def _default_indices() -> tuple[int, ...]:
     return tuple(2 ** j for j in range(4, 21))
@@ -30,7 +33,6 @@ class LimitSchedule:
 
     indices: tuple[int, ...] = field(default_factory=_default_indices)
     tolerance: Fraction = Q(1, 10 ** 9)
-    agreements: int = 3
 
     def __post_init__(self):
         object.__setattr__(self, "indices", tuple(int(n) for n in self.indices))
@@ -41,8 +43,6 @@ class LimitSchedule:
             raise BadConfig("schedule indices must be strictly increasing")
         if self.tolerance <= 0:
             raise BadConfig("tolerance must be positive")
-        if self.agreements < 1:
-            raise BadConfig("agreement count must be >= 1")
 
 
 DEFAULT_SCHEDULE = LimitSchedule()
@@ -66,7 +66,7 @@ def limit_estimate(sampler: Callable[[int], Fraction],
                    label: str = "limit") -> Approx:
     """Estimate lim sampler(n) along the schedule.
 
-    Stabilizes when `agreements` consecutive accelerated values agree within
+    Stabilizes when ``AGREEMENTS`` consecutive accelerated values agree within
     the tolerance; raises NoConvergence with the sampled trace otherwise,
     each sample a float or, past the float range, its decimal text.
     """
@@ -82,7 +82,7 @@ def limit_estimate(sampler: Callable[[int], Fraction],
             else:
                 streak = 0
             accel.append(acc)
-            if streak + 1 >= schedule.agreements:
+            if streak + 1 >= AGREEMENTS:
                 return Approx(acc, 2 * schedule.tolerance)
     trace = [(n, float_or_decimal(v))
              for n, v in zip(schedule.indices, samples)]

@@ -41,7 +41,7 @@ from .exactset import (
     normalize,
     set_diff,
 )
-from .funcs import Affine, Compose, ExpBase, LogBase, MonotoneFunc, OddPower, SquareOnNonneg
+from .funcs import Compose, MonotoneFunc
 from .limits import DEFAULT_SCHEDULE, LimitSchedule, limit_estimate
 from .measure import (
     DensityMeasure,
@@ -368,75 +368,6 @@ def _interval_mass_average(h: RealSet) -> Fraction:
 # function-transformed means
 
 
-def _interval_integral(f: MonotoneFunc, lo: Fraction, hi: Fraction):
-    """Integral of f over [lo, hi]; Fraction for exact closed forms,
-    (lo_bound, hi_bound) Fraction pair for certified enclosures."""
-    if isinstance(f, Affine):
-        return f.slope * (hi * hi - lo * lo) / 2 + f.shift * (hi - lo)
-    if isinstance(f, OddPower):
-        m = f.n + 1
-        return (hi ** m - lo ** m) / m
-    if isinstance(f, SquareOnNonneg):
-        return (hi ** 3 - lo ** 3) / 3
-    if isinstance(f, Compose) and isinstance(f.outer, Affine):
-        inner = _interval_integral(f.inner, lo, hi)
-        if isinstance(inner, tuple):
-            a = f.outer.slope
-            parts = sorted((a * inner[0], a * inner[1]))
-            shift = f.outer.shift * (hi - lo)
-            return (parts[0] + shift, parts[1] + shift)
-        return f.outer.slope * inner + f.outer.shift * (hi - lo)
-    if isinstance(f, Compose) and isinstance(f.inner, Affine):
-        # integral of g(a*x + s) over [lo, hi] = (1/a) integral of g(u)
-        a, s = f.inner.slope, f.inner.shift
-        u1, u2 = sorted((a * lo + s, a * hi + s))
-        inner = _interval_integral(f.outer, u1, u2)
-        if isinstance(inner, tuple):
-            parts = sorted((inner[0] / abs(a), inner[1] / abs(a)))
-            return (parts[0], parts[1])
-        return inner / abs(a)
-    if isinstance(f, ExpBase):
-        # integral of b**x = (b**hi - b**lo) / ln(b)
-        from mpmath import iv
-
-        from .funcs import FORWARD_BITS, _certified, _frac_to_iv
-
-        base = f.base
-
-        def compute():
-            lnb = iv.log(_frac_to_iv(base))
-            return (iv.exp(_frac_to_iv(hi) * lnb)
-                    - iv.exp(_frac_to_iv(lo) * lnb)) / lnb
-
-        return _certified(compute, FORWARD_BITS)
-    if isinstance(f, LogBase):
-        # integral of log_b(x) = (x ln x - x) / ln(b)
-        if lo <= 0:
-            raise DomainViolation("logarithm integral needs a positive domain")
-        from mpmath import iv
-
-        from .funcs import FORWARD_BITS, _certified, _frac_to_iv
-
-        base = f.base
-
-        def compute():
-            lnb = iv.log(_frac_to_iv(base))
-            xhi = _frac_to_iv(hi)
-            xlo = _frac_to_iv(lo)
-            return ((xhi * iv.log(xhi) - xhi)
-                    - (xlo * iv.log(xlo) - xlo)) / lnb
-
-        return _certified(compute, FORWARD_BITS)
-    raise BadParameters(
-        f"no closed-form integral for transform {f.name()}")
-
-
-def _as_bounds(v) -> tuple[Fraction, Fraction]:
-    if isinstance(v, tuple):
-        return v
-    return (v, v)
-
-
 def avg_f(f: MonotoneFunc, h: RealSet) -> Value:
     """Quasi-arithmetic average over length: invert f at the mean of f."""
     if h.is_empty:
@@ -449,14 +380,11 @@ def avg_f(f: MonotoneFunc, h: RealSet) -> Value:
             raise DomainViolation("the set leaves the transform's domain")
     lo_sum = Q(0)
     hi_sum = Q(0)
-    exact = True
     for iv_ in h.intervals:
-        part = _interval_integral(f, iv_.lo, iv_.hi)
-        p_lo, p_hi = _as_bounds(part)
-        exact = exact and not isinstance(part, tuple)
+        p_lo, p_hi = f.integral(iv_.lo, iv_.hi)
         lo_sum += p_lo
         hi_sum += p_hi
-    if exact:
+    if f.exact:
         return f.invert(lo_sum / lam)
     v_lo, v_hi = lo_sum / lam, hi_sum / lam
     return f.invert(Approx((v_lo + v_hi) / 2, (v_hi - v_lo) / 2))

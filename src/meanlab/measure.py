@@ -25,6 +25,7 @@ from .exactset import (
     Interval,
     RealSet,
     Rule,
+    _first_index,
     closure,
     normalize,
     rule_gap,
@@ -140,26 +141,9 @@ def _native_depth1(c: Cluster) -> None:
 
 
 def _merge_index(rule: Rule, start: int, threshold: Fraction) -> int:
-    """Smallest k >= start with gap(k) < threshold.
-
-    Native-rule gaps decrease strictly, so a doubling search plus bisection
-    finds the exact index.
-    """
-    if rule_gap(rule, start) < threshold:
-        return start
-    step = 1
-    hi = start + step
-    while rule_gap(rule, hi) >= threshold:
-        step *= 2
-        hi = start + step
-    lo = start  # gap(lo) >= threshold > gap(hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if rule_gap(rule, mid) >= threshold:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    """Smallest k >= start with gap(k) < threshold; native-rule gaps
+    decrease strictly, so the search is exact."""
+    return _first_index(lambda k: rule_gap(rule, k) < threshold, start)
 
 
 def _runs(xs: tuple[Fraction, ...],

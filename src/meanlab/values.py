@@ -143,15 +143,16 @@ def value_le(a, b, tol: Fraction = Fraction(0)) -> bool:
     return alo <= bhi + tol
 
 
-def value_lt_strict(a, b, tol: Fraction = Fraction(0)) -> bool:
-    """True when a < b holds for every point of both bounds (minus tol)."""
+def value_lt_strict(a, b) -> bool:
+    """True when a < b holds for every point of both bounds."""
     _, ahi = value_bounds(a)
     blo, _ = value_bounds(b)
-    return ahi < blo + tol
+    return ahi < blo
 
 
-def decimal_str(x: Fraction, places: int = 12) -> str:
-    """Correctly rounded fixed-point rendering (ties to even)."""
+def decimal_str(x: Fraction) -> str:
+    """Correctly rounded rendering to 12 places (ties to even)."""
+    places = 12
     sign = "-" if x < 0 else ""
     n, d = abs(x.numerator), x.denominator
     scaled = n * 10 ** places

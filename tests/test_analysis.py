@@ -387,9 +387,19 @@ def test_uniformity_witness_found_at_every_probed_stage():
 
 
 def test_uniformity_witness_respects_the_search_cap():
-    w = uniformity_witness_at(avg_fat_sequence(), lavg_ref(), grid_family,
-                              Q(1, 4), 64, m_cap=2)
-    assert w is None
+    # the search doubles m up to max(8n + 16, 64): 64 at n = 1 and 528 at
+    # n = 64; a family whose first gap lies one doubling past it is missed
+    seq, lim = avg_fat_sequence(), lavg_ref()
+
+    def gap_from(first):
+        return lambda m: grid_family(m) if m >= first else from_interval(
+            Q(1), Q(2))
+
+    for n, last in ((1, 64), (64, 512)):
+        assert uniformity_witness_at(seq, lim, gap_from(last), Q(1, 4),
+                                     n) is not None
+        assert uniformity_witness_at(seq, lim, gap_from(2 * last), Q(1, 4),
+                                     n) is None
 
 
 def test_no_uniformity_witness_for_a_uniformly_convergent_family():

@@ -334,9 +334,10 @@ def test_a_sandwich_that_is_not_strict_is_a_witness():
 
 
 def test_a_limit_just_past_its_tolerance_is_inconclusive():
-    # constant samples: the estimate is the sample, with error 2/100
-    sched = LimitSchedule(indices=(16, 32, 64), tolerance=Q(1, 100),
-                          agreements=1)
+    # constant samples: the three accelerated values agree, so the
+    # estimate is the sample, with error 2/100
+    sched = LimitSchedule(indices=(16, 32, 64, 128, 256),
+                          tolerance=Q(1, 100))
     amean_k = resolve_mean("amean")
 
     def matches(sample):

@@ -18,7 +18,7 @@ from conftest import (
     random_points,
     random_union,
 )
-from meanlab import exactset, setexpr
+from meanlab import exactset, measure, setexpr
 from meanlab.errors import (
     BadParameters,
     MeanlabError,
@@ -49,6 +49,7 @@ from meanlab.exactset import (
     placed_child,
     realset,
     reflect,
+    rule_gap,
     rule_offset,
     scale,
     set_diff,
@@ -177,6 +178,11 @@ def test_max_index_with_offset_at_least_matches_a_scan(rule):
             ks = [j for j in range(start, 200) if rule_offset(rule, j) >= t]
             want = ks[-1] if ks else None
             assert exactset._max_k_offset_ge(rule, start, t) == want
+        # and the first index whose gap falls below a gap threshold
+        for t in (rule_gap(rule, k), rule_gap(rule, k) * Q(101, 100),
+                  rule_gap(rule, k) * Q(99, 100)):
+            want = next(j for j in range(start, 200) if rule_gap(rule, j) < t)
+            assert measure._merge_index(rule, start, t) == want
 
 
 # --------------------------------------------------------------------------

@@ -29,8 +29,6 @@ def test_schedule_validation():
         LimitSchedule(indices=(1, 2, 2))
     with pytest.raises(BadConfig):
         LimitSchedule(tolerance=Q(0))
-    with pytest.raises(BadConfig):
-        LimitSchedule(agreements=0)
 
 
 def test_aitken_is_exact_on_geometric_tails():

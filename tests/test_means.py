@@ -30,7 +30,19 @@ from meanlab.exactset import (
     set_union,
     translate,
 )
-from meanlab.funcs import SQUARE, Affine, ExpBase, LogBase, OddPower
+from meanlab.funcs import (
+    FORWARD_BITS,
+    SQUARE,
+    Affine,
+    Compose,
+    ExpBase,
+    LogBase,
+    OddPower,
+    SquareOnNonneg,
+    _certified,
+    _frac_to_iv,
+    parse_func,
+)
 from meanlab.means import (
     AMEAN,
     AVG1,
@@ -353,6 +365,175 @@ def test_certified_transform_of_the_length_average():
     # the image of [0,1] under 2^x is [1,2]; pull its average back
     want = math.log2(3 / 2)
     assert abs(float(got.value) - want) <= float(got.error) + 1e-12
+
+
+def _interval_integral(f, lo, hi):
+    """The integral ``avg_f`` used to compute, as the reference each
+    kind's ``integral`` must reproduce: a Fraction when exact, else a
+    bound pair."""
+    if isinstance(f, Affine):
+        return f.slope * (hi * hi - lo * lo) / 2 + f.shift * (hi - lo)
+    if isinstance(f, OddPower):
+        m = f.n + 1
+        return (hi ** m - lo ** m) / m
+    if isinstance(f, SquareOnNonneg):
+        return (hi ** 3 - lo ** 3) / 3
+    if isinstance(f, Compose) and isinstance(f.outer, Affine):
+        inner = _interval_integral(f.inner, lo, hi)
+        if isinstance(inner, tuple):
+            a = f.outer.slope
+            parts = sorted((a * inner[0], a * inner[1]))
+            shift = f.outer.shift * (hi - lo)
+            return (parts[0] + shift, parts[1] + shift)
+        return f.outer.slope * inner + f.outer.shift * (hi - lo)
+    if isinstance(f, Compose) and isinstance(f.inner, Affine):
+        # integral of g(a*x + s) over [lo, hi] = (1/a) integral of g(u)
+        a, s = f.inner.slope, f.inner.shift
+        u1, u2 = sorted((a * lo + s, a * hi + s))
+        inner = _interval_integral(f.outer, u1, u2)
+        if isinstance(inner, tuple):
+            parts = sorted((inner[0] / abs(a), inner[1] / abs(a)))
+            return (parts[0], parts[1])
+        return inner / abs(a)
+    if isinstance(f, ExpBase):
+        # integral of b**x = (b**hi - b**lo) / ln(b)
+        from mpmath import iv
+
+        base = f.base
+
+        def compute():
+            lnb = iv.log(_frac_to_iv(base))
+            return (iv.exp(_frac_to_iv(hi) * lnb)
+                    - iv.exp(_frac_to_iv(lo) * lnb)) / lnb
+
+        return _certified(compute, FORWARD_BITS)
+    if isinstance(f, LogBase):
+        # integral of log_b(x) = (x ln x - x) / ln(b)
+        if lo <= 0:
+            raise DomainViolation("logarithm integral needs a positive domain")
+        from mpmath import iv
+
+        base = f.base
+
+        def compute():
+            lnb = iv.log(_frac_to_iv(base))
+            xhi = _frac_to_iv(hi)
+            xlo = _frac_to_iv(lo)
+            return ((xhi * iv.log(xhi) - xhi)
+                    - (xlo * iv.log(xlo) - xlo)) / lnb
+
+        return _certified(compute, FORWARD_BITS)
+    raise BadParameters(
+        f"no closed-form integral for transform {f.name()}")
+
+
+def _affine_invert(self, v, bits):
+    lo, hi = value_bounds(v)
+    a, b = (v0 := (lo - self.shift) / self.slope), (hi - self.shift) / self.slope
+    lo2, hi2 = min(v0, b), max(v0, b)
+    return Approx((lo2 + hi2) / 2, (hi2 - lo2) / 2)
+
+
+def _odd_power_invert(self, v, bits):
+    lo, hi = value_bounds(v)
+    rlo, _ = RootValue(lo, self.n).enclosure(bits)
+    _, rhi = RootValue(hi, self.n).enclosure(bits)
+    return Approx((rlo + rhi) / 2, (rhi - rlo) / 2)
+
+
+def _square_invert(self, v, bits):
+    lo, hi = value_bounds(v)
+    if lo < 0:
+        raise DomainViolation("square images are nonnegative")
+    rlo, _ = RootValue(lo, 2).enclosure(bits)
+    _, rhi = RootValue(hi, 2).enclosure(bits)
+    return Approx((rlo + rhi) / 2, (rhi - rlo) / 2)
+
+
+def _exp_invert(self, v, bits):
+    from mpmath import iv
+
+    lo, hi = value_bounds(v)
+    if lo <= 0:
+        raise DomainViolation("exp images are positive")
+    if not self.increasing:
+        lo, hi = hi, lo  # the inverse decreases too
+    b = self.base
+    llo, _ = _certified(lambda: iv.log(_frac_to_iv(lo)) / iv.log(_frac_to_iv(b)), bits)
+    _, lhi = _certified(lambda: iv.log(_frac_to_iv(hi)) / iv.log(_frac_to_iv(b)), bits)
+    return Approx((llo + lhi) / 2, (lhi - llo) / 2)
+
+
+def _log_invert(self, v, bits):
+    from mpmath import iv
+
+    lo, hi = value_bounds(v)
+    if not self.increasing:
+        lo, hi = hi, lo  # the inverse decreases too
+    b = self.base
+    plo, _ = _certified(lambda: iv.exp(_frac_to_iv(lo) * iv.log(_frac_to_iv(b))), bits)
+    _, phi = _certified(lambda: iv.exp(_frac_to_iv(hi) * iv.log(_frac_to_iv(b))), bits)
+    return Approx((plo + phi) / 2, (phi - plo) / 2)
+
+
+# the enclosing branch of each kind's ``invert`` before one base-class
+# ``invert`` took them over
+_FALLBACK_INVERT = {Affine: _affine_invert, OddPower: _odd_power_invert,
+                    SquareOnNonneg: _square_invert, ExpBase: _exp_invert,
+                    LogBase: _log_invert}
+
+
+def _reference_invert(f, v, bits=FORWARD_BITS):
+    if isinstance(f, Compose):  # Compose.invert, over the references
+        mid = _reference_invert(f.outer, v, bits + 10)
+        if isinstance(mid, (Q, RootValue)):
+            return _reference_invert(f.inner, mid, bits)
+        lo, hi = value_bounds(mid)
+        a = _reference_invert(f.inner, lo, bits + 10)
+        b = _reference_invert(f.inner, hi, bits + 10)
+        alo, ahi = value_bounds(a)
+        blo, bhi = value_bounds(b)
+        lo2, hi2 = min(alo, blo), max(ahi, bhi)
+        return Approx((lo2 + hi2) / 2, (hi2 - lo2) / 2)
+    if f.exact and isinstance(v, Q):
+        return f.invert(v, bits)  # the exact shapes did not move
+    return _FALLBACK_INVERT[type(f)](f, v, bits)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (BadParameters, DomainViolation) as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("spec", [
+    "affine(2,1)", "affine(-3/2,1/3)", "pow(3)", "square", "exp(2)",
+    "exp(1/2)", "log(2)", "log(1/2)", "compose(affine(2,1),exp(2))",
+    "compose(affine(2,1),square)", "compose(exp(2),affine(1,3))",
+    "compose(pow(3),affine(2,0))", "compose(square,affine(1,3))",
+    "compose(square,square)"])
+def test_transform_formulas_match_the_code_they_replaced(spec):
+    f = parse_func(spec)
+    rng = random.Random(spec)
+    for _ in range(12):
+        lo, hi = sorted(Q(rng.randint(-300, 300), rng.randint(1, 100))
+                        for _ in range(2))
+        want = _outcome(_interval_integral, f, lo, hi)
+        if isinstance(want, Q):
+            want = (want, want)
+        assert _outcome(f.integral, lo, hi) == want, (lo, hi)
+        x = Q(rng.randint(1, 300), rng.randint(1, 100))
+        if not f.contains(x):
+            continue
+        y_lo, y_hi = f.apply_bounds(x)
+        pad = Q(1, rng.randint(2, 10 ** 6))
+        for v in (y_lo, Approx((y_lo + y_hi) / 2, (y_hi - y_lo) / 2 + pad),
+                  Approx(y_lo, abs(y_lo) / 2 + pad),
+                  Approx(y_lo, abs(y_lo) + pad)):  # reaches past zero
+            for bits in (FORWARD_BITS, 60):
+                assert _outcome(f.invert, v, bits) == _outcome(
+                    _reference_invert, f, v, bits), (v, bits)
 
 
 # --------------------------------------------------------------------------
