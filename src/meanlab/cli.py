@@ -41,7 +41,7 @@ from .errors import BadParameters, MeanlabError, NoConvergence, ParseError
 from .exactset import RealSet
 from .funcs import parse_func
 from .limits import LimitSchedule, limit_estimate
-from .means import MeanRef, MeanSequence, resolve_mean
+from .means import MEAN_NAMES, MeanRef, MeanSequence, resolve_mean
 from .measure import DensityMeasure
 from .setexpr import (
     evaluate,
@@ -171,8 +171,7 @@ def _build_mean(args, schedule: LimitSchedule) -> MeanRef:
 
 def _add_mean_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mean", required=True,
-                   help="mean name (amean, avg1, m_acc, iso, eds, avg_fat, "
-                        "lavg, m_iso, m_eds, m_mu, avg_f); 'name:tag' "
+                   help=f"mean name ({', '.join(MEAN_NAMES)}); 'name:tag' "
                         "embeds a parameter, e.g. eds:3")
     p.add_argument("--f", help="monotone transform, e.g. square, exp(2), "
                                "affine(2,1); conjugates the mean (for "

@@ -484,6 +484,13 @@ def _domain_by_trial(evaluate: Callable[[RealSet], Value]):
     return pred
 
 
+def _by_trial(name: str, ev: Callable[[RealSet], Value], param, *,
+              exact: bool = True, **hooks) -> MeanRef:
+    """A catalogue entry whose domain is the sets on which ``ev`` succeeds."""
+    return MeanRef(name, ev, _domain_by_trial(ev), exact=exact, param=param,
+                   **hooks)
+
+
 AMEAN = MeanRef(
     "amean", amean,
     lambda h: (not h.is_empty) and h.is_finite(),
@@ -504,18 +511,12 @@ M_ACC = MeanRef(
 
 def iso_ref(n: int) -> MeanRef:
     """Stage-n isolated-point mean as a catalogue entry."""
-    def ev(h: RealSet) -> Fraction:
-        return iso_n(h, n)
-
-    return MeanRef(f"iso:{n}", ev, _domain_by_trial(ev), exact=True, param=n)
+    return _by_trial(f"iso:{n}", lambda h: iso_n(h, n), n)
 
 
 def eds_ref(n: int) -> MeanRef:
     """Stage-n equal-division mean as a catalogue entry."""
-    def ev(h: RealSet) -> Fraction:
-        return eds_n(h, n)
-
-    return MeanRef(f"eds:{n}", ev, _domain_by_trial(ev), exact=True, param=n)
+    return _by_trial(f"eds:{n}", lambda h: eds_n(h, n), n)
 
 
 def avg_fat_ref(delta) -> MeanRef:
@@ -523,22 +524,13 @@ def avg_fat_ref(delta) -> MeanRef:
     d = Q(delta)
     if d <= 0:
         raise BadParameters("the neighborhood radius must be positive")
-
-    def ev(h: RealSet) -> Fraction:
-        return avg_fat(h, d)
-
-    return MeanRef(f"avg_fat:{d}", ev, _domain_by_trial(ev), exact=True,
-                   param=d)
+    return _by_trial(f"avg_fat:{d}", lambda h: avg_fat(h, d), d)
 
 
 def m_mu_ref(mu: DensityMeasure) -> MeanRef:
     """Density-weighted average as a catalogue entry."""
-    def ev(h: RealSet) -> Fraction:
-        return m_mu(mu, h)
-
     tag = ";".join(f"{p.lo},{p.hi},{d}" for p, d in mu.pieces)
-    return MeanRef(f"m_mu:{tag}", ev, _domain_by_trial(ev), exact=True,
-                   param=mu)
+    return _by_trial(f"m_mu:{tag}", lambda h: m_mu(mu, h), mu)
 
 
 # --------------------------------------------------------------------------
@@ -547,7 +539,7 @@ def m_mu_ref(mu: DensityMeasure) -> MeanRef:
 
 @dataclass(frozen=True)
 class MeanSequence:
-    """An index-to-mean rule with the shared domain contract.
+    """An index-to-mean rule; the limit mean it defines owns the domain.
 
     ``applies(h)`` tells from h's structure alone whether the pointwise
     limit of the stage means on h has a closed form, and ``exact_limit(h)``
@@ -556,28 +548,21 @@ class MeanSequence:
 
     id: str
     at: Callable[[int], MeanRef]
-    domain_predicate: Callable[[RealSet], bool]
     applies: Callable[[RealSet], bool] = lambda h: False
     exact_limit: Callable[[RealSet], Value] | None = None
-
-    def in_domain(self, h: RealSet) -> bool:
-        return bool(self.domain_predicate(h))
 
 
 def avg_fat_sequence() -> MeanSequence:
     return MeanSequence("avg_fat(1/n)", lambda n: avg_fat_ref(Q(1, n)),
-                        lambda h: not h.is_empty, lambda h: bool(h.intervals),
-                        _interval_mass_average)
+                        lambda h: bool(h.intervals), _interval_mass_average)
 
 
 def eds_sequence() -> MeanSequence:
-    return MeanSequence("eds(n)", eds_ref, lambda h: not h.is_empty
-                        and h.bounds()[0] < h.bounds()[1])
+    return MeanSequence("eds(n)", eds_ref)
 
 
 def iso_sequence() -> MeanSequence:
-    return MeanSequence("iso(n)", iso_ref,
-                        lambda h: not h.is_empty and not h.intervals)
+    return MeanSequence("iso(n)", iso_ref)
 
 
 def pointwise_limit(seq: MeanSequence, h: RealSet,
@@ -621,11 +606,8 @@ def m_eds_ref(schedule: LimitSchedule = DEFAULT_SCHEDULE) -> MeanRef:
 
 def avg_f_ref(f: MonotoneFunc) -> MeanRef:
     """Quasi-arithmetic average as a catalogue entry."""
-    def ev(h: RealSet) -> Value:
-        return avg_f(f, h)
-
-    return MeanRef(f"avg_f:{f.name()}", ev, _domain_by_trial(ev),
-                   exact=f.exact, param=f)
+    return _by_trial(f"avg_f:{f.name()}", lambda h: avg_f(f, h), f,
+                     exact=f.exact)
 
 
 def transform_kf(k: MeanRef, f: MonotoneFunc) -> MeanRef:
@@ -646,9 +628,9 @@ def transform_kf(k: MeanRef, f: MonotoneFunc) -> MeanRef:
                 "mean and the plain length average")
         return f.invert(k.certified(f, h))
 
-    return MeanRef(f"{k.id}^{f.name()}", evaluate, _domain_by_trial(evaluate),
-                   exact=k.exact and f.exact, param=(k, f),
-                   acc_points=support if k.acc_points is support else None)
+    return _by_trial(f"{k.id}^{f.name()}", evaluate, (k, f),
+                     exact=k.exact and f.exact,
+                     acc_points=support if k.acc_points is support else None)
 
 
 # --------------------------------------------------------------------------

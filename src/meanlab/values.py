@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import UnrepresentableResult
+from .errors import BadParameters, UnrepresentableResult
 
 
 @dataclass(frozen=True)
@@ -29,6 +29,10 @@ class Approx:
 
     value: Fraction
     error: Fraction
+
+    def __post_init__(self):
+        if self.error < 0:
+            raise BadParameters("an approximation's error bound must be >= 0")
 
     def bounds(self) -> tuple[Fraction, Fraction]:
         return (self.value - self.error, self.value + self.error)

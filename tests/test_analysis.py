@@ -340,13 +340,6 @@ def test_pointwise_limits_of_the_stage_families():
     assert est.value == 1
 
 
-def test_sequence_domain_contracts():
-    assert not eds_sequence().in_domain(from_points(Q(5)))
-    assert eds_sequence().in_domain(from_points(Q(0), Q(1)))
-    assert not iso_sequence().in_domain(from_interval(Q(0), Q(1)))
-    assert not avg_fat_sequence().in_domain(realset())
-
-
 def test_stage_limit_of_the_division_mean_with_a_null_satellite():
     # the satellite contributes one grid cell out of ~n, so the stage
     # values drift like 1/n with floor jitter: a loose tolerance certifies

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from meanlab.errors import UnrepresentableResult
+from meanlab.errors import BadParameters, UnrepresentableResult
 from meanlab.values import (
     Approx,
     RootValue,
@@ -113,3 +113,11 @@ def test_value_shapes_convert_to_floats_and_bounds():
     assert RootValue(Fraction(9, 4), 2).enclosure() == (Fraction(3, 2),
                                                         Fraction(3, 2))
     assert value_bounds(3) == (Fraction(3), Fraction(3))
+
+
+def test_an_approximation_refuses_a_negative_error():
+    # a negative error would give bounds with lo > hi
+    with pytest.raises(BadParameters, match="error bound"):
+        Approx(Fraction(1), Fraction(-1, 2))
+    assert Approx(Fraction(1), Fraction(0)).bounds() == (Fraction(1),
+                                                         Fraction(1))
