@@ -66,11 +66,10 @@ GUARDS: dict[tuple[str, str, str], str] = {
     ("analysis.py", "uniformity_witness_at", "except MeanlabError:"):
         "a family member outside a mean's domain is passed over",
     **{("axioms.py", fn, "raise _Skip"): _SKIPPED for fn in (
-        "_disjoint_parts_in_domain", "_c_disjoint_monotone",
-        "_c_union_monotone", "_j_equi_monotone", "_c_slice_continuous",
-        "_c_point_continuous", "_c_hausdorff_continuous",
-        "_j_finite_independent", "_u_bounded_core", "_c_u_bounded_overlap",
-        "_c_u_bounded_infinite")},
+        "_disjoint_parts_in_domain", "_j_disjoint_monotone",
+        "_j_union_monotone", "_j_equi_monotone", "_draw_slice", "_draw_point",
+        "_draw_hausdorff", "_j_finite_independent", "_j_u_bounded_overlap",
+        "_j_u_bounded_infinite")},
     ("axioms.py", "gen_sets", "continue"): _SKIPPED,
     ("axioms.py", "gen_disjoint_pairs", "except _Skip:"): _SKIPPED,
     ("axioms.py", "gen_equal_mean_pairs", "except _Skip:"): _SKIPPED,

@@ -32,7 +32,6 @@ from .analysis import (
     limsup_by_mean,
 )
 from .errors import (
-    BadConfig,
     BadParameters,
     MeanlabError,
     NotApplicable,
@@ -78,23 +77,20 @@ _TOL = Q(1, 2 ** 40)
 # configuration, reports, witnesses
 
 
+# bounds of the random set generators
+_MAX_INTERVALS = 3
+_MAX_POINTS = 3
+_MAX_CLUSTERS = 2
+_COORD_DEN = 8
+_COORD_RANGE = 8
+_MAX_REDRAWS = 60
+
+
 @dataclass(frozen=True)
 class GeneratorConfig:
-    """Bounds for the random set generators."""
+    """The schedule along which the continuity judges sample a limit."""
 
-    max_intervals: int = 3
-    max_points: int = 3
-    max_clusters: int = 2
-    coord_den: int = 8
-    coord_range: int = 8
-    max_redraws: int = 60
     schedule: LimitSchedule = DEFAULT_SCHEDULE
-
-    def __post_init__(self):
-        if (self.max_intervals < 1 or self.max_points < 1
-                or self.max_clusters < 1 or self.coord_den < 1
-                or self.coord_range < 1 or self.max_redraws < 1):
-            raise BadConfig("generator bounds must be positive")
 
 
 @dataclass(frozen=True)
@@ -142,10 +138,6 @@ def _le_holds(k: MeanRef, a, b) -> bool:
     return value_le(a, b, _slack(k))
 
 
-def _num(v) -> Fraction:
-    return v if isinstance(v, Fraction) else value_mid(v)
-
-
 def _err(v) -> Fraction:
     lo, hi = value_bounds(v)
     return (hi - lo) / 2
@@ -171,11 +163,10 @@ def _wit(k: MeanRef, note: str, sets, rows) -> Witness:
 # random generators
 
 
-def _rand_frac(rng: random.Random, cfg: GeneratorConfig,
-               lo=None, hi=None) -> Fraction:
-    lo = Q(-cfg.coord_range) if lo is None else Q(lo)
-    hi = Q(cfg.coord_range) if hi is None else Q(hi)
-    den = rng.randint(1, cfg.coord_den)
+def _rand_frac(rng: random.Random, lo=None, hi=None) -> Fraction:
+    lo = Q(-_COORD_RANGE) if lo is None else Q(lo)
+    hi = Q(_COORD_RANGE) if hi is None else Q(hi)
+    den = rng.randint(1, _COORD_DEN)
     nlo = (lo * den).__ceil__()
     nhi = (hi * den).__floor__()
     if nhi < nlo:
@@ -183,26 +174,25 @@ def _rand_frac(rng: random.Random, cfg: GeneratorConfig,
     return Q(rng.randint(nlo, nhi), den)
 
 
-def _rand_cuts(rng, cfg, count: int, lo, hi) -> list[Fraction]:
+def _rand_cuts(rng, count: int, lo, hi) -> list[Fraction]:
     seen: set[Fraction] = set()
     guard = 0
     while len(seen) < count:
-        seen.add(_rand_frac(rng, cfg, lo, hi))
+        seen.add(_rand_frac(rng, lo, hi))
         guard += 1
         if guard > 50 * count:
             raise _Skip
     return sorted(seen)
 
 
-def _shape_points(rng, cfg, lo=None, hi=None) -> RealSet:
-    m = rng.randint(2, cfg.max_points + 1)
-    return from_points(*_rand_cuts(rng, cfg, m, lo, hi))
+def _shape_points(rng, lo=None, hi=None) -> RealSet:
+    m = rng.randint(2, _MAX_POINTS + 1)
+    return from_points(*_rand_cuts(rng, m, lo, hi))
 
 
-def _shape_union(rng, cfg, *, closed_only=False, lo=None,
-                 hi=None) -> RealSet:
-    m = rng.randint(1, cfg.max_intervals)
-    cuts = _rand_cuts(rng, cfg, 2 * m, lo, hi)
+def _shape_union(rng, *, closed_only=False, lo=None, hi=None) -> RealSet:
+    m = rng.randint(1, _MAX_INTERVALS)
+    cuts = _rand_cuts(rng, 2 * m, lo, hi)
     ivs = []
     for i in range(m):
         a, b = cuts[2 * i], cuts[2 * i + 1]
@@ -217,31 +207,31 @@ def _shape_union(rng, cfg, *, closed_only=False, lo=None,
     return out
 
 
-def _straddling_intervals(rng, cfg, h: RealSet, v: Fraction) -> RealSet:
+def _straddling_intervals(rng, h: RealSet, v: Fraction) -> RealSet:
     """Two intervals of equal length placed symmetrically about v, outside
     the hull of h."""
     lo, hi = h.bounds()
-    t = max(v - lo, hi - v) + _rand_frac(rng, cfg, 1, 3)
-    w = _rand_frac(rng, cfg, Q(1, 4), 2)
+    t = max(v - lo, hi - v) + _rand_frac(rng, 1, 3)
+    w = _rand_frac(rng, Q(1, 4), 2)
     return set_union(from_interval(v - t - w, v - t),
                      from_interval(v + t, v + t + w))
 
 
-def _shape_union_satellites(rng, cfg) -> RealSet:
-    base = _shape_union(rng, cfg)
+def _shape_union_satellites(rng) -> RealSet:
+    base = _shape_union(rng)
     lo, hi = base.bounds()
     sats = []
-    for _ in range(rng.randint(1, cfg.max_points)):
+    for _ in range(rng.randint(1, _MAX_POINTS)):
         if rng.random() < 0.5:
-            sats.append(lo - _rand_frac(rng, cfg, Q(1, 2), 3))
+            sats.append(lo - _rand_frac(rng, Q(1, 2), 3))
         else:
-            sats.append(hi + _rand_frac(rng, cfg, Q(1, 2), 3))
+            sats.append(hi + _rand_frac(rng, Q(1, 2), 3))
     return set_union(base, from_points(*sats))
 
 
-def _shape_clusters(rng, cfg) -> RealSet:
-    n = rng.randint(1, cfg.max_clusters)
-    limits = rng.sample(range(-cfg.coord_range, cfg.coord_range), n)
+def _shape_clusters(rng) -> RealSet:
+    n = rng.randint(1, _MAX_CLUSTERS)
+    limits = rng.sample(range(-_COORD_RANGE, _COORD_RANGE), n)
     cls = []
     pts = []
     for lim in limits:
@@ -259,63 +249,62 @@ def _shape_clusters(rng, cfg) -> RealSet:
     return realset(points=pts, clusters=cls)
 
 
-def _shape_mix(rng, cfg) -> RealSet:
-    u = _shape_union(rng, cfg)
+def _shape_mix(rng) -> RealSet:
+    u = _shape_union(rng)
     lo, hi = u.bounds()
     extra = from_points(lo - 1, hi + 1)
     return set_union(u, extra)
 
 
-def _candidate(rng, cfg) -> RealSet:
+def _candidate(rng) -> RealSet:
     shape = rng.randrange(6)
     if shape == 0:
-        return _shape_points(rng, cfg)
+        return _shape_points(rng)
     if shape == 1:
-        return _shape_union(rng, cfg)
+        return _shape_union(rng)
     if shape == 2:
-        return _shape_union_satellites(rng, cfg)
+        return _shape_union_satellites(rng)
     if shape == 3:
-        return _shape_clusters(rng, cfg)
+        return _shape_clusters(rng)
     if shape == 4:
-        return _shape_union(rng, cfg, lo=Q(1, 2), hi=cfg.coord_range + 1)
-    return _shape_mix(rng, cfg)
+        return _shape_union(rng, lo=Q(1, 2), hi=_COORD_RANGE + 1)
+    return _shape_mix(rng)
 
 
 def _support_hull(mu: DensityMeasure) -> tuple[Fraction, Fraction]:
     return mu.pieces[0][0].lo, mu.pieces[-1][0].hi
 
 
-def _sample_domain_set(k: MeanRef, cfg: GeneratorConfig,
-                       rng: random.Random) -> RealSet:
-    for _ in range(cfg.max_redraws):
+def _sample_domain_set(k: MeanRef, rng: random.Random) -> RealSet:
+    for _ in range(_MAX_REDRAWS):
         if isinstance(k.param, DensityMeasure):
             lo, hi = _support_hull(k.param)
-            h = _shape_union(rng, cfg, lo=lo, hi=hi)
+            h = _shape_union(rng, lo=lo, hi=hi)
         else:
-            h = _candidate(rng, cfg)
+            h = _candidate(rng)
         if not h.is_empty and k.in_domain(h):
             return h
     raise _Skip
 
 
-def _place_right(rng, cfg, a: RealSet, b: RealSet, *,
+def _place_right(rng, a: RealSet, b: RealSet, *,
                  allow_touch: bool = False) -> RealSet:
     gap = Q(0) if (allow_touch and rng.random() < 0.3) else \
-        Q(1, rng.randint(1, cfg.coord_den))
+        Q(1, rng.randint(1, _COORD_DEN))
     return translate(b, a.bounds()[1] + gap - b.bounds()[0])
 
 
-def _sample_pair_apart(k: MeanRef, cfg, rng, *, allow_touch=False
+def _sample_pair_apart(k: MeanRef, rng, *, allow_touch=False
                        ) -> tuple[RealSet, RealSet]:
-    a = _sample_domain_set(k, cfg, rng)
-    b = _sample_domain_set(k, cfg, rng)
-    b = _place_right(rng, cfg, a, b, allow_touch=allow_touch)
+    a = _sample_domain_set(k, rng)
+    b = _sample_domain_set(k, rng)
+    b = _place_right(rng, a, b, allow_touch=allow_touch)
     if not set_intersect(a, b).is_empty:
         raise _Skip
     return a, b
 
 
-def _disjoint_parts_in_domain(k: MeanRef, cfg, rng, count: int
+def _disjoint_parts_in_domain(k: MeanRef, rng, count: int
                               ) -> tuple[RealSet, ...]:
     """``count`` pairwise-disjoint domain sets.
 
@@ -331,7 +320,7 @@ def _disjoint_parts_in_domain(k: MeanRef, cfg, rng, count: int
         parts = []
         for slot in range(count):
             a = lo + slot * w
-            h = _shape_union(rng, cfg, lo=a + pad, hi=a + w - pad)
+            h = _shape_union(rng, lo=a + pad, hi=a + w - pad)
             if h.is_empty or not k.in_domain(h):
                 raise _Skip
             # Coarse coordinate grids can round a cut past its window,
@@ -340,9 +329,9 @@ def _disjoint_parts_in_domain(k: MeanRef, cfg, rng, count: int
                 raise _Skip
             parts.append(h)
         return tuple(parts)
-    parts = [_sample_domain_set(k, cfg, rng)]
+    parts = [_sample_domain_set(k, rng)]
     for _ in range(count - 1):
-        p = _place_right(rng, cfg, parts[-1], _sample_domain_set(k, cfg, rng))
+        p = _place_right(rng, parts[-1], _sample_domain_set(k, rng))
         parts.append(p)
     return tuple(parts)
 
@@ -350,31 +339,29 @@ def _disjoint_parts_in_domain(k: MeanRef, cfg, rng, count: int
 # public generator streams (deterministic under a fixed seed)
 
 
-def gen_sets(cfg: GeneratorConfig, seed: int) -> Iterator[RealSet]:
+def gen_sets(seed: int) -> Iterator[RealSet]:
     """Deterministic stream of assorted RealSets."""
     rng = random.Random(seed)
     while True:
         try:
-            yield _candidate(rng, cfg)
+            yield _candidate(rng)
         except _Skip:
             continue
 
 
-def gen_disjoint_pairs(cfg: GeneratorConfig, seed: int
-                       ) -> Iterator[tuple[RealSet, RealSet]]:
+def gen_disjoint_pairs(seed: int) -> Iterator[tuple[RealSet, RealSet]]:
     rng = random.Random(seed)
     while True:
         try:
-            a = _candidate(rng, cfg)
-            b = _place_right(rng, cfg, a, _candidate(rng, cfg))
+            a = _candidate(rng)
+            b = _place_right(rng, a, _candidate(rng))
         except _Skip:
             continue
         if set_intersect(a, b).is_empty:
             yield a, b
 
 
-def gen_equal_mean_pairs(cfg: GeneratorConfig, seed: int
-                         ) -> Iterator[tuple[RealSet, RealSet]]:
+def gen_equal_mean_pairs(seed: int) -> Iterator[tuple[RealSet, RealSet]]:
     """Disjoint pairs with equal length-averages: the second set straddles
     the first set's average symmetrically from outside its hull."""
     from .means import avg1
@@ -382,10 +369,10 @@ def gen_equal_mean_pairs(cfg: GeneratorConfig, seed: int
     rng = random.Random(seed)
     while True:
         try:
-            h1 = _shape_union(rng, cfg)
+            h1 = _shape_union(rng)
         except _Skip:
             continue
-        h2 = _straddling_intervals(rng, cfg, h1, avg1(h1))
+        h2 = _straddling_intervals(rng, h1, avg1(h1))
         if set_intersect(h1, h2).is_empty:
             yield h1, h2
 
@@ -398,13 +385,13 @@ def gen_nested_chain(j: int) -> RealSet:
                      from_interval(Q(2), Q(2) + Q(1, 2 ** j)))
 
 
-def gen_dilution(cfg: GeneratorConfig, seed: int
+def gen_dilution(seed: int
                  ) -> Iterator[tuple[Callable[[int], tuple[RealSet, RealSet]], Fraction]]:
     """Families (n -> (H_n, L_n), a) of growing finite sets H_n with
     arithmetic mean a and small removed parts L_n, |L_n|/|H_n| -> 0."""
     rng = random.Random(seed)
     while True:
-        a = _rand_frac(rng, cfg)
+        a = _rand_frac(rng)
         r = Q(rng.randint(1, 2), 2)
 
         def make(n: int, a=a, r=r) -> tuple[RealSet, RealSet]:
@@ -448,8 +435,8 @@ def _limit_trial(k: MeanRef, cfg: GeneratorConfig, base_set: RealSet,
     clear gap witnesses ``shown`` (default ``base_set``) and near(last
     schedule index), replaying both values under ``labels``."""
     base = k.evaluate(base_set)
-    verdict = _limit_matches(k, lambda n: _num(k.evaluate(near(n))), base,
-                             cfg.schedule)
+    verdict = _limit_matches(k, lambda n: value_mid(k.evaluate(near(n))),
+                             base, cfg.schedule)
     if verdict is None:
         raise _Skip
     if verdict:
@@ -461,27 +448,30 @@ def _limit_trial(k: MeanRef, cfg: GeneratorConfig, base_set: RealSet,
 
 
 # --------------------------------------------------------------------------
-# property checkers
+# properties
 #
-# A checker draws one random trial. Where a property also has pinned
-# instances (``_pinned_inputs``), the checker only draws, and its judge
-# ``_j_<property>`` takes the drawn or stored inputs and returns a Witness
-# (a counterexample) or None; either may raise _Skip or an engine error,
-# and ``check`` counts both as a skipped trial. Every witness comes from
-# ``_wit``, whose rows name each value once together with the set that
-# replays it. Each judge shape has one helper: every limit-type trial (the
-# continuity properties) runs through ``_limit_trial``, every comparison of
-# K(G) with an affine image of K(H) through ``_j_image``, both sandwiches
-# K(H1) <= K(H1 u H2) <= K(H2) through ``_sandwich``, and both brackets of
-# K(H) by bounds of H through ``_escape``.
+# Each property is a draw and a judge (``_PROPERTIES``). The draw takes the
+# seeded random stream and returns one trial's inputs; the judge
+# ``_j_<property>`` takes those inputs, or the stored inputs of a pinned
+# instance (``_pinned_inputs``), and returns a Witness (a counterexample) or
+# None. Either may raise _Skip or an engine error, and ``check`` counts both
+# as a skipped trial. A draw that evaluates K(H) before it draws more passes
+# the value on as the judge's ``v``; a judge given ``v=None`` evaluates it.
+# Every witness comes from ``_wit``, whose rows name each value once
+# together with the set that replays it. Each judge shape has one helper:
+# every limit-type trial (the continuity properties) runs through
+# ``_limit_trial``, every comparison of K(G) with an affine image of K(H)
+# through ``_j_image``, both sandwiches K(H1) <= K(H1 u H2) <= K(H2) through
+# ``_sandwich``, and both brackets of K(H) by bounds of H through
+# ``_escape``.
 
 
 def _j_image(k, h, g, note, label, a=1, b=0):
-    """Is K(G) = a*K(H) + b for a set G mapped from H? Skips when G is empty
-    or outside the domain."""
-    if g.is_empty or not k.in_domain(g):
+    """Is K(G) = a*K(H) + b for a set G mapped from H? Skips when G is
+    empty."""
+    if g.is_empty:
         raise _Skip
-    v, vg = k.evaluate(h), k.evaluate(g)
+    vg, v = k.evaluate(g), k.evaluate(h)
     if _eq(k, vg, _affine_value(v, a, b)):
         return None
     return _wit(k, note, (h, g), (("K(H)", v, h), (label, vg, g)))
@@ -506,14 +496,13 @@ def _escape(k, note, h, v, lo, hi, labels):
                 (("K(H)", v, h), (labels[0], lo), (labels[1], hi)))
 
 
-def _c_internal(k, cfg, rng):
-    h = _sample_domain_set(k, cfg, rng)
+def _draw_set(k, rng):
+    return (_sample_domain_set(k, rng),)
+
+
+def _j_internal(k, cfg, h):
     return _escape(k, "mean escapes [inf, sup]", h, k.evaluate(h),
                    *h.bounds(), ("inf", "sup"))
-
-
-def _c_strict_internal(k, cfg, rng):
-    return _j_strict_internal(k, cfg, _sample_domain_set(k, cfg, rng))
 
 
 def _j_strict_internal(k, cfg, h):
@@ -522,10 +511,9 @@ def _j_strict_internal(k, cfg, h):
                    li, ls, ("liminf", "limsup"))
 
 
-def _strong_internal(k, cfg, rng, not_strict):
-    """Draw H and bracket K(H) by the mean's own liminf and limsup;
+def _strong_internal(k, h, not_strict):
+    """Bracket K(H) by the mean's own liminf and limsup;
     ``not_strict(v, li, ls)`` flags a sandwich that is not strict enough."""
-    h = _sample_domain_set(k, cfg, rng)
     v = k.evaluate(h)
     li = liminf_by_mean(k, h)
     ls = limsup_by_mean(k, h)
@@ -539,11 +527,11 @@ def _strong_internal(k, cfg, rng, not_strict):
                 (("K(H)", v, h), ("liminf_K", li), ("limsup_K", ls)))
 
 
-def _c_strong_internal(k, cfg, rng):
-    return _strong_internal(k, cfg, rng, lambda v, li, ls: False)
+def _j_strong_internal(k, cfg, h):
+    return _strong_internal(k, h, lambda v, li, ls: False)
 
 
-def _c_strict_strong_internal(k, cfg, rng):
+def _j_strict_strong_internal(k, cfg, h):
     def not_strict(v, li, ls):
         if values_close(li, ls, _slack(k)):
             return False
@@ -551,12 +539,11 @@ def _c_strict_strong_internal(k, cfg, rng):
             return not li < v < ls
         return value_lt_strict(v, li) or value_lt_strict(ls, v)
 
-    return _strong_internal(k, cfg, rng, not_strict)
+    return _strong_internal(k, h, not_strict)
 
 
-def _c_monotone(k, cfg, rng):
-    return _j_monotone(k, cfg,
-                       *_sample_pair_apart(k, cfg, rng, allow_touch=True))
+def _draw_touching_pair(k, rng):
+    return _sample_pair_apart(k, rng, allow_touch=True)
 
 
 def _j_monotone(k, cfg, a, b):
@@ -564,8 +551,7 @@ def _j_monotone(k, cfg, a, b):
                      a, b, k.evaluate(a), k.evaluate(b))
 
 
-def _c_disjoint_monotone(k, cfg, rng):
-    a, b = _sample_pair_apart(k, cfg, rng)
+def _j_disjoint_monotone(k, cfg, a, b):
     va, vb = k.evaluate(a), k.evaluate(b)
     if value_lt_strict(vb, va):
         a, b, va, vb = b, a, vb, va
@@ -575,10 +561,13 @@ def _c_disjoint_monotone(k, cfg, rng):
                      a, b, va, vb)
 
 
-def _c_union_monotone(k, cfg, rng):
-    a = _sample_domain_set(k, cfg, rng)
-    b = _place_right(rng, cfg, a, _sample_domain_set(k, cfg, rng))
-    c = _place_right(rng, cfg, b, _sample_domain_set(k, cfg, rng))
+def _draw_union_monotone(k, rng):
+    a = _sample_domain_set(k, rng)
+    b = _place_right(rng, a, _sample_domain_set(k, rng))
+    return a, b, _place_right(rng, b, _sample_domain_set(k, rng))
+
+
+def _j_union_monotone(k, cfg, a, b, c):
     if not set_intersect(b, c).is_empty:
         raise _Skip
     ab, ac = set_union(a, b), set_union(a, c)
@@ -602,15 +591,20 @@ def _c_union_monotone(k, cfg, rng):
                  ("K(AuBuC)", vabc, abc)))
 
 
-def _c_mean_monotone(k, cfg, rng):
-    h = _sample_domain_set(k, cfg, rng)
+def _draw_mean_monotone(k, rng):
+    h = _sample_domain_set(k, rng)
     v = k.evaluate(h)
-    vnum = _num(v)
-    low = _sample_domain_set(k, cfg, rng)
-    margin = _rand_frac(rng, cfg, 0, 2)
+    vnum = value_mid(v)
+    low = _sample_domain_set(k, rng)
+    margin = _rand_frac(rng, 0, 2)
     low = translate(low, vnum - margin - low.bounds()[1])
-    up = _sample_domain_set(k, cfg, rng)
-    up = translate(up, vnum + margin - up.bounds()[0])
+    up = _sample_domain_set(k, rng)
+    return h, low, translate(up, vnum + margin - up.bounds()[0]), v
+
+
+def _j_mean_monotone(k, cfg, h, low, up, v=None):
+    if v is None:
+        v = k.evaluate(h)
     u1, u2 = set_union(h, low), set_union(h, up)
     v1, v2 = k.evaluate(u1), k.evaluate(u2)
     if _le_holds(k, v1, v) and _le_holds(k, v, v2):
@@ -620,7 +614,7 @@ def _c_mean_monotone(k, cfg, rng):
                 (("K(H)", v, h), ("K(HuL)", v1, u1), ("K(HuU)", v2, u2)))
 
 
-def _c_equi_monotone(k, cfg, rng):
+def _draw_equi_monotone(k, rng):
     # the straddling draws centre on the mean's rational value, which the
     # plain means and their affine conjugates have; a RootValue
     # (avg1^square) or certified Approx (avg1^exp(2)) draws like any other
@@ -628,25 +622,21 @@ def _c_equi_monotone(k, cfg, rng):
     kind = k.kind()
     v = None
     if kind == "avg1":
-        h1 = _shape_union(rng, cfg)
+        h1 = _shape_union(rng)
         v = k.evaluate(h1)
     elif kind == "amean":
-        h1 = _shape_points(rng, cfg)
+        h1 = _shape_points(rng)
         v = k.evaluate(h1)
     if not isinstance(v, Fraction):
-        h1, h2 = _sample_pair_apart(k, cfg, rng)
-        v = k.evaluate(h1)
-    elif kind == "avg1":
-        h2 = _straddling_intervals(rng, cfg, h1, v)
-    else:
-        lo, hi = h1.bounds()
-        t = max(v - lo, hi - v) + _rand_frac(rng, cfg, 1, 3)
-        h2 = from_points(v - t, v + t)
-    return _j_equi_monotone(k, cfg, h1, h2, v)
+        return (*_sample_pair_apart(k, rng), None)
+    if kind == "avg1":
+        return h1, _straddling_intervals(rng, h1, v), v
+    lo, hi = h1.bounds()
+    t = max(v - lo, hi - v) + _rand_frac(rng, 1, 3)
+    return h1, from_points(v - t, v + t), v
 
 
 def _j_equi_monotone(k, cfg, h1, h2, v=None):
-    """``v`` is K(h1) when the draw already evaluated it."""
     if v is None:
         v = k.evaluate(h1)
     if not set_intersect(h1, h2).is_empty:
@@ -673,15 +663,15 @@ def _slice_points_of_interest(h: RealSet) -> list[Fraction]:
     return sorted(xs)
 
 
-def _c_slice_continuous(k, cfg, rng):
-    h = _sample_domain_set(k, cfg, rng)
+def _draw_slice(k, rng):
+    h = _sample_domain_set(k, rng)
     lo, hi = h.bounds()
     xs = [x for x in _slice_points_of_interest(h) if lo < x <= hi]
     if not xs:
         raise _Skip
     x0 = rng.choice(xs)
     right = rng.random() < 0.5 and lo <= x0 < hi
-    return _j_slice_continuous(k, cfg, h, x0, "right" if right else "left")
+    return h, x0, "right" if right else "left"
 
 
 def _j_slice_continuous(k, cfg, h, x0, side):
@@ -696,14 +686,17 @@ def _j_slice_continuous(k, cfg, h, x0, side):
                         (f"K(slice at {x0})", "K(nearby slice)"), shown=h)
 
 
-def _c_point_continuous(k, cfg, rng):
-    h = _sample_domain_set(k, cfg, rng)
+def _draw_point(k, rng):
+    h = _sample_domain_set(k, rng)
     xs = _slice_points_of_interest(h)
     for iv in h.intervals:
         xs.append((iv.lo + iv.hi) / 2)
     if not xs:
         raise _Skip
-    x0 = rng.choice(sorted(set(xs)))
+    return h, rng.choice(sorted(set(xs)))
+
+
+def _j_point_continuous(k, cfg, h, x0):
     rem = lambda n: set_diff(h, from_interval(x0 - Q(1, n), x0 + Q(1, n),
                                               False, False))
     return _limit_trial(k, cfg, h, rem,
@@ -711,12 +704,12 @@ def _c_point_continuous(k, cfg, rng):
                         ("K(H)", "K(H-ball)"))
 
 
-def _chain_family(k, cfg, rng, *, compact_only: bool):
+def _draw_chain(k, rng, *, compact_only=False):
     """(chain(n) -> RealSet, intersection RealSet) for a nested decreasing
     family; chains shrink as n grows."""
-    a = _shape_union(rng, cfg, closed_only=True) if rng.random() < 0.7 \
-        else _shape_points(rng, cfg)
-    c = a.bounds()[1] + _rand_frac(rng, cfg, Q(1, 2), 2)
+    a = _shape_union(rng, closed_only=True) if rng.random() < 0.7 \
+        else _shape_points(rng)
+    c = a.bounds()[1] + _rand_frac(rng, Q(1, 2), 2)
     style = rng.randrange(2 if compact_only else 3)
     if style == 0:
         chain = lambda n: set_union(a, from_interval(c, c + Q(1, n)))
@@ -733,9 +726,8 @@ def _chain_family(k, cfg, rng, *, compact_only: bool):
     return chain, inter
 
 
-def _c_cantor_continuous(k, cfg, rng, *, compact_only=False):
-    return _j_cantor_continuous(
-        k, cfg, *_chain_family(k, cfg, rng, compact_only=compact_only))
+def _draw_compact_chain(k, rng):
+    return _draw_chain(k, rng, compact_only=True)
 
 
 def _j_cantor_continuous(k, cfg, chain, inter):
@@ -745,12 +737,7 @@ def _j_cantor_continuous(k, cfg, chain, inter):
                         ("K(intersection)", "K(deep chain member)"))
 
 
-def _c_cantor_continuous_compact(k, cfg, rng):
-    return _c_cantor_continuous(k, cfg, rng, compact_only=True)
-
-
-def _c_u_cantor_continuous(k, cfg, rng):
-    h = _sample_domain_set(k, cfg, rng)
+def _j_u_cantor_continuous(k, cfg, h):
     if h.intervals:
         top = h.intervals[-1]
         w = top.hi - top.lo
@@ -764,43 +751,41 @@ def _c_u_cantor_continuous(k, cfg, rng):
                         ("K(H)", "K(partial union)"))
 
 
-def _c_hausdorff_continuous(k, cfg, rng):
-    a = _shape_union(rng, cfg, closed_only=True)
+def _draw_hausdorff(k, rng):
+    a = _shape_union(rng, closed_only=True)
     lo, hi = a.bounds()
     if lo == hi:
         raise _Skip
-    limit_set = from_interval(lo, hi)
 
     def family(m: int) -> RealSet:
         pts = [lo + (hi - lo) * Q(i, m) for i in range(m + 1)]
         return set_union(a, from_points(*pts))
 
-    return _hausdorff_trial(k, cfg, family, limit_set)
+    return family, from_interval(lo, hi)
 
 
-def _hausdorff_trial(k, cfg, family, limit_set):
+def _j_hausdorff_continuous(k, cfg, family, limit_set):
     return _limit_trial(k, cfg, limit_set, family,
                         "means along the Hausdorff-convergent family stay "
                         "away from the mean of the limit set",
                         ("K(limit)", "K(deep member)"))
 
 
-def _c_finite_independent(k, cfg, rng):
-    h = _sample_domain_set(k, cfg, rng)
+def _draw_finite_independent(k, rng):
+    h = _sample_domain_set(k, rng)
     v = k.evaluate(h)
     pool = list(h.points)
     lo, hi = h.bounds()
-    outside = [lo - _rand_frac(rng, cfg, Q(1, 2), 2),
-               hi + _rand_frac(rng, cfg, Q(1, 2), 2)]
+    outside = [lo - _rand_frac(rng, Q(1, 2), 2),
+               hi + _rand_frac(rng, Q(1, 2), 2)]
     fpts = []
     if pool and rng.random() < 0.6:
         fpts.append(rng.choice(pool))
     fpts.extend(rng.sample(outside, rng.randint(1, 2)))
-    return _j_finite_independent(k, cfg, h, from_points(*fpts), v)
+    return h, from_points(*fpts), v
 
 
 def _j_finite_independent(k, cfg, h, f, v=None):
-    """``v`` is K(h) when the draw already evaluated it."""
     if v is None:
         v = k.evaluate(h)
     removed = set_diff(h, f)
@@ -819,10 +804,6 @@ def _j_finite_independent(k, cfg, h, f, v=None):
     return None
 
 
-def _c_closed(k, cfg, rng):
-    return _j_closed(k, cfg, _sample_domain_set(k, cfg, rng))
-
-
 def _j_closed(k, cfg, h):
     c = closure(h)
     if c == h:
@@ -830,14 +811,12 @@ def _j_closed(k, cfg, h):
     return _j_image(k, h, c, "taking the closure moves the mean", "K(cl H)")
 
 
-def _c_accumulated(k, cfg, rng):
-    h = _sample_domain_set(k, cfg, rng)
+def _j_accumulated(k, cfg, h):
     return _j_image(k, h, derived(h), "the mean of the derived set differs",
                     "K(H')")
 
 
-def _c_self_accumulated(k, cfg, rng):
-    h = _sample_domain_set(k, cfg, rng)
+def _j_self_accumulated(k, cfg, h):
     try:
         acc = acc_points_by_mean(k, h)
     except UnsupportedMean:
@@ -847,20 +826,22 @@ def _c_self_accumulated(k, cfg, rng):
                     "K(H'_K)")
 
 
-def _c_convex(k, cfg, rng):
-    h = _sample_domain_set(k, cfg, rng)
+def _draw_convex(k, rng):
+    h = _sample_domain_set(k, rng)
     v = k.evaluate(h)
     vlo, vhi = value_bounds(v)
-    m_lo = _rand_frac(rng, cfg, Q(1, 4), 3)
-    m_hi = _rand_frac(rng, cfg, Q(1, 4), 3)
-    ilo, ihi = vlo - m_lo, vhi + m_hi
-    if rng.random() < 0.5:
-        ell = _shape_union(rng, cfg, lo=ilo, hi=ihi)
-    else:
-        ell = _shape_points(rng, cfg, lo=ilo, hi=ihi)
+    ilo = vlo - _rand_frac(rng, Q(1, 4), 3)
+    ihi = vhi + _rand_frac(rng, Q(1, 4), 3)
+    shape = _shape_union if rng.random() < 0.5 else _shape_points
+    return h, shape(rng, lo=ilo, hi=ihi), ilo, ihi, v
+
+
+def _j_convex(k, cfg, h, ell, ilo, ihi, v=None):
+    """Does adjoining L, a subset of [ilo, ihi] around K(H), keep the mean
+    in [ilo, ihi]?"""
+    if v is None:
+        v = k.evaluate(h)
     u = set_union(h, ell)
-    if not k.in_domain(u):
-        raise _Skip
     vu = k.evaluate(u)
     if _le_holds(k, ilo, vu) and _le_holds(k, vu, ihi):
         return None
@@ -870,9 +851,8 @@ def _c_convex(k, cfg, rng):
                  ("I_hi", ihi)))
 
 
-def _c_translation_invariant(k, cfg, rng):
-    h = _sample_domain_set(k, cfg, rng)
-    return _j_translation_invariant(k, cfg, h, _rand_frac(rng, cfg, -3, 3))
+def _draw_shift(k, rng):
+    return _sample_domain_set(k, rng), _rand_frac(rng, -3, 3)
 
 
 def _j_translation_invariant(k, cfg, h, x):
@@ -883,20 +863,14 @@ def _j_translation_invariant(k, cfg, h, x):
                     "K(H+x)", b=x)
 
 
-def _c_reflection_invariant(k, cfg, rng):
-    h = _sample_domain_set(k, cfg, rng)
-    return _j_reflection_invariant(k, cfg, h, _rand_frac(rng, cfg, -3, 3))
-
-
 def _j_reflection_invariant(k, cfg, h, s):
     return _j_image(k, h, reflect(h, s),
                     f"reflecting about {s} does not reflect the mean",
                     "K(2s-H)", -1, 2 * s)
 
 
-def _c_homogeneous(k, cfg, rng):
-    h = _sample_domain_set(k, cfg, rng)
-    return _j_homogeneous(k, cfg, h, _rand_frac(rng, cfg, Q(1, 4), 4))
+def _draw_scale(k, rng):
+    return _sample_domain_set(k, rng), _rand_frac(rng, Q(1, 4), 4)
 
 
 def _j_homogeneous(k, cfg, h, a):
@@ -916,17 +890,13 @@ def _u_bounded_core(k, cfg, h, parts):
     rows = [("K(H)", v, h)]
     for i, p in enumerate(parts):
         u = set_union(h, p)
-        if not k.in_domain(u):
-            raise _Skip
         vu = k.evaluate(u)
-        rhs += abs(_num(v) - _num(vu))
+        rhs += abs(value_mid(v) - value_mid(vu))
         slack += 2 * _err(vu)
         rows.append((f"K(HuH{i + 1})", vu, u))
         total = set_union(total, p)
-    if not k.in_domain(total):
-        raise _Skip
     vt = k.evaluate(total)
-    lhs = abs(_num(v) - _num(vt))
+    lhs = abs(value_mid(v) - value_mid(vt))
     slack += _err(vt)
     rows.append(("K(H u all)", vt, total))
     if lhs <= rhs + slack + _slack(k):
@@ -935,51 +905,54 @@ def _u_bounded_core(k, cfg, h, parts):
                 "deviations", (h, *parts), rows)
 
 
-def _c_u_bounded(k, cfg, rng):
-    h, p1, p2 = _disjoint_parts_in_domain(k, cfg, rng, 3)
+def _draw_u_bounded(k, rng):
+    h, p1, p2 = _disjoint_parts_in_domain(k, rng, 3)
     if not isinstance(k.param, DensityMeasure) and rng.random() < 0.3:
         lo = h.bounds()[0]
         p2 = translate(p2, lo - 1 - p2.bounds()[1])  # clear of H and p1
-    return _u_bounded_core(k, cfg, h, (p1, p2))
+    return h, (p1, p2)
 
 
-def _c_u_bounded_overlap(k, cfg, rng):
-    h = _sample_domain_set(k, cfg, rng)
-    p1 = _place_right(rng, cfg, h, _sample_domain_set(k, cfg, rng))
-    shift = _rand_frac(rng, cfg, 0, (p1.bounds()[1] - p1.bounds()[0]) or 1)
-    p2 = translate(p1, shift)
+def _draw_u_bounded_overlap(k, rng):
+    h = _sample_domain_set(k, rng)
+    p1 = _place_right(rng, h, _sample_domain_set(k, rng))
+    shift = _rand_frac(rng, 0, (p1.bounds()[1] - p1.bounds()[0]) or 1)
+    return h, (p1, translate(p1, shift))
+
+
+def _j_u_bounded_overlap(k, cfg, h, parts):
+    p1, p2 = parts
     if not (set_intersect(h, p1).is_empty and set_intersect(h, p2).is_empty):
         raise _Skip
     if set_intersect(p1, p2).is_empty:
         raise _Skip  # this variant wants overlapping appendages
-    return _u_bounded_core(k, cfg, h, (p1, p2))
+    return _u_bounded_core(k, cfg, h, parts)
 
 
-def _c_u_bounded_n_fold(k, cfg, rng):
-    n = rng.randint(3, 6)
-    h, *parts = _disjoint_parts_in_domain(k, cfg, rng, n + 1)
-    return _u_bounded_core(k, cfg, h, tuple(parts))
+def _draw_u_bounded_n_fold(k, rng):
+    h, *parts = _disjoint_parts_in_domain(k, rng, rng.randint(3, 6) + 1)
+    return h, tuple(parts)
 
 
-def _c_u_bounded_infinite(k, cfg, rng):
-    h = _sample_domain_set(k, cfg, rng)
-    base = h.bounds()[1] + _rand_frac(rng, cfg, Q(1, 2), 2)
+def _draw_u_bounded_infinite(k, rng):
+    h = _sample_domain_set(k, rng)
+    return h, h.bounds()[1] + _rand_frac(rng, Q(1, 2), 2)
+
+
+def _j_u_bounded_infinite(k, cfg, h, base):
+    """Does a harmonic tail at ``base`` move K(H) by more than the sum of
+    appending its terms one at a time?"""
     c = harmonic_cluster(base, c=Q(1, 2), start=2)
-    tail = realset(clusters=[c])
-    full = set_union(h, tail)
-    if not k.in_domain(full):
-        raise _Skip
+    full = set_union(h, realset(clusters=[c]))
     v, vf = k.evaluate(h), k.evaluate(full)
-    lhs = abs(_num(v) - _num(vf))
+    lhs = abs(value_mid(v) - value_mid(vf))
     slack = _err(v) + _err(vf) + _slack(k)
     partial = Q(0)
     zero_streak = 0
     for i in range(2, 42):
         u = set_union(h, from_points(c.term(i)))
-        if not k.in_domain(u):
-            raise _Skip
         vu = k.evaluate(u)
-        term = abs(_num(v) - _num(vu))
+        term = abs(value_mid(v) - value_mid(vu))
         partial += term
         slack += 2 * _err(vu)
         zero_streak = zero_streak + 1 if term == 0 else 0
@@ -997,10 +970,9 @@ def _c_u_bounded_infinite(k, cfg, rng):
 # pinned instances (paper-grade witnesses and theorem families)
 
 
-def _pinned_inputs(property_id: str, k: MeanRef
-                   ) -> list[tuple[Callable, tuple]]:
-    """(judge, stored inputs) pairs that ``check`` runs before its random
-    trials, through the same judges as those trials."""
+def _pinned_inputs(property_id: str, k: MeanRef) -> list[tuple]:
+    """Stored inputs that ``check`` gives the property's judge before its
+    random trials."""
     kind, d = k.kind(), k.param
     fat = kind == "avg_fat" and isinstance(d, Fraction)
     mu = d if isinstance(d, DensityMeasure) else None
@@ -1009,47 +981,44 @@ def _pinned_inputs(property_id: str, k: MeanRef
     fat_pair = lambda: set_union(points(0), from_interval(2 * d, 3 * d))
     p = property_id
     if p == "strict_internal" and kind == "eds":
-        return [(_j_strict_internal, (harmonic(),))]
+        return [(harmonic(),)]
     if p == "strict_internal" and fat:
-        return [(_j_strict_internal, (fat_pair(),))]
+        return [(fat_pair(),)]
     if p == "monotone" and kind == "iso" and isinstance(d, int):
         top = Q(2 * (d + 3))
         h1 = realset(points=[Q(0), top, top - Q(1, 2 * d)],
                      clusters=[harmonic_cluster(Q(0), start=d)])
         h2 = realset(points=[top], clusters=[harmonic_cluster(top, start=d)])
-        return [(_j_monotone, (h1, h2))]
+        return [(h1, h2)]
     if p == "equi_monotone" and kind == "m_acc":
-        return [(_j_equi_monotone, (harmonic(), points(2)))]
+        return [(harmonic(), points(2))]
     if p == "slice_continuous" and kind == "eds":
-        return [(_j_slice_continuous, (points(0, 1, 2, 3), Q(3), "left"))]
+        return [(points(0, 1, 2, 3), Q(3), "left")]
     if p == "closed" and kind == "eds":
-        return [(_j_closed, (set_union(
-            points(0, 3), from_interval(Q(1), Q(2), False, False)),))]
+        return [(set_union(points(0, 3),
+                           from_interval(Q(1), Q(2), False, False)),)]
     if p == "finite_independent" and (kind == "eds" or fat):
-        h = points(0, 1, 2, 3) if kind == "eds" else fat_pair()
-        return [(_j_finite_independent, (h, points(0)))]
+        return [(points(0, 1, 2, 3) if kind == "eds" else fat_pair(),
+                 points(0))]
     if p == "cantor_continuous" and fat:
         inter = from_points(1 + 2 * d)
         chain = lambda n: set_union(
             inter, realset(clusters=[harmonic_cluster(Q(0), start=max(2, n))]))
-        return [(_j_cantor_continuous, (chain, inter))]
+        return [(chain, inter)]
     if p == "hausdorff_continuous" and kind in ("avg1", "lavg", "avg_fat",
                                                   "m_eds"):
-        return [(_hausdorff_trial, (grid_family, from_interval(Q(0), Q(2))))]
+        return [(grid_family, from_interval(Q(0), Q(2)))]
     if p == "reflection_invariant" and kind == "eds":
-        return [(_j_reflection_invariant,
-                 (points(0, Q(1, 2), 3), Q(3, 2)))]
+        return [(points(0, Q(1, 2), 3), Q(3, 2))]
     if p == "u_bounded_overlap" and kind == "amean":
-        return [(_u_bounded_core,
-                 (points(0), (points(-1, 1), points(-1, 2))))]
+        return [(points(0), (points(-1, 1), points(-1, 2)))]
     if p == "translation_invariant" and mu is not None:
         first = mu.pieces[0][0]
-        return [(_j_translation_invariant,
-                 (from_interval(first.lo, first.hi),
-                  (_support_hull(mu)[1] - first.hi) / 2))]
+        return [(from_interval(first.lo, first.hi),
+                 (_support_hull(mu)[1] - first.hi) / 2)]
     if p == "homogeneous" and mu is not None:
         last = mu.pieces[-1][0]
-        return [(_j_homogeneous, (from_interval(last.lo, last.hi), Q(1, 2)))]
+        return [(from_interval(last.lo, last.hi), Q(1, 2))]
     return []
 
 
@@ -1057,37 +1026,37 @@ def _pinned_inputs(property_id: str, k: MeanRef
 # the harness
 
 
-_CHECKERS: dict[str, Callable] = {
-    "internal": _c_internal,
-    "strict_internal": _c_strict_internal,
-    "strong_internal": _c_strong_internal,
-    "strict_strong_internal": _c_strict_strong_internal,
-    "monotone": _c_monotone,
-    "disjoint_monotone": _c_disjoint_monotone,
-    "union_monotone": _c_union_monotone,
-    "mean_monotone": _c_mean_monotone,
-    "equi_monotone": _c_equi_monotone,
-    "slice_continuous": _c_slice_continuous,
-    "point_continuous": _c_point_continuous,
-    "cantor_continuous": _c_cantor_continuous,
-    "cantor_continuous_compact": _c_cantor_continuous_compact,
-    "u_cantor_continuous": _c_u_cantor_continuous,
-    "hausdorff_continuous": _c_hausdorff_continuous,
-    "finite_independent": _c_finite_independent,
-    "closed": _c_closed,
-    "accumulated": _c_accumulated,
-    "self_accumulated": _c_self_accumulated,
-    "convex": _c_convex,
-    "translation_invariant": _c_translation_invariant,
-    "reflection_invariant": _c_reflection_invariant,
-    "homogeneous": _c_homogeneous,
-    "u_bounded": _c_u_bounded,
-    "u_bounded_overlap": _c_u_bounded_overlap,
-    "u_bounded_n_fold": _c_u_bounded_n_fold,
-    "u_bounded_infinite": _c_u_bounded_infinite,
+_PROPERTIES: dict[str, tuple[Callable, Callable]] = {
+    "internal": (_draw_set, _j_internal),
+    "strict_internal": (_draw_set, _j_strict_internal),
+    "strong_internal": (_draw_set, _j_strong_internal),
+    "strict_strong_internal": (_draw_set, _j_strict_strong_internal),
+    "monotone": (_draw_touching_pair, _j_monotone),
+    "disjoint_monotone": (_sample_pair_apart, _j_disjoint_monotone),
+    "union_monotone": (_draw_union_monotone, _j_union_monotone),
+    "mean_monotone": (_draw_mean_monotone, _j_mean_monotone),
+    "equi_monotone": (_draw_equi_monotone, _j_equi_monotone),
+    "slice_continuous": (_draw_slice, _j_slice_continuous),
+    "point_continuous": (_draw_point, _j_point_continuous),
+    "cantor_continuous": (_draw_chain, _j_cantor_continuous),
+    "cantor_continuous_compact": (_draw_compact_chain, _j_cantor_continuous),
+    "u_cantor_continuous": (_draw_set, _j_u_cantor_continuous),
+    "hausdorff_continuous": (_draw_hausdorff, _j_hausdorff_continuous),
+    "finite_independent": (_draw_finite_independent, _j_finite_independent),
+    "closed": (_draw_set, _j_closed),
+    "accumulated": (_draw_set, _j_accumulated),
+    "self_accumulated": (_draw_set, _j_self_accumulated),
+    "convex": (_draw_convex, _j_convex),
+    "translation_invariant": (_draw_shift, _j_translation_invariant),
+    "reflection_invariant": (_draw_shift, _j_reflection_invariant),
+    "homogeneous": (_draw_scale, _j_homogeneous),
+    "u_bounded": (_draw_u_bounded, _u_bounded_core),
+    "u_bounded_overlap": (_draw_u_bounded_overlap, _j_u_bounded_overlap),
+    "u_bounded_n_fold": (_draw_u_bounded_n_fold, _u_bounded_core),
+    "u_bounded_infinite": (_draw_u_bounded_infinite, _j_u_bounded_infinite),
 }
 
-PROPERTY_IDS = tuple(_CHECKERS)
+PROPERTY_IDS = tuple(_PROPERTIES)
 
 #: properties whose predicates are operational reconstructions from usage
 RECONSTRUCTED = frozenset({
@@ -1108,18 +1077,18 @@ def _verify_witness(w: Witness, exact: bool) -> None:
 
 def check(property_id: str, k: MeanRef, gen: GeneratorConfig | None = None,
           trials: int = 200, seed: int = 0) -> PropertyReport:
-    """Run the pinned instances, then seeded random trials, of one property
+    """Judge the pinned instances, then seeded random draws, of one property
     against one mean; deterministic for fixed arguments.
 
     A trial that the engine cannot carry out (any ``MeanlabError``, such as
     a set leaving the representable class) is skipped, not fatal.
     """
-    if property_id not in _CHECKERS:
+    if property_id not in _PROPERTIES:
         raise BadParameters(f"unknown property: {property_id!r}")
     if trials < 1:
         raise BadParameters("trials must be >= 1")
     cfg = gen if gen is not None else GeneratorConfig()
-    checker = _CHECKERS[property_id]
+    draw, judge = _PROPERTIES[property_id]
     pinned = _pinned_inputs(property_id, k)
     rng = random.Random(seed)
     effective = attempts = 0
@@ -1128,11 +1097,11 @@ def check(property_id: str, k: MeanRef, gen: GeneratorConfig | None = None,
     while pinned or (effective < trials and attempts < 4 * trials):
         try:
             if pinned:
-                judge, inputs = pinned.pop(0)
-                w = judge(k, cfg, *inputs)
+                inputs = pinned.pop(0)
             else:
                 attempts += 1
-                w = checker(k, cfg, rng)
+                inputs = draw(k, rng)
+            w = judge(k, cfg, *inputs)
         except NotApplicable:
             not_applicable = True
             break

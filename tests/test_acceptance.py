@@ -24,12 +24,7 @@ from meanlab.analysis import (
     uniformity_witness,
     uniformity_witness_at,
 )
-from meanlab.axioms import (
-    GeneratorConfig,
-    check,
-    gen_dilution,
-    gen_equal_mean_pairs,
-)
+from meanlab.axioms import check, gen_dilution, gen_equal_mean_pairs
 from meanlab.exactset import (
     from_interval,
     from_points,
@@ -270,8 +265,7 @@ def test_criterion_11_accumulation_point_laws():
 
 
 def test_criterion_12_equal_mean_pairs_and_the_cluster_counterexample():
-    pairs = itertools.islice(gen_equal_mean_pairs(GeneratorConfig(), 12),
-                             1000)
+    pairs = itertools.islice(gen_equal_mean_pairs(12), 1000)
     for a, b in pairs:
         assert avg1(a) == avg1(b)
         assert avg1(set_union(a, b)) == avg1(a)
@@ -309,7 +303,7 @@ def test_criterion_13_limit_values_agree_with_closed_forms():
 
 
 def test_criterion_14_dilution_keeps_the_mean():
-    families = itertools.islice(gen_dilution(GeneratorConfig(), 9), 50)
+    families = itertools.islice(gen_dilution(9), 50)
     n_end = 2 ** 13
     for family, target in families:
         h, removed = family(n_end)

@@ -1,6 +1,7 @@
 """Randomized property audits: deterministic verdicts, exact canonical
 witnesses for the known failures, and sampled positives for the catalogue."""
 
+import inspect
 import itertools
 import random
 from fractions import Fraction as Q
@@ -21,16 +22,13 @@ from meanlab.axioms import (
     gen_nested_chain,
     gen_sets,
 )
-from meanlab.errors import BadConfig, BadParameters, MeanlabError
+from meanlab.errors import BadParameters, MeanlabError
 from meanlab.exactset import from_points, set_diff, set_intersect, subset_of
 from meanlab.funcs import parse_func
 from meanlab.limits import LimitSchedule
 from meanlab.means import MeanRef, amean, avg1, resolve_mean, transform_kf
 from meanlab.measure import DensityMeasure
 from meanlab.values import values_close
-
-CFG = GeneratorConfig()
-
 
 def density_mean():
     return resolve_mean("m_mu",
@@ -64,13 +62,6 @@ def test_rejects_unknown_property_and_bad_trials():
         check("totally_made_up", k)
     with pytest.raises(BadParameters):
         check("internal", k, trials=0)
-
-
-@pytest.mark.parametrize("bad", [dict(max_intervals=0), dict(coord_den=0),
-                                 dict(coord_range=0), dict(max_redraws=0)])
-def test_generator_config_validation(bad):
-    with pytest.raises(BadConfig):
-        GeneratorConfig(**bad)
 
 
 def test_reports_are_deterministic():
@@ -326,8 +317,9 @@ def test_branches_of_order_and_union_checks_no_catalogue_mean_reaches():
 def test_a_sandwich_that_is_not_strict_is_a_witness():
     # a value strictly outside its own bounds fails the plain sandwich
     # first, so a bracket judged not strict enough is planted
-    w = axioms._strong_internal(resolve_mean("amean"), CFG, random.Random(0),
-                                lambda v, li, ls: True)
+    k = resolve_mean("amean")
+    h = axioms._sample_domain_set(k, random.Random(0))
+    w = axioms._strong_internal(k, h, lambda v, li, ls: True)
     assert w.note == "bounds differ but sandwich is not strict"
     assert [label for label, _ in w.values] == ["K(H)", "liminf_K",
                                                 "limsup_K"]
@@ -376,8 +368,8 @@ def test_a_trial_the_engine_cannot_carry_out_is_skipped():
 def test_a_witness_that_fails_its_replay_still_raises(monkeypatch):
     planted = Witness((from_points(Q(0)),), (("K(H)", Q(1)),), "planted",
                       ((lambda: Q(0), Q(1)),))
-    monkeypatch.setattr(axioms, "_pinned_inputs",
-                        lambda pid, k: [(lambda k, cfg: planted, ())])
+    monkeypatch.setitem(axioms._PROPERTIES, "internal",
+                        (axioms._draw_set, lambda k, cfg, h: planted))
     with pytest.raises(MeanlabError, match="replay"):
         check("internal", resolve_mean("amean"), trials=1)
 
@@ -392,6 +384,45 @@ def test_pinned_and_drawn_inputs_share_one_judge():
     assert f == from_points(Q(0))
     assert other == set_diff(h, f)
     assert len(drawn.witness.sets) == 3
+
+
+# a mean whose first drawn trial (seed 0) counts, a witness where one is
+# quick to find; avg1 elsewhere
+_FEEDBACK_MEAN = {
+    "slice_continuous": "amean", "point_continuous": "amean",
+    "cantor_continuous": "m_acc", "hausdorff_continuous": "eds:3",
+    "finite_independent": "amean", "accumulated": "eds:3",
+    "reflection_invariant": "eds:3", "homogeneous": "avg_fat:1/4",
+    "u_bounded_infinite": "m_acc",
+}
+
+
+@pytest.mark.parametrize("pid", PROPERTY_IDS)
+def test_drawn_inputs_judged_as_pinned_give_the_same_report(pid,
+                                                           monkeypatch):
+    k = resolve_mean(_FEEDBACK_MEAN.get(pid, "avg1"))
+    draw, judge = axioms._PROPERTIES[pid]
+    drawn = []
+
+    def recording(k, rng):
+        drawn.append(draw(k, rng))
+        return drawn[-1]
+
+    def no_draw(k, rng):
+        raise axioms._Skip
+
+    monkeypatch.setattr(axioms, "_pinned_inputs", lambda p, k: [])
+    monkeypatch.setitem(axioms._PROPERTIES, pid, (recording, judge))
+    first = check(pid, k, trials=1)
+    assert first.trials == 1
+    # the last inputs drawn are those of the trial that counted; stored
+    # inputs carry no value of K, so a judge that takes one evaluates it
+    inputs = drawn[-1]
+    if "v" in inspect.signature(judge).parameters:
+        inputs = inputs[:-1]
+    monkeypatch.setattr(axioms, "_pinned_inputs", lambda p, k: [inputs])
+    monkeypatch.setitem(axioms._PROPERTIES, pid, (no_draw, judge))
+    assert check(pid, k, trials=1) == first
 
 
 # -------------------------------------------------------- sampled positives
@@ -456,19 +487,19 @@ def test_full_report_preserves_order():
 
 
 def test_gen_sets_is_deterministic():
-    first = list(itertools.islice(gen_sets(CFG, 7), 10))
-    second = list(itertools.islice(gen_sets(CFG, 7), 10))
+    first = list(itertools.islice(gen_sets(7), 10))
+    second = list(itertools.islice(gen_sets(7), 10))
     assert first == second
     assert all(not h.is_empty for h in first)
 
 
 def test_gen_disjoint_pairs_are_disjoint():
-    pairs = list(itertools.islice(gen_disjoint_pairs(CFG, 3), 10))
+    pairs = list(itertools.islice(gen_disjoint_pairs(3), 10))
     assert all(set_intersect(a, b).is_empty for a, b in pairs)
 
 
 def test_gen_equal_mean_pairs_match_exactly():
-    pairs = list(itertools.islice(gen_equal_mean_pairs(CFG, 5), 10))
+    pairs = list(itertools.islice(gen_equal_mean_pairs(5), 10))
     for a, b in pairs:
         assert avg1(a) == avg1(b)
         assert set_intersect(a, b).is_empty
@@ -483,7 +514,7 @@ def test_gen_nested_chain_shrinks():
 
 
 def test_gen_dilution_families_thin_out():
-    family, target = next(gen_dilution(CFG, 11))
+    family, target = next(gen_dilution(11))
     h, removed = family(256)
     assert amean(h) == target
     assert subset_of(removed, h)
