@@ -30,6 +30,7 @@ from meanlab.means import MeanRef, amean, avg1, resolve_mean, transform_kf
 from meanlab.measure import DensityMeasure
 from meanlab.values import values_close
 
+
 def density_mean():
     return resolve_mean("m_mu",
                         density=DensityMeasure.from_parts([(0, 1, 2),
