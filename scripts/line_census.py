@@ -178,10 +178,6 @@ GUARDS: dict[tuple[str, str, str], str] = {
     ("setexpr.py", "_evaluate",
      'raise BadParameters(f"not a set expression: {e!r}")'): _REFUSED,
     ("setexpr.py", "set_to_expr", "raise UnrepresentableResult("): _REFUSED,
-    ("values.py", "RootValue.__post_init__",
-     'raise ValueError("root degree must be >= 1")'): _REFUSED,
-    ("values.py", "RootValue.__post_init__",
-     'raise ValueError("even root of a negative radicand")'): _REFUSED,
     ("values.py", "value_bounds",
      'raise TypeError(f"not a mean value: {type(v).__name__}")'): _REFUSED,
 }

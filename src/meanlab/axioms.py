@@ -57,7 +57,7 @@ from .exactset import (
     translate,
 )
 from .limits import DEFAULT_SCHEDULE, LimitSchedule, limit_estimate
-from .means import MeanRef
+from .means import MeanRef, avg1
 from .measure import DensityMeasure
 from .values import (
     Approx,
@@ -364,8 +364,6 @@ def gen_disjoint_pairs(seed: int) -> Iterator[tuple[RealSet, RealSet]]:
 def gen_equal_mean_pairs(seed: int) -> Iterator[tuple[RealSet, RealSet]]:
     """Disjoint pairs with equal length-averages: the second set straddles
     the first set's average symmetrically from outside its hull."""
-    from .means import avg1
-
     rng = random.Random(seed)
     while True:
         try:

@@ -29,16 +29,8 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .analysis import (
-    acc_points_by_mean,
-    d_mean,
-    d_probe,
-    liminf_by_mean,
-    limsup_by_mean,
-)
-from .axioms import GeneratorConfig, PropertyReport, PROPERTY_IDS, check
 from .errors import BadParameters, MeanlabError, NoConvergence, ParseError
-from .exactset import RealSet
+from .exactset import RealSet, set_union
 from .funcs import parse_func
 from .limits import LimitSchedule, limit_estimate
 from .means import MEAN_NAMES, MeanRef, MeanSequence, resolve_mean
@@ -47,7 +39,6 @@ from .setexpr import (
     evaluate,
     format_rational,
     parse,
-    parse_rational_text,
     print_expr,
     set_to_expr,
 )
@@ -56,6 +47,7 @@ from .values import (
     RootValue,
     decimal_str,
     float_or_decimal,
+    parse_rational_text,
     printable,
     value_bounds,
     value_mid,
@@ -203,8 +195,6 @@ def _cmd_eval(args) -> list[str]:
     h = _read_set(args.set)
     sets = {"H": h}
     if args.set2:
-        from .exactset import set_union
-
         h2 = _read_set(args.set2)
         sets = {"H1": h, "H2": h2, "H1 u H2": set_union(h, h2)}
     results = {label: k.evaluate(s) for label, s in sets.items()}
@@ -252,6 +242,8 @@ def _cmd_limit(args) -> list[str]:
 
 
 def _cmd_derive(args) -> list[str]:
+    from .analysis import d_mean, d_probe
+
     schedule = _build_schedule(args)
     k = _build_mean(args, schedule)
     h = _read_set(args.set)
@@ -282,6 +274,8 @@ def _cmd_derive(args) -> list[str]:
 
 
 def _cmd_accpoints(args) -> list[str]:
+    from .analysis import acc_points_by_mean
+
     schedule = _build_schedule(args)
     k = _build_mean(args, schedule)
     h = _read_set(args.set)
@@ -294,6 +288,8 @@ def _cmd_accpoints(args) -> list[str]:
 
 
 def _cmd_bounds(args) -> list[str]:
+    from .analysis import liminf_by_mean, limsup_by_mean
+
     schedule = _build_schedule(args)
     k = _build_mean(args, schedule)
     h = _read_set(args.set)
@@ -306,7 +302,7 @@ def _cmd_bounds(args) -> list[str]:
     return [f"liminf {value_text(li)}", f"limsup {value_text(ls)}"]
 
 
-def _report_json(r: PropertyReport) -> dict:
+def _report_json(r) -> dict:
     out = {"property": r.property_id, "mean": r.mean_id,
            "verdict": r.verdict, "trials": r.trials, "seed": r.seed,
            "reconstructed": r.reconstructed}
@@ -320,7 +316,7 @@ def _report_json(r: PropertyReport) -> dict:
     return out
 
 
-def _report_lines(r: PropertyReport) -> list[str]:
+def _report_lines(r) -> list[str]:
     recon = ", reconstructed" if r.reconstructed else ""
     lines = [f"{r.property_id} on {r.mean_id}: {r.verdict} "
              f"(trials={r.trials}, seed={r.seed}{recon})"]
@@ -335,6 +331,8 @@ def _report_lines(r: PropertyReport) -> list[str]:
 
 
 def _suite_ids(suite: Optional[str]) -> tuple[str, ...]:
+    from .axioms import PROPERTY_IDS
+
     if not suite:
         return PROPERTY_IDS
     ids = []
@@ -346,7 +344,10 @@ def _suite_ids(suite: Optional[str]) -> tuple[str, ...]:
     return tuple(ids)
 
 
-def _run_reports(args) -> list[PropertyReport]:
+def _run_reports(args) -> list:
+    """The ``axioms.PropertyReport`` of each property of ``--suite``."""
+    from .axioms import GeneratorConfig, check
+
     schedule = _build_schedule(args)
     k = _build_mean(args, schedule)
     cfg = GeneratorConfig(schedule=schedule)

@@ -13,15 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import iv
-
 from .errors import BadParameters, DomainViolation
-from .values import Approx, RootValue, value_bounds
+from .values import Approx, RootValue, parse_rational_text, value_bounds
 
 FORWARD_BITS = 80
 
 
-def _frac_to_iv(x: Fraction):
+def _frac_to_iv(iv, x: Fraction):
     return iv.mpf(x.numerator) / iv.mpf(x.denominator)
 
 
@@ -37,14 +35,18 @@ def _iv_bounds(x) -> tuple[Fraction, Fraction]:
 
 
 def _certified(compute, bits: int) -> tuple[Fraction, Fraction]:
-    """Run an iv computation at rising precision until width <= 2**-bits."""
+    """Run ``compute(iv)`` at rising precision until width <= 2**-bits.
+
+    The only import of mpmath: it loads on the first certified value."""
+    from mpmath import iv
+
     prec = bits + 40
     tol = Fraction(1, 2 ** bits)
     for _ in range(6):
         old = iv.prec
         iv.prec = prec
         try:
-            lo, hi = _iv_bounds(compute())
+            lo, hi = _iv_bounds(compute(iv))
         finally:
             iv.prec = old
         if hi - lo <= tol:
@@ -55,12 +57,14 @@ def _certified(compute, bits: int) -> tuple[Fraction, Fraction]:
 
 def _exp_bounds(base: Fraction, x: Fraction, bits: int) -> tuple[Fraction, Fraction]:
     """Enclosure of base**x."""
-    return _certified(lambda: iv.exp(_frac_to_iv(x) * iv.log(_frac_to_iv(base))), bits)
+    return _certified(lambda iv: iv.exp(_frac_to_iv(iv, x)
+                                        * iv.log(_frac_to_iv(iv, base))), bits)
 
 
 def _log_bounds(base: Fraction, x: Fraction, bits: int) -> tuple[Fraction, Fraction]:
     """Enclosure of log_base(x) for x > 0."""
-    return _certified(lambda: iv.log(_frac_to_iv(x)) / iv.log(_frac_to_iv(base)), bits)
+    return _certified(lambda iv: iv.log(_frac_to_iv(iv, x))
+                      / iv.log(_frac_to_iv(iv, base)), bits)
 
 
 class MonotoneFunc:
@@ -238,10 +242,10 @@ class ExpBase(MonotoneFunc):
 
     def integral(self, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
         # integral of b**x = (b**hi - b**lo) / ln(b)
-        def compute():
-            lnb = iv.log(_frac_to_iv(self.base))
-            return (iv.exp(_frac_to_iv(hi) * lnb)
-                    - iv.exp(_frac_to_iv(lo) * lnb)) / lnb
+        def compute(iv):
+            lnb = iv.log(_frac_to_iv(iv, self.base))
+            return (iv.exp(_frac_to_iv(iv, hi) * lnb)
+                    - iv.exp(_frac_to_iv(iv, lo) * lnb)) / lnb
 
         return _certified(compute, FORWARD_BITS)
 
@@ -283,9 +287,9 @@ class LogBase(MonotoneFunc):
         if lo <= 0:
             raise DomainViolation("logarithm integral needs a positive domain")
 
-        def compute():
-            lnb = iv.log(_frac_to_iv(self.base))
-            xlo, xhi = _frac_to_iv(lo), _frac_to_iv(hi)
+        def compute(iv):
+            lnb = iv.log(_frac_to_iv(iv, self.base))
+            xlo, xhi = _frac_to_iv(iv, lo), _frac_to_iv(iv, hi)
             return ((xhi * iv.log(xhi) - xhi)
                     - (xlo * iv.log(xlo) - xlo)) / lnb
 
@@ -365,8 +369,6 @@ SQUARE = SquareOnNonneg()
 def parse_func(text: str) -> MonotoneFunc:
     """Parse a transform spec like ``square``, ``pow(3)``, ``affine(2,1)``,
     ``exp(2)``, ``log(10)``, or ``compose(square,affine(1,3))``."""
-    from .setexpr import parse_rational_text  # local import avoids a cycle
-
     text = text.strip()
     if text == "square":
         return SQUARE

@@ -65,14 +65,6 @@ from .values import printable
 Q = Fraction
 
 
-def parse_rational_text(text: str) -> Fraction:
-    """Exact rational from 'p/q', integer, decimal, or scientific text."""
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise BadParameters(f"not a rational: {text!r}") from exc
-
-
 def format_rational(x: Fraction) -> str:
     num = printable(x.numerator)
     return str(num) if x.denominator == 1 else \

@@ -54,9 +54,9 @@ class RootValue:
 
     def __post_init__(self):
         if self.degree < 1:
-            raise ValueError("root degree must be >= 1")
+            raise BadParameters("root degree must be >= 1")
         if self.degree % 2 == 0 and self.radicand < 0:
-            raise ValueError("even root of a negative radicand")
+            raise BadParameters("even root of a negative radicand")
 
     def as_fraction(self) -> Fraction | None:
         """Exact rational value when the radicand is a perfect power."""
@@ -152,6 +152,14 @@ def value_lt_strict(a, b) -> bool:
     _, ahi = value_bounds(a)
     blo, _ = value_bounds(b)
     return ahi < blo
+
+
+def parse_rational_text(text: str) -> Fraction:
+    """Exact rational from 'p/q', integer, decimal, or scientific text."""
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise BadParameters(f"not a rational: {text!r}") from exc
 
 
 def decimal_str(x: Fraction) -> str:

@@ -397,28 +397,24 @@ def _interval_integral(f, lo, hi):
         return inner / abs(a)
     if isinstance(f, ExpBase):
         # integral of b**x = (b**hi - b**lo) / ln(b)
-        from mpmath import iv
-
         base = f.base
 
-        def compute():
-            lnb = iv.log(_frac_to_iv(base))
-            return (iv.exp(_frac_to_iv(hi) * lnb)
-                    - iv.exp(_frac_to_iv(lo) * lnb)) / lnb
+        def compute(iv):
+            lnb = iv.log(_frac_to_iv(iv, base))
+            return (iv.exp(_frac_to_iv(iv, hi) * lnb)
+                    - iv.exp(_frac_to_iv(iv, lo) * lnb)) / lnb
 
         return _certified(compute, FORWARD_BITS)
     if isinstance(f, LogBase):
         # integral of log_b(x) = (x ln x - x) / ln(b)
         if lo <= 0:
             raise DomainViolation("logarithm integral needs a positive domain")
-        from mpmath import iv
-
         base = f.base
 
-        def compute():
-            lnb = iv.log(_frac_to_iv(base))
-            xhi = _frac_to_iv(hi)
-            xlo = _frac_to_iv(lo)
+        def compute(iv):
+            lnb = iv.log(_frac_to_iv(iv, base))
+            xhi = _frac_to_iv(iv, hi)
+            xlo = _frac_to_iv(iv, lo)
             return ((xhi * iv.log(xhi) - xhi)
                     - (xlo * iv.log(xlo) - xlo)) / lnb
 
@@ -451,28 +447,28 @@ def _square_invert(self, v, bits):
 
 
 def _exp_invert(self, v, bits):
-    from mpmath import iv
-
     lo, hi = value_bounds(v)
     if lo <= 0:
         raise DomainViolation("exp images are positive")
     if not self.increasing:
         lo, hi = hi, lo  # the inverse decreases too
     b = self.base
-    llo, _ = _certified(lambda: iv.log(_frac_to_iv(lo)) / iv.log(_frac_to_iv(b)), bits)
-    _, lhi = _certified(lambda: iv.log(_frac_to_iv(hi)) / iv.log(_frac_to_iv(b)), bits)
+    llo, _ = _certified(lambda iv: iv.log(_frac_to_iv(iv, lo))
+                        / iv.log(_frac_to_iv(iv, b)), bits)
+    _, lhi = _certified(lambda iv: iv.log(_frac_to_iv(iv, hi))
+                        / iv.log(_frac_to_iv(iv, b)), bits)
     return Approx((llo + lhi) / 2, (lhi - llo) / 2)
 
 
 def _log_invert(self, v, bits):
-    from mpmath import iv
-
     lo, hi = value_bounds(v)
     if not self.increasing:
         lo, hi = hi, lo  # the inverse decreases too
     b = self.base
-    plo, _ = _certified(lambda: iv.exp(_frac_to_iv(lo) * iv.log(_frac_to_iv(b))), bits)
-    _, phi = _certified(lambda: iv.exp(_frac_to_iv(hi) * iv.log(_frac_to_iv(b))), bits)
+    plo, _ = _certified(lambda iv: iv.exp(_frac_to_iv(iv, lo)
+                                          * iv.log(_frac_to_iv(iv, b))), bits)
+    _, phi = _certified(lambda iv: iv.exp(_frac_to_iv(iv, hi)
+                                          * iv.log(_frac_to_iv(iv, b))), bits)
     return Approx((plo + phi) / 2, (phi - plo) / 2)
 
 

@@ -40,10 +40,10 @@ from meanlab.setexpr import (
     evaluate,
     format_rational,
     parse,
-    parse_rational_text,
     print_expr,
     set_to_expr,
 )
+from meanlab.values import parse_rational_text
 
 CALL_NAMES = ("translate", "scale", "reflect", "fatten",
               "slice_le", "slice_ge")

@@ -121,3 +121,11 @@ def test_an_approximation_refuses_a_negative_error():
         Approx(Fraction(1), Fraction(-1, 2))
     assert Approx(Fraction(1), Fraction(0)).bounds() == (Fraction(1),
                                                          Fraction(1))
+
+
+def test_a_root_refuses_a_bad_degree_or_radicand_with_a_typed_error():
+    with pytest.raises(BadParameters, match="degree"):
+        RootValue(Fraction(2), 0)
+    with pytest.raises(BadParameters, match="even root of a negative"):
+        RootValue(Fraction(-4), 2)
+    assert RootValue(Fraction(-8), 3).as_fraction() == Fraction(-2)
