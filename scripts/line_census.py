@@ -120,6 +120,7 @@ GUARDS: dict[tuple[str, str, str], str] = {
     ("exactset.py", "_cluster_cluster_intersect",
      'raise UnrepresentableResult("coincidence scan too large")'):
         "a resource bound: MATERIALIZE_CAP explicit terms",
+    ("exactset.py", "image_set", "raise UnsupportedDepth("): _REFUSED,
     ("exactset.py", "derived_iter",
      'raise BadParameters("derived iteration count must be >= 0")'):
         _REFUSED,
@@ -155,7 +156,6 @@ GUARDS: dict[tuple[str, str, str], str] = {
      'raise EmptySet("average of the empty set is undefined")'): _REFUSED,
     ("means.py", "avg_f",
      'raise EmptySet("average of the empty set is undefined")'): _REFUSED,
-    ("means.py", "image_set", "raise UnsupportedDepth("): _REFUSED,
     ("means.py", "avg_fat_ref", 'raise BadParameters("the neighborhood '
      'radius must be positive")'): _REFUSED,
     ("means.py", "_amean_certified", 'raise EmptySet("arithmetic mean '

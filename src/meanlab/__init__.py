@@ -22,7 +22,7 @@ _EXPORTS = {name: tuple(names.split()) for name, names in {
     "errors": "MeanlabError NoConvergence ParseError",
     "exactset": """EMPTY Cluster Geometric Harmonic Interval MappedRule
         RealSet acc_bounds closure derived derived_iter from_interval
-        from_points geometric_cluster harmonic_cluster interior
+        from_points geometric_cluster harmonic_cluster image_set interior
         intersects_interval level make_cluster normalize realset reflect
         scale set_diff set_intersect set_union slice_ge slice_le subset_of
         translate""",
@@ -31,7 +31,7 @@ _EXPORTS = {name: tuple(names.split()) for name, names in {
     "limits": "DEFAULT_SCHEDULE LimitSchedule limit_estimate",
     "means": """AMEAN AVG1 M_ACC MEAN_NAMES MeanRef MeanSequence amean avg1
         avg_f avg_f_ref avg_fat avg_fat_ref avg_fat_sequence eds_n eds_ref
-        eds_sequence image_set iso_n iso_ref iso_sequence lavg lavg_ref
+        eds_sequence iso_n iso_ref iso_sequence lavg lavg_ref
         m_acc m_eds m_eds_ref m_iso m_iso_ref m_mu m_mu_ref pointwise_limit
         resolve_mean transform_kf""",
     "measure": """DensityMeasure diameter essential_bounds fatten

@@ -139,8 +139,9 @@ def _parse_density(text: str) -> DensityMeasure:
 
 
 def _build_schedule(args) -> LimitSchedule:
-    tol = parse_rational_text(args.tol) if args.tol else Q(1, 10 ** 9)
-    max_n = args.max_n if args.max_n else 2 ** 20
+    tol = (parse_rational_text(args.tol) if args.tol is not None
+           else Q(1, 10 ** 9))
+    max_n = args.max_n if args.max_n is not None else 2 ** 20
     if max_n < 64:  # the schedule doubles from 16 and needs three samples
         raise BadParameters("--max-n must be at least 64")
     indices = []
@@ -152,12 +153,11 @@ def _build_schedule(args) -> LimitSchedule:
 
 
 def _build_mean(args, schedule: LimitSchedule) -> MeanRef:
-    func = parse_func(args.f) if getattr(args, "f", None) else None
-    density = _parse_density(args.density) if getattr(args, "density", None) \
-        else None
-    delta = parse_rational_text(args.delta) if getattr(args, "delta", None) \
-        else None
-    return resolve_mean(args.mean, n=getattr(args, "n", None), delta=delta,
+    func = parse_func(args.f) if args.f is not None else None
+    density = (_parse_density(args.density) if args.density is not None
+               else None)
+    delta = parse_rational_text(args.delta) if args.delta is not None else None
+    return resolve_mean(args.mean, n=args.n, delta=delta,
                         density=density, func=func, schedule=schedule)
 
 

@@ -57,11 +57,13 @@ from typing import Callable, Iterable, Optional, Union
 
 from .errors import (
     BadParameters,
+    DomainViolation,
     EmptyDerivedSet,
     EmptySet,
     InfiniteLevel,
     OverlappingClusterWindows,
     UnrepresentableResult,
+    UnsupportedDepth,
     ZeroScale,
 )
 from .funcs import Affine, Compose, MonotoneFunc
@@ -1168,35 +1170,61 @@ def intersects_interval(h: RealSet, iv: Interval) -> bool:
 
 
 # --------------------------------------------------------------------------
-# affine images
+# images under monotone maps
 
 
 def translate(h: RealSet, x) -> RealSet:
-    return _affine_image(h, Q(1), Q(x))
+    return image_set(h, Affine(Q(1), Q(x)))
 
 
 def scale(h: RealSet, a) -> RealSet:
     a = Q(a)
     if a == 0:
         raise ZeroScale("scaling a set by zero is not invertible")
-    return _affine_image(h, a, Q(0))
+    return image_set(h, Affine(a, Q(0)))
 
 
 def reflect(h: RealSet, s=0) -> RealSet:
     """Reflection around the point s: x -> 2s - x."""
-    return _affine_image(h, Q(-1), 2 * Q(s))
+    return image_set(h, Affine(Q(-1), 2 * Q(s)))
 
 
-def _affine_image(h: RealSet, a: Fraction, b: Fraction) -> RealSet:
+def image_set(h: RealSet, f: MonotoneFunc) -> RealSet:
+    """Exact image of a RealSet under an exact monotone map. An affine map
+    keeps each cluster's own rule and child blocks; any other map wraps
+    the rule in a MappedRule and refuses nested clusters."""
+    if not f.exact:
+        raise BadParameters("image sets need an exact transform")
+    increasing = f.increasing
+
+    def image(x: Fraction) -> Fraction:
+        if not f.contains(x):
+            raise DomainViolation("the set leaves the transform's domain")
+        return f.apply(x)
+
     ivs = []
     for iv in h.intervals:
-        lo, hi = a * iv.lo + b, a * iv.hi + b
-        lc, hc = iv.lo_closed, iv.hi_closed
-        if a < 0:
+        lo, hi, lc, hc = image(iv.lo), image(iv.hi), iv.lo_closed, iv.hi_closed
+        if not increasing:
             lo, hi, lc, hc = hi, lo, hc, lc
         ivs.append(Interval(lo, hi, lc, hc))
-    pts = [a * p + b for p in h.points]
-    cls = [cluster_affine(c, a, b) for c in h.clusters]
+    pts = [image(p) for p in h.points]
+    if isinstance(f, Affine):
+        cls = [cluster_affine(c, f.slope, f.shift) for c in h.clusters]
+    else:
+        cls = []
+        for c in h.clusters:
+            if c.children:
+                raise UnsupportedDepth(
+                    "images of nested clusters are not supported")
+            image(c.sup() if c.above else c.inf())  # the end off the limit
+            if isinstance(c.rule, MappedRule):
+                rule = MappedRule(c.rule.base, c.rule.base_limit,
+                                  c.rule.base_above, Compose(f, c.rule.func))
+            else:
+                rule = MappedRule(c.rule, c.limit, c.above, f)
+            cls.append(Cluster(image(c.limit), c.above == increasing, rule,
+                               c.start, c.include_limit, ()))
     return normalize(ivs, pts, cls)
 
 

@@ -26,22 +26,18 @@ from .errors import (
     MeanlabError,
     NotFinite,
     NullSet,
-    UnsupportedDepth,
     UnsupportedMean,
 )
 from .exactset import (
-    Cluster,
-    Interval,
-    MappedRule,
     RealSet,
     derived,
     derived_iter,
     from_points,
+    image_set,
     level,
-    normalize,
     set_diff,
 )
-from .funcs import Compose, MonotoneFunc
+from .funcs import MonotoneFunc
 from .limits import DEFAULT_SCHEDULE, LimitSchedule, limit_estimate
 from .measure import (
     DensityMeasure,
@@ -388,47 +384,6 @@ def avg_f(f: MonotoneFunc, h: RealSet) -> Value:
         return f.invert(lo_sum / lam)
     v_lo, v_hi = lo_sum / lam, hi_sum / lam
     return f.invert(Approx((v_lo + v_hi) / 2, (v_hi - v_lo) / 2))
-
-
-# --------------------------------------------------------------------------
-# conjugation: pull the set through f, evaluate, invert the value
-
-
-def image_set(h: RealSet, f: MonotoneFunc) -> RealSet:
-    """Exact image of a RealSet under an exact monotone transform."""
-    if not f.exact:
-        raise BadParameters("image sets need an exact transform")
-    ivs = []
-    for iv_ in h.intervals:
-        if not (f.contains(iv_.lo) and f.contains(iv_.hi)):
-            raise DomainViolation("the set leaves the transform's domain")
-        lo, hi = f.apply(iv_.lo), f.apply(iv_.hi)
-        lc, hc = iv_.lo_closed, iv_.hi_closed
-        if not f.increasing:
-            lo, hi, lc, hc = hi, lo, hc, lc
-        ivs.append(Interval(lo, hi, lc, hc))
-    pts = []
-    for p in h.points:
-        if not f.contains(p):
-            raise DomainViolation("the set leaves the transform's domain")
-        pts.append(f.apply(p))
-    cls = []
-    for c in h.clusters:
-        if c.children:
-            raise UnsupportedDepth(
-                "images of nested clusters are not supported")
-        lo, hi = (c.limit, c.sup()) if c.above else (c.inf(), c.limit)
-        if not (f.contains(lo) and f.contains(hi)):
-            raise DomainViolation("the set leaves the transform's domain")
-        if isinstance(c.rule, MappedRule):
-            new_rule = MappedRule(c.rule.base, c.rule.base_limit,
-                                  c.rule.base_above, Compose(f, c.rule.func))
-        else:
-            new_rule = MappedRule(c.rule, c.limit, c.above, f)
-        new_above = c.above == f.increasing
-        cls.append(Cluster(f.apply(c.limit), new_above, new_rule, c.start,
-                           c.include_limit, ()))
-    return normalize(ivs, pts, cls)
 
 
 # --------------------------------------------------------------------------

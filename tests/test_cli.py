@@ -147,7 +147,7 @@ def test_limit_reports_non_convergence(capsys):
     assert payload["trace"][0][0] == 16
 
 
-@pytest.mark.parametrize("max_n", ("8", "16", "32"))
+@pytest.mark.parametrize("max_n", ("0", "8", "16", "32"))
 def test_a_schedule_shorter_than_three_samples_is_refused(capsys, max_n):
     for command in ("eval", "limit"):
         code, out, err = run_cli(capsys, [command, "--mean", "lavg",
@@ -156,6 +156,21 @@ def test_a_schedule_shorter_than_three_samples_is_refused(capsys, max_n):
         assert error_payload(err) == {
             "code": "bad_parameters",
             "message": "--max-n must be at least 64"}
+
+
+def test_an_empty_flag_value_reaches_its_parser(capsys):
+    # an empty value is given, not absent: it is refused, never defaulted
+    for flag, mean, message in (
+            ("--f", "avg1", "unknown transform function: ''"),
+            ("--tol", "m_eds", "not a rational: ''"),
+            ("--delta", "avg_fat", "not a rational: ''"),
+            ("--density", "m_mu",
+             "density pieces are 'lo,hi,weight' separated by ';'")):
+        code, out, err = run_cli(capsys, ["eval", "--mean", mean, flag, "",
+                                          "--set", "[0,1]"])
+        assert code == 1 and out == ""
+        assert error_payload(err) == {"code": "bad_parameters",
+                                      "message": message}
 
 
 @pytest.mark.parametrize("name,family", (

@@ -342,6 +342,42 @@ def test_motions_commute_with_membership():
             assert reflect(h, x).member(2 * x - p) == h.member(p)
 
 
+def _nested_set() -> RealSet:
+    """Terms 1/3 - (1/9)(1/3)^k below 1/3; indices 1..3 carry a copy of the
+    geometric sequence (1/2)^j below its limit, limit included."""
+    tpl = Cluster(Q(0), False, Geometric(Q(1, 2), Q(1, 2)), 1, True, ())
+    return realset(clusters=[make_cluster(
+        Q(1, 3), False, Geometric(Q(1, 9), Q(1, 3)), 1, False,
+        [(1, 3, tpl)])])
+
+
+def test_motions_are_images_under_affine_maps():
+    # translate, scale and reflect are image_set under x -> a*x + b, which
+    # keeps each cluster's own rule and child blocks
+    rng = random.Random(21)
+    sets = [random_mixed_set(rng) for _ in range(20)]
+    sets += [random_cluster_set(rng) for _ in range(10)] + [_nested_set()]
+    for h in sets:
+        x = Q(rng.randint(-3, 3), rng.choice((1, 2, 3)))
+        a = Q(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2)))
+        assert repr(translate(h, x)) == repr(image_set(h, Affine(Q(1), x)))
+        assert repr(scale(h, a)) == repr(image_set(h, Affine(a, Q(0))))
+        assert repr(reflect(h, x)) == repr(
+            image_set(h, Affine(Q(-1), 2 * x)))
+
+
+def test_an_affine_image_keeps_nested_clusters():
+    h = _nested_set()
+    g = image_set(h, Affine(Q(-2), Q(1)))
+    (c,) = g.clusters
+    assert c.depth == 2 and c.above and isinstance(c.rule, Geometric)
+    (cl,) = h.clusters
+    copies = [placed_child(cl, k).term(j) for k in (1, 2, 3) for j in (1, 5)]
+    for p in probe_points(h, terms=8) + copies:
+        assert g.member(1 - 2 * p) == h.member(p)
+    assert all(g.member(1 - 2 * p) for p in copies)
+
+
 # --------------------------------------------------------------------------
 # topology: closure, interior, derived sets, accumulation bounds
 

@@ -6,7 +6,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from conftest import random_mixed_set, random_union
+from conftest import random_cluster_set, random_mixed_set, random_union
 from meanlab import means
 from meanlab.errors import (
     BadParameters,
@@ -15,6 +15,7 @@ from meanlab.errors import (
     EmptySet,
     EmptySlice,
     InfiniteLevel,
+    MeanlabError,
     NotFinite,
     NullSet,
     OutsideSupport,
@@ -289,6 +290,13 @@ def test_image_set_maps_cluster_terms():
     assert g.bounds() == (Q(0), Q(1))
 
 
+def test_image_set_composes_the_maps_of_a_mapped_cluster():
+    g = image_set(image_set(_harmonic_set(), SQUARE), OddPower(3))
+    (c,) = g.clusters  # {1/k^6}
+    assert c.rule.func == Compose(OddPower(3), SQUARE)
+    assert [c.term(k) for k in (1, 2, 10)] == [Q(1, k ** 6) for k in (1, 2, 10)]
+
+
 def test_image_set_under_a_decreasing_transform():
     g = image_set(set_union(from_interval(Q(0), Q(1), True, False),
                             from_points(Q(3))), Affine(Q(-2), Q(1)))
@@ -322,6 +330,35 @@ def test_conjugated_average_differs_from_the_quasi_arithmetic_one():
 def test_conjugation_by_an_affine_transform_is_equivariance():
     t = transform_kf(AMEAN, Affine(Q(3), Q(-2)))
     assert t(from_points(Q(1), Q(2), Q(3))) == 2
+
+
+def _value_or_error_type(k, h):
+    try:
+        return k(h)
+    except MeanlabError as e:
+        return type(e)
+
+
+@pytest.mark.parametrize("name, slopes", [
+    ("avg1", (1, 2, Q(1, 3))), ("amean", (1, 2, Q(1, 3))),
+    ("m_acc", (1, 2, Q(1, 3))), ("iso:4", (1,)), ("eds:3", (1, 2, Q(1, 3))),
+    ("avg_fat:1/4", (1,))])
+def test_conjugating_by_a_symmetry_of_the_mean_changes_nothing(name, slopes):
+    # a translation-equivariant mean K has K^f = K for f = affine(1, b),
+    # a homogeneous one also for affine(a, b) with a > 0; an affine image
+    # keeps each cluster's rule, so every such family evaluates both sides
+    rng = random.Random(name)
+    tpl = harmonic_cluster(5)
+    sets = [random_mixed_set(rng) for _ in range(8)]
+    sets += [random_cluster_set(rng) for _ in range(6)]
+    sets.append(realset(clusters=[harmonic_cluster(
+        1, children=[(1, 2, tpl), (3, None, tpl)])]))  # level 2
+    k = resolve_mean(name)
+    for h in sets:
+        want = _value_or_error_type(k, h)
+        for a in slopes:
+            f = Affine(Q(a), Q(rng.randint(-6, 6), rng.choice((1, 2, 3))))
+            assert _value_or_error_type(transform_kf(k, f), h) == want
 
 
 def test_certified_transform_of_the_finite_mean():
