@@ -420,6 +420,16 @@ def _cases() -> list[list[str]]:
          "--json"],
         ["eval", "--mean", "avg_f", "--f", "pow(3)", "--set", f"[-1{z},1]"],
     ]
+    # an affine conjugate keeps each cluster's rule, so the families that
+    # refuse a mapped rule evaluate it; a flag given empty is refused by
+    # its own parser, not taken as absent
+    cases += [
+        ["eval", "--mean", mean, "--f", "affine(2,1)", "--set",
+         f"{{2}} u {H_ABOVE}"] for mean in ("eds:3", "avg_fat:1/4")]
+    cases += [
+        ["eval", "--mean", "avg1", "--max-n", "0", "--set", "[0,1]"],
+        ["eval", "--mean", "avg1", "--f", "", "--set", "[0,1]"],
+    ]
     return cases
 
 
