@@ -20,7 +20,8 @@ Run from the repository root:
 
 ``--out N`` also records the runs and the summary under the workload's
 name in ``BENCH_N.json`` at the repository root, keeping the other
-workloads already recorded there. ``BENCHMARK.json`` also gives each
+workloads already recorded there, with the line count of each module of
+``src/meanlab`` on both sides. ``BENCHMARK.json`` also gives each
 metric's better direction. The script refuses to run when ``bench/`` or
 ``BENCHMARK.json`` differ between the parent and the working tree, since
 such a comparison would not measure the benchmark as declared.
@@ -104,6 +105,18 @@ def run_once(tree: str, workload: str, seed: int, seconds: int) -> dict:
     return run
 
 
+def module_lines(tree: str) -> dict[str, int]:
+    """Line count of each module of ``src/meanlab`` in tree, and the total."""
+    pkg = os.path.join(tree, "src", "meanlab")
+    out = {}
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name), encoding="utf-8") as f:
+                out[name] = sum(1 for _ in f)
+    out["total"] = sum(out.values())
+    return out
+
+
 def git(*args: str) -> bytes:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
                           check=True).stdout
@@ -150,6 +163,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         with tarfile.open(fileobj=io.BytesIO(git("archive", parent))) as tar:
             tar.extractall(tmp)
+        lines = {"parent": module_lines(tmp), "change": module_lines(ROOT)}
         for i in range(args.pairs):
             seed = args.seed0 + i
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -165,6 +179,8 @@ def main() -> int:
 
     summary = summarize(pairs, better)
     print_summary(summary)
+    print(f"src/meanlab lines: {lines['parent']['total']} -> "
+          f"{lines['change']['total']}")
     if args.out is not None:
         record = {"parent": parent,
                   "change": git("rev-parse", "HEAD").decode().strip(),
@@ -173,7 +189,7 @@ def main() -> int:
                   "seconds": seconds, "seed0": args.seed0,
                   "python": platform.python_version(),
                   "machine": f"{platform.machine()} {os.cpu_count()} cpus",
-                  "pairs": pairs, "summary": summary}
+                  "src_lines": lines, "pairs": pairs, "summary": summary}
         path = os.path.join(ROOT, f"BENCH_{args.out}.json")
         recorded = {}
         if os.path.exists(path):

@@ -137,11 +137,6 @@ GUARDS: dict[tuple[str, str, str], str] = {
     ("funcs.py", "Affine.__post_init__",
      'raise BadParameters("affine transform needs a nonzero slope")'):
         _REFUSED,
-    ("funcs.py", "OddPower.__post_init__", 'raise BadParameters('
-     '"power kind needs an odd positive exponent")'): _REFUSED,
-    ("funcs.py", "SquareOnNonneg.apply",
-     'raise DomainViolation("square transform domain is x >= 0")'):
-        _REFUSED,
     ("funcs.py", "ExpBase.__post_init__",
      'raise BadParameters("exp kind needs base > 0, base != 1")'): _REFUSED,
     ("funcs.py", "LogBase.__post_init__",
@@ -162,8 +157,6 @@ GUARDS: dict[tuple[str, str, str], str] = {
      'of the empty set is undefined")'): _REFUSED,
     ("means.py", "_avg1_certified",
      'raise EmptySet("average of the empty set is undefined")'): _REFUSED,
-    ("means.py", "resolve_mean", 'raise BadParameters("the neighborhood '
-     'average needs a radius")'): _REFUSED,
     ("measure.py", "_native_depth1", "raise UnsupportedDepth("): _REFUSED,
     ("measure.py", "_directed_hausdorff", 'raise EmptySet("distance to the '
      'empty set is undefined")'): _REFUSED,

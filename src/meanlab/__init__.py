@@ -26,8 +26,8 @@ _EXPORTS = {name: tuple(names.split()) for name, names in {
         intersects_interval level make_cluster normalize realset reflect
         scale set_diff set_intersect set_union slice_ge slice_le subset_of
         translate""",
-    "funcs": """SQUARE Affine Compose ExpBase LogBase MonotoneFunc OddPower
-        SquareOnNonneg parse_func""",
+    "funcs": """SQUARE Affine Compose ExpBase LogBase MonotoneFunc Power
+        parse_func""",
     "limits": "DEFAULT_SCHEDULE LimitSchedule limit_estimate",
     "means": """AMEAN AVG1 M_ACC MEAN_NAMES MeanRef MeanSequence amean avg1
         avg_f avg_f_ref avg_fat avg_fat_ref avg_fat_sequence eds_n eds_ref

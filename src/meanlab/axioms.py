@@ -26,6 +26,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
 from .analysis import (
+    INEXACT_TOL,
     acc_points_by_mean,
     grid_family,
     liminf_by_mean,
@@ -69,8 +70,6 @@ from .values import (
 )
 
 Q = Fraction
-
-_TOL = Q(1, 2 ** 40)
 
 
 # --------------------------------------------------------------------------
@@ -124,7 +123,7 @@ class _Skip(Exception):
 
 
 def _slack(k: MeanRef) -> Fraction:
-    return Q(0) if k.exact else _TOL
+    return Q(0) if k.exact else INEXACT_TOL
 
 
 def _eq(k: MeanRef, a, b) -> bool:
@@ -415,7 +414,7 @@ def _limit_matches(k: MeanRef, sampler: Callable[[int], Fraction], target,
         est = limit_estimate(sampler, schedule, label="property limit")
     except MeanlabError:
         return None
-    pad = _slack(k) + _TOL
+    pad = _slack(k) + INEXACT_TOL
     if values_close(est, target, pad):
         return True
     e_lo, e_hi = value_bounds(est)
@@ -1069,7 +1068,7 @@ def _verify_witness(w: Witness, exact: bool) -> None:
         if exact and isinstance(got, Fraction) and isinstance(expected, Fraction):
             if got != expected:
                 raise MeanlabError("witness failed exact replay")
-        elif not values_close(got, expected, _TOL):
+        elif not values_close(got, expected, INEXACT_TOL):
             raise MeanlabError("witness failed replay within tolerance")
 
 

@@ -32,7 +32,13 @@ from typing import Optional
 from .errors import BadParameters, MeanlabError, NoConvergence, ParseError
 from .exactset import RealSet, set_union
 from .funcs import parse_func
-from .limits import LimitSchedule, limit_estimate
+from .limits import (
+    DEFAULT_MAX_N,
+    DEFAULT_TOLERANCE,
+    LimitSchedule,
+    doubling_indices,
+    limit_estimate,
+)
 from .means import MEAN_NAMES, MeanRef, MeanSequence, resolve_mean
 from .measure import DensityMeasure
 from .setexpr import (
@@ -52,8 +58,6 @@ from .values import (
     value_bounds,
     value_mid,
 )
-
-Q = Fraction
 
 
 # --------------------------------------------------------------------------
@@ -140,16 +144,11 @@ def _parse_density(text: str) -> DensityMeasure:
 
 def _build_schedule(args) -> LimitSchedule:
     tol = (parse_rational_text(args.tol) if args.tol is not None
-           else Q(1, 10 ** 9))
-    max_n = args.max_n if args.max_n is not None else 2 ** 20
+           else DEFAULT_TOLERANCE)
+    max_n = args.max_n if args.max_n is not None else DEFAULT_MAX_N
     if max_n < 64:  # the schedule doubles from 16 and needs three samples
         raise BadParameters("--max-n must be at least 64")
-    indices = []
-    n = 16
-    while n <= max_n:
-        indices.append(n)
-        n *= 2
-    return LimitSchedule(indices=tuple(indices), tolerance=tol)
+    return LimitSchedule(indices=doubling_indices(max_n), tolerance=tol)
 
 
 def _build_mean(args, schedule: LimitSchedule) -> MeanRef:

@@ -149,20 +149,32 @@ class Affine(MonotoneFunc):
         return f"affine({self.slope},{self.shift})"
 
 
+def _odd_exponent(n) -> int:
+    """n as an int when it is an odd integer >= 1; else BadParameters."""
+    if n != int(n) or n < 1 or n % 2 == 0:
+        raise BadParameters("power kind needs an odd positive exponent")
+    return int(n)
+
+
 @dataclass(frozen=True)
-class OddPower(MonotoneFunc):
-    """x -> x**n for odd n >= 1; increasing on all of the line."""
+class Power(MonotoneFunc):
+    """x -> x**n, increasing: n odd on the whole line, n = 2 on x >= 0."""
 
     n: int
 
     def __post_init__(self):
-        if self.n < 1 or self.n % 2 == 0:
-            raise BadParameters("power kind needs an odd positive exponent")
+        if self.n != 2:
+            _odd_exponent(self.n)
 
     exact = True
     increasing = True
 
+    def contains(self, x: Fraction) -> bool:
+        return self.n != 2 or x >= 0
+
     def apply(self, x: Fraction) -> Fraction:
+        if not self.contains(x):
+            raise DomainViolation("square transform domain is x >= 0")
         return x ** self.n
 
     def integral(self, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
@@ -170,55 +182,23 @@ class OddPower(MonotoneFunc):
         v = (hi ** m - lo ** m) / m
         return v, v
 
-    def inverse_bounds(self, y: Fraction, bits: int) -> tuple[Fraction, Fraction]:
-        return RootValue(y, self.n).enclosure(bits)
-
-    def invert(self, v, bits: int = FORWARD_BITS):
-        if isinstance(v, Fraction):
-            r = RootValue(v, self.n)
-            exact = r.as_fraction()
-            return exact if exact is not None else r
-        return super().invert(v, bits)
-
-    def name(self) -> str:
-        return f"pow({self.n})"
-
-
-@dataclass(frozen=True)
-class SquareOnNonneg(MonotoneFunc):
-    """x -> x**2 restricted to x >= 0, where it is increasing."""
-
-    exact = True
-    increasing = True
-
-    def contains(self, x: Fraction) -> bool:
-        return x >= 0
-
-    def apply(self, x: Fraction) -> Fraction:
-        if x < 0:
-            raise DomainViolation("square transform domain is x >= 0")
-        return x * x
-
-    def integral(self, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-        v = (hi ** 3 - lo ** 3) / 3
-        return v, v
-
-    def inverse_bounds(self, y: Fraction, bits: int) -> tuple[Fraction, Fraction]:
-        if y < 0:
+    def _root(self, y: Fraction) -> RootValue:
+        if not self.contains(y):
             raise DomainViolation("square images are nonnegative")
-        return RootValue(y, 2).enclosure(bits)
+        return RootValue(y, self.n)
+
+    def inverse_bounds(self, y: Fraction, bits: int) -> tuple[Fraction, Fraction]:
+        return self._root(y).enclosure(bits)
 
     def invert(self, v, bits: int = FORWARD_BITS):
         if isinstance(v, Fraction):
-            if v < 0:
-                raise DomainViolation("square images are nonnegative")
-            r = RootValue(v, 2)
+            r = self._root(v)
             exact = r.as_fraction()
             return exact if exact is not None else r
         return super().invert(v, bits)
 
     def name(self) -> str:
-        return "square"
+        return "square" if self.n == 2 else f"pow({self.n})"
 
 
 @dataclass(frozen=True)
@@ -363,7 +343,7 @@ class Compose(MonotoneFunc):
         return f"compose({self.outer.name()},{self.inner.name()})"
 
 
-SQUARE = SquareOnNonneg()
+SQUARE = Power(2)
 
 
 def parse_func(text: str) -> MonotoneFunc:
@@ -392,7 +372,7 @@ def parse_func(text: str) -> MonotoneFunc:
                 return Compose(parse_func(body[:cut]), parse_func(body[cut + 1:]))
             args = [parse_rational_text(a) for a in body.split(",")]
             if head == "pow" and len(args) == 1:
-                return OddPower(int(args[0]))
+                return Power(_odd_exponent(args[0]))
             if head == "affine" and len(args) == 2:
                 return Affine(args[0], args[1])
             if head == "exp" and len(args) == 1:

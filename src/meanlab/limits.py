@@ -23,16 +23,22 @@ Q = Fraction
 AGREEMENTS = 3
 
 
-def _default_indices() -> tuple[int, ...]:
-    return tuple(2 ** j for j in range(4, 21))
+#: the largest index and the tolerance of the default schedule
+DEFAULT_MAX_N = 2 ** 20
+DEFAULT_TOLERANCE = Q(1, 10 ** 9)
+
+
+def doubling_indices(max_n: int = DEFAULT_MAX_N) -> tuple[int, ...]:
+    """16, 32, 64, ... up to max_n: three samples or more when max_n >= 64."""
+    return tuple(2 ** j for j in range(4, max_n.bit_length()))
 
 
 @dataclass(frozen=True)
 class LimitSchedule:
     """Sample indices plus the stabilization policy for limit estimates."""
 
-    indices: tuple[int, ...] = field(default_factory=_default_indices)
-    tolerance: Fraction = Q(1, 10 ** 9)
+    indices: tuple[int, ...] = field(default_factory=doubling_indices)
+    tolerance: Fraction = DEFAULT_TOLERANCE
 
     def __post_init__(self):
         object.__setattr__(self, "indices", tuple(int(n) for n in self.indices))

@@ -41,14 +41,12 @@ from .funcs import MonotoneFunc
 from .limits import DEFAULT_SCHEDULE, LimitSchedule, limit_estimate
 from .measure import (
     DensityMeasure,
-    _merge_index,
-    _native_depth1,
     essential_bounds,
     fatten,
     lebesgue,
     moment,
-    mu_measure,
-    mu_moment,
+    mu_mass_moment,
+    split_native,
     support,
 )
 from .values import Approx, RootValue, value_mid
@@ -172,10 +170,10 @@ def m_mu(mu: DensityMeasure, h: RealSet) -> Fraction:
     """Average against a piecewise-constant density measure."""
     if h.is_empty:
         raise EmptySet("average of the empty set is undefined")
-    total = mu_measure(h, mu)
+    total, first = mu_mass_moment(h, mu)
     if total == 0:
         raise NullSet("the set is null for this measure")
-    return mu_moment(h, mu) / total
+    return first / total
 
 
 # --------------------------------------------------------------------------
@@ -299,10 +297,9 @@ def eds_n(h: RealSet, n: int) -> Fraction:
     for i in _point_cells(h.points, a, w):
         add(i, i)
     for c in h.clusters:
-        _native_depth1(c)
-        k_merge = _merge_index(c.rule, c.start, w)
-        for k in range(c.start, k_merge):
-            i = _cell(c.term(k), a, w)
+        k_merge, head = split_native(c, w)
+        for t in head:
+            i = _cell(t, a, w)
             add(i, i)
         t_m = c.term(k_merge)
         if c.above:
@@ -592,11 +589,32 @@ def transform_kf(k: MeanRef, f: MonotoneFunc) -> MeanRef:
 # name resolution for the CLI and the property harness
 
 
-MEAN_NAMES = ("amean", "avg1", "m_acc", "iso", "eds", "avg_fat", "lavg",
-              "m_iso", "m_eds", "m_mu", "avg_f")
+# family -> (the keyword argument that defines it, or None; the refusal when
+# that argument is missing, or None for a default; its catalogue entry)
+_FAMILIES: dict[str, tuple[str | None, str | None, Callable]] = {
+    "amean": (None, None, lambda _: AMEAN),
+    "avg1": (None, None, lambda _: AVG1),
+    "m_acc": (None, None, lambda _: M_ACC),
+    "iso": ("n", "the iso mean needs a stage n", iso_ref),
+    "eds": ("n", "the eds mean needs a division count n", eds_ref),
+    "avg_fat": ("delta", "the neighborhood average needs a radius",
+                avg_fat_ref),
+    "lavg": ("schedule", None, lavg_ref),
+    "m_iso": ("schedule", None, m_iso_ref),
+    "m_eds": ("schedule", None, m_eds_ref),
+    "m_mu": ("density", "the density average needs a density measure",
+             m_mu_ref),
+    "avg_f": ("func", "the quasi-arithmetic average needs a transform "
+              "function", avg_f_ref),
+}
 
-_ALIASES = {"macc": "m_acc", "miso": "m_iso", "meds": "m_eds",
-            "mmu": "m_mu", "avgfat": "avg_fat", "avgf": "avg_f"}
+MEAN_NAMES = tuple(_FAMILIES)
+
+# each family is also named without its underscores: macc, avgfat, ...
+_ALIASES = {name.replace("_", ""): name for name in MEAN_NAMES}
+
+# the arguments a ``name:tag`` may embed, and how the tag is read
+_TAG_READERS = {"n": int, "delta": Q}
 
 
 def resolve_mean(name: str, *, n: int | None = None, delta=None,
@@ -610,59 +628,24 @@ def resolve_mean(name: str, *, n: int | None = None, delta=None,
     passed alongside a base mean conjugates it; ``avg_f`` consumes the
     function as its own defining parameter instead.
     """
-    key = name.strip().lower().replace("-", "_")
-    if ":" in key:
-        key, _, tag = key.partition(":")
-        key = _ALIASES.get(key, key)
-        if key not in ("iso", "eds", "avg_fat"):
+    args = {"n": n, "delta": delta, "density": density, "func": func,
+            "schedule": schedule if schedule is not None else DEFAULT_SCHEDULE}
+    key, tagged, tag = name.strip().lower().replace("-", "_").partition(":")
+    key = _ALIASES.get(key, key)
+    arg, missing, build = _FAMILIES.get(key, (None, None, None))
+    if tagged:
+        if arg not in _TAG_READERS:
             raise BadParameters(f"{key} does not take an embedded parameter")
         try:
-            if key == "avg_fat":
-                delta = Q(tag)
-            else:
-                n = int(tag)
+            args[arg] = _TAG_READERS[arg](tag)
         except (ValueError, ZeroDivisionError):
             raise BadParameters(
                 f"not a parameter for {key}: {tag!r}") from None
-    key = _ALIASES.get(key, key)
-    sched = schedule if schedule is not None else DEFAULT_SCHEDULE
-
-    conjugate = func if key != "avg_f" else None
-    if key == "amean":
-        ref = AMEAN
-    elif key == "avg1":
-        ref = AVG1
-    elif key == "m_acc":
-        ref = M_ACC
-    elif key == "iso":
-        if n is None:
-            raise BadParameters("the iso mean needs a stage n")
-        ref = iso_ref(n)
-    elif key == "eds":
-        if n is None:
-            raise BadParameters("the eds mean needs a division count n")
-        ref = eds_ref(n)
-    elif key == "avg_fat":
-        if delta is None:
-            raise BadParameters("the neighborhood average needs a radius")
-        ref = avg_fat_ref(delta)
-    elif key == "lavg":
-        ref = lavg_ref(sched)
-    elif key == "m_iso":
-        ref = m_iso_ref(sched)
-    elif key == "m_eds":
-        ref = m_eds_ref(sched)
-    elif key == "m_mu":
-        if density is None:
-            raise BadParameters("the density average needs a density measure")
-        ref = m_mu_ref(density)
-    elif key == "avg_f":
-        if func is None:
-            raise BadParameters("the quasi-arithmetic average needs a "
-                                "transform function")
-        ref = avg_f_ref(func)
-    else:
+    if build is None:
         raise BadParameters(f"unknown mean name: {name!r}")
-    if conjugate is not None:
-        ref = transform_kf(ref, conjugate)
+    if missing is not None and args[arg] is None:
+        raise BadParameters(missing)
+    ref = build(args.get(arg))
+    if func is not None and arg != "func":
+        ref = transform_kf(ref, func)
     return ref

@@ -25,6 +25,7 @@ from .exactset import (
     Interval,
     RealSet,
     Rule,
+    _bare_terms,
     _first_index,
     closure,
     normalize,
@@ -94,37 +95,32 @@ def _overlap(a_lo, a_hi, b_lo, b_hi) -> tuple[Fraction, Fraction]:
     return (lo, hi) if lo < hi else (Q(0), Q(0))
 
 
-def mu_measure(h: RealSet, mu: DensityMeasure) -> Fraction:
-    """mu(h); raises OutsideSupport when h has length outside the pieces."""
-    _check_support(h, mu)
-    total = Q(0)
+def mu_mass_moment(h: RealSet,
+                   mu: DensityMeasure) -> tuple[Fraction, Fraction]:
+    """(mu(h), integral of x over h against mu) in one pass; raises
+    OutsideSupport when h has length outside the pieces."""
+    mass = first = Q(0)
     for iv in h.intervals:
+        covered = Q(0)
         for piece, dens in mu.pieces:
             lo, hi = _overlap(iv.lo, iv.hi, piece.lo, piece.hi)
-            total += dens * (hi - lo)
-    return total
+            covered += hi - lo
+            mass += dens * (hi - lo)
+            first += dens * (hi * hi - lo * lo) / 2
+        if covered < iv.length:
+            raise OutsideSupport(
+                "part of the set carries length outside the measure's support")
+    return mass, first
+
+
+def mu_measure(h: RealSet, mu: DensityMeasure) -> Fraction:
+    """mu(h); raises OutsideSupport when h has length outside the pieces."""
+    return mu_mass_moment(h, mu)[0]
 
 
 def mu_moment(h: RealSet, mu: DensityMeasure) -> Fraction:
     """Integral of x over h against mu."""
-    _check_support(h, mu)
-    total = Q(0)
-    for iv in h.intervals:
-        for piece, dens in mu.pieces:
-            lo, hi = _overlap(iv.lo, iv.hi, piece.lo, piece.hi)
-            total += dens * (hi * hi - lo * lo) / 2
-    return total
-
-
-def _check_support(h: RealSet, mu: DensityMeasure) -> None:
-    for iv in h.intervals:
-        covered = Q(0)
-        for piece, _dens in mu.pieces:
-            lo, hi = _overlap(iv.lo, iv.hi, piece.lo, piece.hi)
-            covered += hi - lo
-        if covered < iv.length:
-            raise OutsideSupport(
-                "part of the set carries length outside the measure's support")
+    return mu_mass_moment(h, mu)[1]
 
 
 # --------------------------------------------------------------------------
@@ -144,6 +140,14 @@ def _merge_index(rule: Rule, start: int, threshold: Fraction) -> int:
     """Smallest k >= start with gap(k) < threshold; native-rule gaps
     decrease strictly, so the search is exact."""
     return _first_index(lambda k: rule_gap(rule, k) < threshold, start)
+
+
+def split_native(c: Cluster, threshold: Fraction) -> tuple[int, list[Fraction]]:
+    """The merge index of a plain depth-1 harmonic/geometric cluster for
+    threshold, and the head terms before it, whose gaps are >= threshold."""
+    _native_depth1(c)
+    k_merge = _merge_index(c.rule, c.start, threshold)
+    return k_merge, _bare_terms(c, c.start, k_merge - 1)
 
 
 def _runs(xs: tuple[Fraction, ...],
@@ -194,10 +198,9 @@ def fatten(h: RealSet, delta) -> RealSet:
     for lo, hi in _runs(h.points, 2 * delta):
         ivs.append(Interval(lo - delta, hi + delta, False, False))
     for c in h.clusters:
-        _native_depth1(c)
         # Terms with consecutive gap < 2*delta chain together and connect
         # to the limit's neighborhood; earlier terms keep separate balls.
-        k_merge = _merge_index(c.rule, c.start, 2 * delta)
+        k_merge, head = split_native(c, 2 * delta)
         blob_reach = rule_offset(c.rule, k_merge) + delta
         if c.above:
             ivs.append(Interval(c.limit - delta, c.limit + blob_reach,
@@ -205,8 +208,7 @@ def fatten(h: RealSet, delta) -> RealSet:
         else:
             ivs.append(Interval(c.limit - blob_reach, c.limit + delta,
                                 False, False))
-        for k in range(c.start, k_merge):
-            t = c.term(k)
+        for t in head:
             ivs.append(Interval(t - delta, t + delta, False, False))
     return normalize(ivs)
 

@@ -57,3 +57,13 @@ def test_failed_runs_and_changed_probes_are_reported():
     s = bench_pairs.summarize(pairs, BETTER)
     assert s["bad_runs"] == [(0, "change"), (1, "parent")]
     assert s["probe_diffs"] == [0]
+
+
+def test_module_lines_counts_each_module_and_the_total(tmp_path):
+    pkg = tmp_path / "src" / "meanlab"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text("x = 1\ny = 2\n\n")
+    (pkg / "b.py").write_text("z = 3")  # no final newline
+    (pkg / "notes.txt").write_text("not a module\n")
+    assert bench_pairs.module_lines(str(tmp_path)) == {
+        "a.py": 3, "b.py": 1, "total": 4}

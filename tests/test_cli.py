@@ -158,6 +158,18 @@ def test_a_schedule_shorter_than_three_samples_is_refused(capsys, max_n):
             "message": "--max-n must be at least 64"}
 
 
+@pytest.mark.parametrize("spec", ("pow(7/2)", "pow(3.9)", "pow(3/2)",
+                                  "pow(2)", "pow(0)", "pow(-3)"))
+def test_a_power_needs_an_odd_integer_exponent(capsys, spec):
+    # no exponent is truncated to an integer, and pow(2) is not square
+    code, out, err = run_cli(capsys, ["eval", "--mean", "avg1", "--f", spec,
+                                      "--set", "[0,1]"])
+    assert code == 1 and out == ""
+    assert error_payload(err) == {
+        "code": "bad_parameters",
+        "message": "power kind needs an odd positive exponent"}
+
+
 def test_an_empty_flag_value_reaches_its_parser(capsys):
     # an empty value is given, not absent: it is refused, never defaulted
     for flag, mean, message in (

@@ -60,7 +60,7 @@ from meanlab.exactset import (
     subset_of,
     translate,
 )
-from meanlab.funcs import SQUARE, Affine, OddPower
+from meanlab.funcs import SQUARE, Affine, Power
 from meanlab.means import image_set, m_acc
 
 
@@ -534,7 +534,7 @@ def test_canonical_cluster_is_kept_and_a_raw_one_rebuilt():
 def _transformed(rng: random.Random, c: Cluster) -> Cluster:
     """A cluster with a transformed (MappedRule) rule and the same limit:
     c shrunk to a quarter around 1, squared or cubed, then moved back."""
-    f = rng.choice((SQUARE, OddPower(3)))
+    f = rng.choice((SQUARE, Power(3)))
     base = realset(clusters=[exactset.cluster_affine(c, Q(1, 4),
                                                      1 - c.limit / 4)])
     (out,) = image_set(image_set(base, f), Affine(Q(1), c.limit - 1)).clusters

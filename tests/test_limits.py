@@ -9,6 +9,7 @@ from meanlab.limits import (
     DEFAULT_SCHEDULE,
     LimitSchedule,
     aitken_accelerate,
+    doubling_indices,
     limit_estimate,
 )
 from meanlab.values import Approx
@@ -20,6 +21,16 @@ def test_default_schedule_samples_powers_of_two():
     assert all(b == 2 * a for a, b in zip(DEFAULT_SCHEDULE.indices,
                                           DEFAULT_SCHEDULE.indices[1:]))
     assert DEFAULT_SCHEDULE.tolerance == Q(1, 10 ** 9)
+
+
+def test_doubling_indices_double_from_16_up_to_max_n():
+    assert doubling_indices() == DEFAULT_SCHEDULE.indices
+    for max_n in (64, 65, 127, 128, 1000, 4096, 4097):
+        indices, n = [], 16
+        while n <= max_n:
+            indices.append(n)
+            n *= 2
+        assert doubling_indices(max_n) == tuple(indices)
 
 
 def test_schedule_validation():

@@ -38,14 +38,14 @@ from meanlab.funcs import (
     Compose,
     ExpBase,
     LogBase,
-    OddPower,
-    SquareOnNonneg,
+    Power,
     _certified,
     _frac_to_iv,
     parse_func,
 )
 from meanlab.means import (
     AMEAN,
+    MEAN_NAMES,
     AVG1,
     M_ACC,
     amean,
@@ -257,7 +257,7 @@ def test_shrinking_average_of_finite_sets_stabilizes_exactly():
 def test_quasi_arithmetic_average_oracles():
     unit = from_interval(Q(0), Q(1))
     assert avg_f(SQUARE, unit) == RootValue(Q(1, 3), 2)
-    assert avg_f(OddPower(3), unit) == RootValue(Q(1, 4), 3)
+    assert avg_f(Power(3), unit) == RootValue(Q(1, 4), 3)
     assert avg_f(SQUARE, from_interval(Q(1), Q(2))) == RootValue(Q(7, 3), 2)
 
 
@@ -291,9 +291,9 @@ def test_image_set_maps_cluster_terms():
 
 
 def test_image_set_composes_the_maps_of_a_mapped_cluster():
-    g = image_set(image_set(_harmonic_set(), SQUARE), OddPower(3))
+    g = image_set(image_set(_harmonic_set(), SQUARE), Power(3))
     (c,) = g.clusters  # {1/k^6}
-    assert c.rule.func == Compose(OddPower(3), SQUARE)
+    assert c.rule.func == Compose(Power(3), SQUARE)
     assert [c.term(k) for k in (1, 2, 10)] == [1, Q(1, 64), Q(1, 10 ** 6)]
 
 
@@ -382,11 +382,27 @@ def test_inverse_enclosures_of_decreasing_transforms_keep_both_ends():
     assert 0 < lo < hi and lo * lo <= 2 <= hi * hi
 
 
+def test_square_and_the_odd_powers_are_one_kind():
+    assert SQUARE == Power(2) and parse_func("square") is SQUARE
+    assert SQUARE.name() == "square" and Power(5).name() == "pow(5)"
+    assert parse_func("pow(5)") == Power(5)
+    assert not SQUARE.contains(Q(-1)) and Power(3).contains(Q(-1))
+    assert Power(3).invert(Q(-8)) == -2 and SQUARE.invert(Q(9, 4)) == Q(3, 2)
+    with pytest.raises(DomainViolation, match="square transform domain"):
+        SQUARE.apply(Q(-1))
+    with pytest.raises(DomainViolation, match="square images"):
+        SQUARE.invert(Q(-1))
+    for n in (4, 0, -1):
+        with pytest.raises(BadParameters,
+                           match="power kind needs an odd positive exponent"):
+            Power(n)
+
+
 def test_inverses_of_roots_and_enclosures():
     # a root that is rational comes back through an affine map exactly
     assert Affine(Q(2), Q(1)).invert(RootValue(Q(8), 3)) == Q(1, 2)
     # an enclosure pulls back through an odd power as an enclosure
-    lo, hi = value_bounds(OddPower(3).invert(Approx(Q(27), Q(1, 100))))
+    lo, hi = value_bounds(Power(3).invert(Approx(Q(27), Q(1, 100))))
     assert lo < 3 < hi and hi - lo < Q(1, 100)
 
 
@@ -410,11 +426,11 @@ def _interval_integral(f, lo, hi):
     bound pair."""
     if isinstance(f, Affine):
         return f.slope * (hi * hi - lo * lo) / 2 + f.shift * (hi - lo)
-    if isinstance(f, OddPower):
+    if isinstance(f, Power) and f.n == 2:
+        return (hi ** 3 - lo ** 3) / 3
+    if isinstance(f, Power):
         m = f.n + 1
         return (hi ** m - lo ** m) / m
-    if isinstance(f, SquareOnNonneg):
-        return (hi ** 3 - lo ** 3) / 3
     if isinstance(f, Compose) and isinstance(f.outer, Affine):
         inner = _interval_integral(f.inner, lo, hi)
         if isinstance(inner, tuple):
@@ -510,10 +526,12 @@ def _log_invert(self, v, bits):
 
 
 # the enclosing branch of each kind's ``invert`` before one base-class
-# ``invert`` took them over
-_FALLBACK_INVERT = {Affine: _affine_invert, OddPower: _odd_power_invert,
-                    SquareOnNonneg: _square_invert, ExpBase: _exp_invert,
-                    LogBase: _log_invert}
+# ``invert`` took them over (square and the odd powers were two kinds then)
+_FALLBACK_INVERT = {Affine: _affine_invert, ExpBase: _exp_invert,
+                    LogBase: _log_invert,
+                    Power: lambda f, v, bits: (
+                        _square_invert if f.n == 2 else _odd_power_invert)(
+                            f, v, bits)}
 
 
 def _reference_invert(f, v, bits=FORWARD_BITS):
@@ -578,6 +596,34 @@ def test_resolve_mean_names_and_aliases():
     assert resolve_mean("macc") is M_ACC
     assert resolve_mean("M-ACC") is M_ACC
     assert resolve_mean("amean").id == "amean"
+
+
+def test_resolve_mean_reads_one_family_table():
+    assert MEAN_NAMES == ("amean", "avg1", "m_acc", "iso", "eds", "avg_fat",
+                          "lavg", "m_iso", "m_eds", "m_mu", "avg_f")
+    args = {"n": 3, "delta": Q(1, 4), "func": SQUARE,
+            "density": DensityMeasure.from_parts([(Q(0), Q(1), Q(1))])}
+    for name in MEAN_NAMES:
+        want = resolve_mean(name, **args)
+        for alias in (name.replace("_", ""), name.upper().replace("_", "-")):
+            assert resolve_mean(alias, **args).id == want.id
+    missing = {"iso": "the iso mean needs a stage n",
+               "eds": "the eds mean needs a division count n",
+               "avg_fat": "the neighborhood average needs a radius",
+               "m_mu": "the density average needs a density measure",
+               "avg_f": "the quasi-arithmetic average needs a transform "
+                        "function"}
+    for name in MEAN_NAMES:
+        if name in missing:
+            with pytest.raises(BadParameters) as e:
+                resolve_mean(name)
+            assert str(e.value) == missing[name]
+        else:
+            assert resolve_mean(name).kind() == name
+    for name in ("amean:3", "lavg:2", "m_mu:1", "avg_f:1", "nope:1"):
+        with pytest.raises(BadParameters,
+                           match="does not take an embedded parameter"):
+            resolve_mean(name)
 
 
 def test_resolve_mean_embedded_parameters():

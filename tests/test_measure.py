@@ -18,6 +18,7 @@ from meanlab.exactset import (
     closure,
     from_interval,
     from_points,
+    geometric_cluster,
     harmonic_cluster,
     normalize,
     realset,
@@ -33,8 +34,10 @@ from meanlab.measure import (
     hausdorff_distance,
     lebesgue,
     moment,
+    mu_mass_moment,
     mu_measure,
     mu_moment,
+    split_native,
     support,
 )
 
@@ -177,6 +180,21 @@ def test_density_measure_rejects_length_outside_support():
     assert mu_measure(h, mu) == 2
 
 
+def test_density_mass_and_moment_come_from_one_pass():
+    mu = _mu()
+    rng = random.Random(13)
+    for _ in range(40):
+        h = random_union(rng)
+        try:
+            want = (mu_measure(h, mu), mu_moment(h, mu))
+        except OutsideSupport:
+            with pytest.raises(OutsideSupport):
+                mu_mass_moment(h, mu)
+            continue
+        assert mu_mass_moment(h, mu) == want
+    assert mu_mass_moment(from_interval(Q(0), Q(2)), mu) == (3, Q(5, 2))
+
+
 def test_density_measure_validation():
     with pytest.raises(BadParameters):
         DensityMeasure.from_parts([(Q(0), Q(1), Q(-1))])
@@ -229,6 +247,21 @@ def test_fatten_tightly_packed_tail_is_a_single_interval():
     h = realset(clusters=[harmonic_cluster(Q(0), c=Q(1), start=10)])
     got = fatten(h, Q(1, 10))
     assert got == realset(intervals=[Interval(Q(-1, 10), Q(1, 5), False, False)])
+
+
+@pytest.mark.parametrize("c", [
+    harmonic_cluster(Q(0), c=Q(1), start=1),
+    harmonic_cluster(Q(2), c=Q(1, 2), start=3, above=False),
+    geometric_cluster(Q(1), c=Q(1, 2), q=Q(1, 3), start=1),
+    geometric_cluster(Q(-1), c=Q(3), q=Q(2, 3), start=2, above=False)])
+def test_split_native_gives_the_merge_index_and_the_head_terms(c):
+    for threshold in (Q(10), Q(1, 3), Q(1, 50), Q(1, 1000)):
+        k_merge, head = split_native(c, threshold)
+        assert k_merge >= c.start
+        assert head == [c.term(k) for k in range(c.start, k_merge)]
+        gaps = [abs(c.term(k + 1) - c.term(k))
+                for k in range(c.start, k_merge + 1)]
+        assert all(g >= threshold for g in gaps[:-1]) and gaps[-1] < threshold
 
 
 def test_fatten_rejects_bad_input():
