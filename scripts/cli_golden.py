@@ -430,6 +430,9 @@ def _cases() -> list[list[str]]:
         ["eval", "--mean", "avg1", "--max-n", "0", "--set", "[0,1]"],
         ["eval", "--mean", "avg1", "--f", "", "--set", "[0,1]"],
     ]
+    # a fractional exponent is refused, not truncated to pow(3)
+    cases.append(["eval", "--mean", "avg1", "--f", "pow(7/2)", "--set",
+                  "[0,1]"])
     return cases
 
 
