@@ -45,8 +45,8 @@ from meanlab.funcs import (
 )
 from meanlab.means import (
     AMEAN,
-    MEAN_NAMES,
     AVG1,
+    MEAN_NAMES,
     M_ACC,
     amean,
     avg1,
@@ -499,6 +499,11 @@ def _square_invert(self, v, bits):
     return Approx((rlo + rhi) / 2, (rhi - rlo) / 2)
 
 
+def _power_invert(self, v, bits):
+    return (_square_invert if self.n == 2 else _odd_power_invert)(
+        self, v, bits)
+
+
 def _exp_invert(self, v, bits):
     lo, hi = value_bounds(v)
     if lo <= 0:
@@ -527,11 +532,8 @@ def _log_invert(self, v, bits):
 
 # the enclosing branch of each kind's ``invert`` before one base-class
 # ``invert`` took them over (square and the odd powers were two kinds then)
-_FALLBACK_INVERT = {Affine: _affine_invert, ExpBase: _exp_invert,
-                    LogBase: _log_invert,
-                    Power: lambda f, v, bits: (
-                        _square_invert if f.n == 2 else _odd_power_invert)(
-                            f, v, bits)}
+_FALLBACK_INVERT = {Affine: _affine_invert, Power: _power_invert,
+                    ExpBase: _exp_invert, LogBase: _log_invert}
 
 
 def _reference_invert(f, v, bits=FORWARD_BITS):
