@@ -54,10 +54,9 @@ _BISECT_WIDTH = Q(1, 2 ** 44)
 
 
 def _values_equal(k: MeanRef, a: Value, b: Value) -> bool:
-    if k.exact:
-        if isinstance(a, (Fraction, int)) and isinstance(b, (Fraction, int)):
-            return a == b
-    return values_close(a, b, INEXACT_TOL)
+    """Exactly equal rationals of an exact mean, else within INEXACT_TOL."""
+    exact = k.exact and all(isinstance(v, (Fraction, int)) for v in (a, b))
+    return a == b if exact else values_close(a, b, INEXACT_TOL)
 
 
 # --------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from typing import Callable, Iterator, Optional
 
 from .analysis import (
     INEXACT_TOL,
+    _values_equal,
     acc_points_by_mean,
     grid_family,
     liminf_by_mean,
@@ -124,12 +125,6 @@ class _Skip(Exception):
 
 def _slack(k: MeanRef) -> Fraction:
     return Q(0) if k.exact else INEXACT_TOL
-
-
-def _eq(k: MeanRef, a, b) -> bool:
-    if k.exact and isinstance(a, (Fraction, int)) and isinstance(b, (Fraction, int)):
-        return a == b
-    return values_close(a, b, max(_slack(k), Q(1, 2 ** 70)))
 
 
 def _le_holds(k: MeanRef, a, b) -> bool:
@@ -469,7 +464,7 @@ def _j_image(k, h, g, note, label, a=1, b=0):
     if g.is_empty:
         raise _Skip
     vg, v = k.evaluate(g), k.evaluate(h)
-    if _eq(k, vg, _affine_value(v, a, b)):
+    if _values_equal(k, vg, _affine_value(v, a, b)):
         return None
     return _wit(k, note, (h, g), (("K(H)", v, h), (label, vg, g)))
 
@@ -640,10 +635,10 @@ def _j_equi_monotone(k, cfg, h1, h2, v=None):
         raise _Skip
     u = set_union(h1, h2)
     vu = k.evaluate(u)
-    if not _eq(k, vu, v):
+    if not _values_equal(k, vu, v):
         raise _Skip  # premise K(H1 u H2) = K(H1) not met
     v2 = k.evaluate(h2)
-    if _eq(k, v2, v):
+    if _values_equal(k, v2, v):
         return None
     return _wit(k, "union keeps the mean but the parts disagree",
                 (h1, h2, u),
@@ -793,7 +788,7 @@ def _j_finite_independent(k, cfg, h, f, v=None):
             continue
         vo = k.evaluate(other)
         checked.append((other, label, vo))
-        if not _eq(k, vo, v):
+        if not _values_equal(k, vo, v):
             return _wit(k, "a finite modification moves the mean",
                         (h, f, other), (("K(H)", v, h), (label, vo, other)))
     if not checked:

@@ -131,15 +131,7 @@ def _read_set(text: str) -> RealSet:
     return evaluate(parse(text))
 
 
-def _parse_density(text: str) -> DensityMeasure:
-    parts = []
-    for piece in text.split(";"):
-        fields = piece.split(",")
-        if len(fields) != 3:
-            raise BadParameters(
-                "density pieces are 'lo,hi,weight' separated by ';'")
-        parts.append(tuple(parse_rational_text(f) for f in fields))
-    return DensityMeasure.from_parts(tuple(parts))
+_parse_density = DensityMeasure.parse
 
 
 def _build_schedule(args) -> LimitSchedule:
@@ -153,8 +145,7 @@ def _build_schedule(args) -> LimitSchedule:
 
 def _build_mean(args, schedule: LimitSchedule) -> MeanRef:
     func = parse_func(args.f) if args.f is not None else None
-    density = (_parse_density(args.density) if args.density is not None
-               else None)
+    density = None if args.density is None else _parse_density(args.density)
     delta = parse_rational_text(args.delta) if args.delta is not None else None
     return resolve_mean(args.mean, n=args.n, delta=delta,
                         density=density, func=func, schedule=schedule)
@@ -162,10 +153,13 @@ def _build_mean(args, schedule: LimitSchedule) -> MeanRef:
 
 def _add_mean_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mean", required=True,
-                   help=f"mean name ({', '.join(MEAN_NAMES)}); 'name:tag' "
-                        "embeds a parameter, e.g. eds:3")
+                   help="mean id family[:tag][^f]..., family one of "
+                        f"{', '.join(MEAN_NAMES)}; the tag is n (eds:3), "
+                        "delta (avg_fat:1/4), density (m_mu:0,1,2;1,3,1) or f "
+                        "(avg_f:square); each ^f conjugates (avg1^exp(2)); "
+                        "the schedule is not part of an id")
     p.add_argument("--f", help="monotone transform, e.g. square, exp(2), "
-                               "affine(2,1); conjugates the mean (for "
+                               "affine(2,1); a trailing ^f (for an untagged "
                                "avg_f it is the defining transform)")
     p.add_argument("--n", type=int, help="stage for iso/eds")
     p.add_argument("--delta", help="radius for avg_fat (rational)")

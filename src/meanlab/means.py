@@ -37,7 +37,7 @@ from .exactset import (
     level,
     set_diff,
 )
-from .funcs import MonotoneFunc
+from .funcs import MonotoneFunc, parse_func
 from .limits import DEFAULT_SCHEDULE, LimitSchedule, limit_estimate
 from .measure import (
     DensityMeasure,
@@ -481,8 +481,7 @@ def avg_fat_ref(delta) -> MeanRef:
 
 def m_mu_ref(mu: DensityMeasure) -> MeanRef:
     """Density-weighted average as a catalogue entry."""
-    tag = ";".join(f"{p.lo},{p.hi},{d}" for p, d in mu.pieces)
-    return _by_trial(f"m_mu:{tag}", lambda h: m_mu(mu, h), mu)
+    return _by_trial(f"m_mu:{mu.text()}", lambda h: m_mu(mu, h), mu)
 
 
 # --------------------------------------------------------------------------
@@ -613,39 +612,51 @@ MEAN_NAMES = tuple(_FAMILIES)
 # each family is also named without its underscores: macc, avgfat, ...
 _ALIASES = {name.replace("_", ""): name for name in MEAN_NAMES}
 
-# the arguments a ``name:tag`` may embed, and how the tag is read
-_TAG_READERS = {"n": int, "delta": Q}
+# the reader of each defining argument from an id's tag
+_READERS = {"n": int, "delta": Q, "density": DensityMeasure.parse,
+            "func": parse_func}
 
 
 def resolve_mean(name: str, *, n: int | None = None, delta=None,
                  density: DensityMeasure | None = None,
                  func: MonotoneFunc | None = None,
                  schedule: LimitSchedule | None = None) -> MeanRef:
-    """Build the MeanRef named by ``name``.
+    """Build the MeanRef whose id is ``name``: ``family[:tag][^f]...``.
 
-    Stage/radius parameters come from the keyword arguments or from an
-    embedded ``name:param`` tag (``iso:4``, ``avg_fat:1/4``). A ``func``
-    passed alongside a base mean conjugates it; ``avg_f`` consumes the
-    function as its own defining parameter instead.
+    The tag or a keyword, not both, gives the defining argument (``iso:4``,
+    ``avg_fat:1/4``, ``m_mu:0,1,2;1,3,1``, ``avg_f:square``); each ``^f``
+    conjugates, left to right, and ``func`` last unless an untagged
+    ``avg_f`` takes it. A family refuses an ``n``, ``delta`` or ``density``
+    it does not take. The schedule is context, not part of an id.
     """
     args = {"n": n, "delta": delta, "density": density, "func": func,
             "schedule": schedule if schedule is not None else DEFAULT_SCHEDULE}
-    key, tagged, tag = name.strip().lower().replace("-", "_").partition(":")
+    head, *conjugates = name.strip().split("^")
+    key, tagged, tag = head.partition(":")
+    key = key.lower().replace("-", "_")
     key = _ALIASES.get(key, key)
     arg, missing, build = _FAMILIES.get(key, (None, None, None))
+    trailing = []
+    if func is not None and (arg != "func" or tagged):
+        trailing, args["func"] = [func], None
     if tagged:
-        if arg not in _TAG_READERS:
+        if arg not in _READERS:
             raise BadParameters(f"{key} does not take an embedded parameter")
+        if args[arg] is not None:
+            raise BadParameters(f"{arg} is given both by tag and by keyword")
         try:
-            args[arg] = _TAG_READERS[arg](tag)
+            args[arg] = _READERS[arg](tag)
         except (ValueError, ZeroDivisionError):
             raise BadParameters(
                 f"not a parameter for {key}: {tag!r}") from None
     if build is None:
         raise BadParameters(f"unknown mean name: {name!r}")
+    for kw in ("n", "delta", "density"):
+        if args[kw] is not None and kw != arg:
+            raise BadParameters(f"{key} does not take {kw}")
     if missing is not None and args[arg] is None:
         raise BadParameters(missing)
     ref = build(args.get(arg))
-    if func is not None and arg != "func":
-        ref = transform_kf(ref, func)
+    for f in [*map(parse_func, conjugates), *trailing]:
+        ref = transform_kf(ref, f)
     return ref

@@ -32,6 +32,7 @@ from .exactset import (
     rule_gap,
     rule_offset,
 )
+from .values import parse_rational_text
 
 Q = Fraction
 
@@ -85,9 +86,24 @@ class DensityMeasure:
 
     @staticmethod
     def from_parts(parts: Iterable[tuple[Fraction, Fraction, Fraction]]) -> "DensityMeasure":
-        pieces = tuple(sorted((Interval(Q(lo), Q(hi), True, True), Q(d))
-                              for lo, hi, d in parts))
-        return DensityMeasure(pieces)
+        return DensityMeasure(tuple(sorted(
+            (Interval(Q(lo), Q(hi)), Q(d)) for lo, hi, d in parts)))
+
+    @staticmethod
+    def parse(text: str) -> "DensityMeasure":
+        """Read the text form ``lo,hi,weight[;lo,hi,weight...]``."""
+        parts = []
+        for piece in text.split(";"):
+            fields = piece.split(",")
+            if len(fields) != 3:
+                raise BadParameters(
+                    "density pieces are 'lo,hi,weight' separated by ';'")
+            parts.append(tuple(map(parse_rational_text, fields)))
+        return DensityMeasure.from_parts(parts)
+
+    def text(self) -> str:
+        """The text form that ``parse`` reads, pieces in order."""
+        return ";".join(f"{iv.lo},{iv.hi},{d}" for iv, d in self.pieces)
 
 
 def _overlap(a_lo, a_hi, b_lo, b_hi) -> tuple[Fraction, Fraction]:

@@ -1,8 +1,12 @@
 """Shared test helpers: an independent membership oracle, probe-point
-enumeration, and seeded random set builders."""
+enumeration, seeded random set builders, and a read-only loader of the
+benchmark's modules."""
 
+import importlib.util
 import random
+import sys
 from fractions import Fraction as Q
+from pathlib import Path
 
 from meanlab.exactset import (
     RealSet,
@@ -129,3 +133,19 @@ def random_mixed_set(rng: random.Random) -> RealSet:
         return random_cluster_set(rng)
     return set_union(random_union(rng, max_parts=2),
                      random_points(rng, count=2, lo=9, hi=14))
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def bench_module(name: str):
+    """The module ``bench/<name>.py``, loaded without writing to ``bench/``."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        spec = importlib.util.spec_from_file_location(
+            f"bench_{name}", BENCH / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(BENCH))
+    return module

@@ -5,39 +5,28 @@ The benchmark is frozen: it builds its mean catalogue through
 ``values.value_mid``, counts components with ``RealSet.component_count``,
 and its tracer (``bench/tracing.py``) wraps each ``(layer, fn)`` of
 ``SPANS``, every ``MeanRef`` evaluation, ``means._domain_by_trial`` and
-the cuts ``analysis.slice_le``/``slice_ge``. A rename in ``src/`` that
+the cuts ``analysis.slice_le``/``slice_ge``. Its own tests import
+``cli._make_parser`` and ``cli._parse_density``. A rename in ``src/`` that
 drops one of these breaks the benchmark, so this test reads ``bench/``
 (it never writes there) and checks each name. The tracer's own test, in
 ``bench/tests``, runs the traced worker end to end.
 """
 
+import ast
 import importlib
-import importlib.util
-import sys
 from fractions import Fraction as Q
-from pathlib import Path
+
+import pytest
 
 import meanlab
+from conftest import BENCH, bench_module
 from meanlab import analysis, cli, exactset, funcs, means, values
+from meanlab.errors import BadParameters
 from meanlab.exactset import from_points, harmonic_cluster, realset, set_union
-
-_BENCH = Path(__file__).resolve().parent.parent / "bench"
-
-
-def _bench_module(name: str):
-    sys.path.insert(0, str(_BENCH))
-    try:
-        spec = importlib.util.spec_from_file_location(
-            f"bench_{name}", _BENCH / f"{name}.py")
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    finally:
-        sys.path.remove(str(_BENCH))
-    return module
 
 
 def test_every_traced_span_names_a_function():
-    spans = _bench_module("tracing").SPANS
+    spans = bench_module("tracing").SPANS
     assert spans
     for layer, fn in spans:
         assert callable(getattr(importlib.import_module(f"meanlab.{layer}"),
@@ -45,7 +34,7 @@ def test_every_traced_span_names_a_function():
 
 
 def test_the_catalogue_the_benchmark_builds_resolves():
-    worker = _bench_module("worker")
+    worker = bench_module("worker")
     cat = worker.catalogue(meanlab)
     assert isinstance(cat.pop("_schedule"), meanlab.LimitSchedule)
     assert all(isinstance(k, means.MeanRef) for k in cat.values())
@@ -90,3 +79,17 @@ def test_answers_and_counts_the_benchmark_reads():
     assert cli.value_json(Q(1, 2)) == {"num": 1, "den": 2,
                                        "decimal": "0.500000000000"}
     assert values.value_mid(values.Approx(Q(1), Q(1, 4))) == 1
+
+
+def test_the_cli_names_the_benchmark_tests_import_resolve():
+    tree = ast.parse((BENCH / "tests" / "test_bench.py").read_text())
+    names = {alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom)
+             and node.module == "meanlab.cli" for alias in node.names}
+    assert names == {"_make_parser", "_parse_density"}
+    args = cli._make_parser().parse_args(
+        ["eval", "--mean", "m_mu", "--density=0,1,2;1,3,1", "--set", "[0,1]"])
+    assert cli._parse_density(args.density).text() == "0,1,2;1,3,1"
+    with pytest.raises(BadParameters) as e:
+        cli._parse_density("0,1")
+    assert str(e.value) == "density pieces are 'lo,hi,weight' separated by ';'"

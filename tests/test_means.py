@@ -65,6 +65,7 @@ from meanlab.means import (
     resolve_mean,
     transform_kf,
 )
+from meanlab.limits import DEFAULT_SCHEDULE
 from meanlab.measure import DensityMeasure
 from meanlab.values import Approx, RootValue, value_bounds
 
@@ -603,9 +604,11 @@ def test_resolve_mean_names_and_aliases():
 def test_resolve_mean_reads_one_family_table():
     assert MEAN_NAMES == ("amean", "avg1", "m_acc", "iso", "eds", "avg_fat",
                           "lavg", "m_iso", "m_eds", "m_mu", "avg_f")
-    args = {"n": 3, "delta": Q(1, 4), "func": SQUARE,
-            "density": DensityMeasure.from_parts([(Q(0), Q(1), Q(1))])}
+    own = {"iso": {"n": 3}, "eds": {"n": 3}, "avg_fat": {"delta": Q(1, 4)},
+           "m_mu": {"density": DensityMeasure.from_parts([(0, 1, 1)])},
+           "avg_f": {"func": SQUARE}}
     for name in MEAN_NAMES:
+        args = own.get(name, {})
         want = resolve_mean(name, **args)
         for alias in (name.replace("_", ""), name.upper().replace("_", "-")):
             assert resolve_mean(alias, **args).id == want.id
@@ -622,7 +625,7 @@ def test_resolve_mean_reads_one_family_table():
             assert str(e.value) == missing[name]
         else:
             assert resolve_mean(name).kind() == name
-    for name in ("amean:3", "lavg:2", "m_mu:1", "avg_f:1", "nope:1"):
+    for name in ("amean:3", "lavg:2", "nope:1"):
         with pytest.raises(BadParameters,
                            match="does not take an embedded parameter"):
             resolve_mean(name)
@@ -648,9 +651,64 @@ def test_resolve_mean_conjugation_and_direct_function_parameter():
 
 def test_resolve_mean_rejects_bad_requests():
     for name in ("eds", "no_such_mean", "amean:3", "avg_f", "iso:abc",
-                 "eds:1.5", "iso:", "avg_fat:abc", "avg_fat:1/0"):
+                 "eds:1.5", "iso:", "avg_fat:abc", "avg_fat:1/0",
+                 "avg1^nope", "avg1^"):
         with pytest.raises(BadParameters):
             resolve_mean(name)
+    for name, message in (
+            ("m_mu:1", "density pieces are 'lo,hi,weight' separated by ';'"),
+            ("avg_f:1", "unknown transform function: '1'")):
+        with pytest.raises(BadParameters) as e:
+            resolve_mean(name)
+        assert str(e.value) == message
+
+
+def test_resolve_mean_reads_the_tag_as_written():
+    # only the family name is folded to lower case with '-' as '_'
+    assert resolve_mean("avg_fat:1e-3").id == "avg_fat:1/1000"
+    assert resolve_mean("AVG-FAT:1E-3").id == "avg_fat:1/1000"
+    assert resolve_mean("M-MU:-1,0,1;0,1,2").id == "m_mu:-1,0,1;0,1,2"
+    with pytest.raises(BadParameters,
+                       match="the neighborhood radius must be positive"):
+        resolve_mean("avg_fat:-1/4")
+    with pytest.raises(BadParameters, match="unknown transform function"):
+        resolve_mean("avg_f:SQUARE")
+
+
+def test_resolve_mean_refuses_an_argument_that_changes_nothing():
+    mu = DensityMeasure.from_parts([(0, 1, 1)])
+    for name, args in (("avg1", {"n": 3}), ("avg1", {"delta": Q(5)}),
+                       ("amean", {"density": mu}), ("iso", {"delta": Q(1)}),
+                       ("eds:3", {"density": mu}), ("lavg", {"n": 16}),
+                       ("avg_f", {"func": SQUARE, "n": 2})):
+        with pytest.raises(BadParameters, match="does not take"):
+            resolve_mean(name, **args)
+    for name, args in (("iso:4", {"n": 7}), ("iso:4", {"n": 4}),
+                       ("avg_fat:1/4", {"delta": Q(1, 4)}),
+                       ("m_mu:0,1,1", {"density": mu})):
+        with pytest.raises(BadParameters,
+                           match="given both by tag and by keyword"):
+            resolve_mean(name, **args)
+    # every family takes a schedule and a transform
+    f = Affine(Q(1), Q(0))
+    for name in ("amean", "iso:4", "avg_fat:1/4", "lavg", "m_mu:0,1,1",
+                 "avg_f:square"):
+        k = resolve_mean(name, func=f, schedule=DEFAULT_SCHEDULE)
+        assert k.id == f"{name}^affine(1,0)"
+
+
+def test_resolve_mean_conjugates_left_to_right_and_func_last():
+    exp2 = parse_func("exp(2)")
+    assert resolve_mean("avg1^exp(2)").id == "avg1^exp(2)"
+    assert resolve_mean("avg1^square", func=exp2).id == "avg1^square^exp(2)"
+    assert resolve_mean("iso^square", n=3).id == "iso:3^square"
+    k = resolve_mean("avg_f^exp(2)", func=SQUARE)
+    assert k.id == "avg_f:square^exp(2)"
+    h = from_points(Q(1), Q(2))
+    k = resolve_mean("amean^square^affine(1,3)")
+    want = transform_kf(transform_kf(AMEAN, SQUARE), Affine(Q(1), Q(3)))
+    assert k.id == want.id and k(h) == want(h)
+    assert k(h) != resolve_mean("amean^affine(1,3)^square")(h)
 
 
 def test_mean_refs_report_their_domains():

@@ -207,6 +207,23 @@ def test_density_measure_validation():
     assert mu == _mu()
 
 
+def test_density_text_reads_back():
+    assert _mu().text() == "0,1,2;1,3,1"
+    assert DensityMeasure.parse(_mu().text()) == _mu()
+    # pieces in any order and any rational spelling, printed in one form
+    mu = DensityMeasure.parse("1, 3, 1.0;0,2/2,4e-1")
+    assert mu.text() == "0,1,2/5;1,3,1"
+    assert DensityMeasure.parse(mu.text()) == mu
+    for text, message in (
+            ("0,1", "density pieces are 'lo,hi,weight' separated by ';'"),
+            ("0,1,1;", "density pieces are 'lo,hi,weight' separated by ';'"),
+            ("x,1,1;0,1", "not a rational: 'x'"),
+            ("0,1,0", "density values must be positive")):
+        with pytest.raises(BadParameters) as e:
+            DensityMeasure.parse(text)
+        assert str(e.value) == message
+
+
 # --------------------------------------------------------------------------
 # fattening
 
