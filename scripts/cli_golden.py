@@ -433,6 +433,20 @@ def _cases() -> list[list[str]]:
     # a fractional exponent is refused, not truncated to pow(3)
     cases.append(["eval", "--mean", "avg1", "--f", "pow(7/2)", "--set",
                   "[0,1]"])
+    # every id reads back as --mean: tags as written, conjugates as ^f
+    cases += [
+        ["eval", "--json", "--mean", mean, "--set", s] for mean, s in (
+            ("avg1^exp(2)", "[0,1]"),
+            ("m_mu:0,1,2;1,3,1", "[0,3]"),
+            ("avg_f:square", "[0,1]"),
+            ("iso:4^affine(2,1)", f"{{5}} u {H_ABOVE}"),
+            ("avg_fat:1e-3", "{0,1,5}"))]
+    # an argument the mean does not take, or takes twice, is refused
+    cases += [
+        ["eval", "--mean", "avg1", "--n", "3", "--delta", "5", "--set",
+         "[0,1]"],
+        ["eval", "--mean", "iso:4", "--n", "7", "--set", H_ABOVE],
+    ]
     return cases
 
 
