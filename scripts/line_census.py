@@ -141,8 +141,6 @@ GUARDS: dict[tuple[str, str, str], str] = {
      'raise BadParameters("exp kind needs base > 0, base != 1")'): _REFUSED,
     ("funcs.py", "LogBase.__post_init__",
      'raise BadParameters("log kind needs base > 0, base != 1")'): _REFUSED,
-    ("funcs.py", "LogBase.apply_bounds",
-     'raise DomainViolation("log transform domain is x > 0")'): _REFUSED,
     ("funcs.py", "parse_func",
      'raise BadParameters("compose needs two arguments")'): _REFUSED,
     ("funcs.py", "parse_func",
@@ -151,8 +149,6 @@ GUARDS: dict[tuple[str, str, str], str] = {
      'raise EmptySet("average of the empty set is undefined")'): _REFUSED,
     ("means.py", "avg_f",
      'raise EmptySet("average of the empty set is undefined")'): _REFUSED,
-    ("means.py", "avg_fat_ref", 'raise BadParameters("the neighborhood '
-     'radius must be positive")'): _REFUSED,
     ("means.py", "_amean_certified", 'raise EmptySet("arithmetic mean '
      'of the empty set is undefined")'): _REFUSED,
     ("means.py", "_avg1_certified",

@@ -30,20 +30,19 @@ from meanlab.means import MeanSequence
 _GOLDEN = Path(__file__).resolve().parent / "data" / "cli_golden.json"
 
 
-def _catalogue():
+def _catalogue() -> list:
     cat = bench_module("worker").catalogue(meanlab)
     sched = cat.pop("_schedule")
-    return [(k, sched) for k in cat.values()], sched
+    return [(k, sched) for k in cat.values()]
 
 
-def _catalogue_means():
-    cat, sched = _catalogue()
-    stages = [(k.param.at(n), sched) for k, _ in cat
-              if isinstance(k.param, MeanSequence) for n in sched.indices]
-    return cat + stages
+def _catalogue_means() -> list:
+    cat = _catalogue()
+    return cat + [(k.param.at(n), sched) for k, sched in cat
+                  if isinstance(k.param, MeanSequence) for n in sched.indices]
 
 
-def _golden_means():
+def _golden_means() -> list:
     parser, seen = cli._make_parser(), {}
     for case in json.loads(_GOLDEN.read_text(encoding="utf-8")):
         if case["exit"] == 0:
@@ -75,7 +74,7 @@ def _reads_back(k, sched) -> None:
 
 
 def test_the_catalogue_ids_include_every_text_form():
-    ids = {k.id for k, _ in _catalogue()[0]}
+    ids = {k.id for k, _ in _catalogue()}
     assert {"m_mu:-64,0,1;0,64,2", "avg_f:square", "avg1^exp(2)"} <= ids
     assert len(ids) == 12
 
