@@ -18,8 +18,10 @@ prefix, ``(float(x), x, side)``, so that keys compare as tuples in C: the
 prefix decides only when the floats differ, and equal floats fall through
 to the exact ``Fraction``.
 
-The boolean operations hand their results to one normalizer as key spans
-and clusters; spans become intervals and points only in the set it returns.
+A ``RealSet`` stores its sorted, merged key spans beside its clusters. The
+boolean operations read those spans and hand their results to one
+normalizer as key spans and clusters; intervals and points are views of a
+set's spans, built only when something reads them.
 Normalization sorts and merges: intervals sorted, disjoint and
 non-adjacent; points sorted, deduplicated, never redundant with an interval
 or a cluster; clusters canonically based (geometric rules rebased to start
@@ -49,7 +51,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from fractions import Fraction
 from operator import itemgetter
@@ -741,19 +743,61 @@ def _cluster_intersects_span(cl: Cluster, s: Span) -> bool:
 # the RealSet
 
 
-@dataclass(frozen=True)
 class RealSet:
-    intervals: tuple[Interval, ...] = ()
-    points: tuple[Fraction, ...] = ()
-    clusters: tuple[Cluster, ...] = ()
+    """A set stored as its sorted, merged key spans and its clusters.
+
+    ``intervals`` and ``points`` are views of the spans, built together on
+    first read: a chain of operations passes spans along and builds views
+    only for the set that is finally read. ``RealSet(intervals, points,
+    clusters)`` takes raw parts and keeps them as given for its views.
+    ``==``, ``hash`` and ``repr`` read the views, as for the frozen
+    dataclass of (intervals, points, clusters) this class stands in for.
+    """
+
+    def __init__(self, intervals=(), points=(), clusters=()):
+        spans = [iv.span() for iv in intervals]
+        spans.extend(map(_point_span, points))
+        self.__dict__.update(spans=tuple(sorted(spans, key=_start)),
+                             clusters=clusters, _views=(intervals, points))
+
+    @classmethod
+    def _of(cls, spans: tuple[Span, ...], clusters: tuple[Cluster, ...]):
+        h = cls.__new__(cls)
+        h.__dict__.update(spans=spans, clusters=clusters)
+        return h
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    @cached_property
+    def _views(self) -> tuple[tuple[Interval, ...], tuple[Fraction, ...]]:
+        return _span_views(self.spans)
+
+    intervals = property(lambda self: self._views[0])  # tuple[Interval, ...]
+    points = property(lambda self: self._views[1])  # tuple[Fraction, ...]
+
+    def _fields(self):
+        return (self.intervals, self.points, self.clusters)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return (f"RealSet(intervals={self.intervals!r}, "
+                f"points={self.points!r}, clusters={self.clusters!r})")
 
     @property
     def is_empty(self) -> bool:
-        return not (self.intervals or self.points or self.clusters)
+        return not (self.spans or self.clusters)
 
     def member(self, x) -> bool:
         x = Q(x)
-        if _span_contains(self._spans(), x):
+        if _span_contains(self.spans, x):
             return True
         return any(cluster_member(c, x) for c in self.clusters)
 
@@ -761,17 +805,11 @@ class RealSet:
         """(inf, sup); raises EmptySet on the empty set."""
         if self.is_empty:
             raise EmptySet("the empty set has no bounds")
-        los: list[Fraction] = []
-        his: list[Fraction] = []
-        for iv in self.intervals:
-            los.append(iv.lo)
-            his.append(iv.hi)
-        if self.points:
-            los.append(self.points[0])
-            his.append(self.points[-1])
-        for c in self.clusters:
-            los.append(c.inf())
-            his.append(c.sup())
+        los = [c.inf() for c in self.clusters]
+        his = [c.sup() for c in self.clusters]
+        if self.spans:
+            los.append(self.spans[0][0][1])
+            his.append(self.spans[-1][1][1])
         return min(los), max(his)
 
     def is_compact_rep(self) -> bool:
@@ -782,22 +820,14 @@ class RealSet:
             return c.include_limit and all(closed_cluster(b.template)
                                            for b in c.children)
 
-        return (all(iv.lo_closed and iv.hi_closed for iv in self.intervals)
+        return (all(lo[2] == hi[2] == 0 for lo, hi in self.spans)
                 and all(closed_cluster(c) for c in self.clusters))
 
     def is_finite(self) -> bool:
-        return not self.intervals and not self.clusters
+        return not self.clusters and all(lo == hi for lo, hi in self.spans)
 
     def component_count(self) -> int:
-        return len(self.intervals) + len(self.points) + len(self.clusters)
-
-    def _spans(self) -> list[Span]:
-        spans = [iv.span() for iv in self.intervals]
-        if not self.points:
-            return spans
-        spans.extend(map(_point_span, self.points))
-        # disjoint, so the start keys alone order them
-        return sorted(spans, key=_start) if self.intervals else spans
+        return len(self.spans) + len(self.clusters)
 
 
 EMPTY = RealSet()
@@ -818,7 +848,8 @@ def _dedup_limit_flags(clusters: list[Cluster]) -> list[Cluster]:
     return out
 
 
-def _from_spans_and_clusters(spans: list[Span], clusters: list[Cluster]) -> RealSet:
+def _span_views(spans) -> tuple[tuple[Interval, ...], tuple[Fraction, ...]]:
+    """The intervals and the points of sorted, merged key spans."""
     intervals: list[Interval] = []
     points: list[Fraction] = []
     for s in spans:
@@ -827,12 +858,16 @@ def _from_spans_and_clusters(spans: list[Span], clusters: list[Cluster]) -> Real
             points.append(x)
         else:
             intervals.append(Interval(x, y, ex == 0, ey == 0))
+    return tuple(intervals), tuple(points)
+
+
+def _from_spans_and_clusters(spans: list[Span], clusters: list[Cluster]) -> RealSet:
     if len(clusters) > 1:  # the key redoes each cluster's term arithmetic
         clusters = sorted(clusters, key=lambda c: (c.inf(), c.sup(),
                                                    not c.above,
                                                    repr(c.rule)))
     clusters = _dedup_limit_flags(clusters)
-    return RealSet(tuple(intervals), tuple(points), tuple(clusters))
+    return RealSet._of(tuple(spans), tuple(clusters))
 
 
 def _geom_power_shift(a: Geometric, b: Geometric) -> Optional[int]:
@@ -989,7 +1024,7 @@ def set_union(*sets: RealSet) -> RealSet:
     spans: list[Span] = []
     clusters: list[Cluster] = []
     for h in sets:
-        spans.extend(h._spans())
+        spans.extend(h.spans)
         clusters.extend(h.clusters)
     return _normalize_spans(spans, clusters)
 
@@ -1024,8 +1059,8 @@ def _cluster_cluster_diff(a: Cluster, b: Cluster):
 
 
 def set_diff(a: RealSet, b: RealSet) -> RealSet:
-    b_spans = b._spans()
-    spans = _span_diff(a._spans(), b_spans)
+    b_spans = b.spans
+    spans = _span_diff(a.spans, b_spans)
     if not a.clusters and not b.clusters:
         return _from_spans_and_clusters(spans, [])  # already canonical
     out_spans: list[Span] = []
@@ -1116,8 +1151,7 @@ def _cluster_cluster_intersect(a: Cluster, b: Cluster):
 
 
 def set_intersect(a: RealSet, b: RealSet) -> RealSet:
-    a_spans = a._spans()
-    b_spans = b._spans()
+    a_spans, b_spans = a.spans, b.spans
     spans = _span_intersect(a_spans, b_spans)
     if not a.clusters and not b.clusters:
         return _from_spans_and_clusters(spans, [])  # already canonical
@@ -1143,8 +1177,7 @@ def slice_le(h: RealSet, y) -> RealSet:
     if h.is_empty:
         return EMPTY
     lo, _hi = h.bounds()
-    box = RealSet((Interval(min(lo, y) - 1, y, True, True),), (), ())
-    return set_intersect(h, box)
+    return set_intersect(h, from_interval(min(lo, y) - 1, y))
 
 
 def slice_ge(h: RealSet, y) -> RealSet:
@@ -1153,8 +1186,7 @@ def slice_ge(h: RealSet, y) -> RealSet:
     if h.is_empty:
         return EMPTY
     _lo, hi = h.bounds()
-    box = RealSet((Interval(y, max(hi, y) + 1, True, True),), (), ())
-    return set_intersect(h, box)
+    return set_intersect(h, from_interval(y, max(hi, y) + 1))
 
 
 def subset_of(a: RealSet, b: RealSet) -> bool:
@@ -1164,7 +1196,7 @@ def subset_of(a: RealSet, b: RealSet) -> bool:
 def intersects_interval(h: RealSet, iv: Interval) -> bool:
     """Exact test: does h meet the interval?"""
     s = iv.span()
-    if _span_intersect(h._spans(), [s]):
+    if _span_intersect(h.spans, [s]):
         return True
     return any(_cluster_intersects_span(c, s) for c in h.clusters)
 
@@ -1238,26 +1270,25 @@ def closure(h: RealSet) -> RealSet:
                          for b in c.children)
         return Cluster(c.limit, c.above, c.rule, c.start, True, children)
 
-    ivs = [Interval(iv.lo, iv.hi, True, True) for iv in h.intervals]
-    return normalize(ivs, h.points, [close_cluster(c) for c in h.clusters])
+    spans = [((f, x, 0), (g, y, 0)) for (f, x, _), (g, y, _) in h.spans]
+    return _normalize_spans(spans, [close_cluster(c) for c in h.clusters])
 
 
 def interior(h: RealSet) -> RealSet:
-    ivs = [Interval(iv.lo, iv.hi, False, False)
-           for iv in h.intervals if iv.lo < iv.hi]
-    return normalize(ivs, (), ())
+    return _normalize_spans([((f, x, 1), (g, y, -1)) for (f, x, _), (g, y, _)
+                             in h.spans if x != y], ())
 
 
 def derived(h: RealSet) -> RealSet:
     """The set of accumulation points (the classical derived set)."""
-    ivs = [Interval(iv.lo, iv.hi, True, True) for iv in h.intervals]
-    pts: list[Fraction] = []
+    spans = [((f, x, 0), (g, y, 0)) for (f, x, _), (g, y, _) in h.spans
+             if x != y]
     cls: list[Cluster] = []
     for c in h.clusters:
         dp, dc = _derived_cluster(c)
-        pts.extend(dp)
+        spans.extend(map(_point_span, dp))
         cls.extend(dc)
-    return normalize(ivs, pts, cls)
+    return _normalize_spans(spans, cls)
 
 
 def _derived_cluster(c: Cluster):
@@ -1337,11 +1368,12 @@ def acc_bounds(h: RealSet) -> tuple[Fraction, Fraction]:
 
 
 def from_interval(lo, hi, lo_closed=True, hi_closed=True) -> RealSet:
-    return normalize([Interval(lo, hi, lo_closed, hi_closed)])
+    return RealSet._of((Interval(lo, hi, lo_closed, hi_closed).span(),), ())
 
 
 def from_points(*xs) -> RealSet:
-    return normalize((), xs, ())
+    spans = [_point_span(x if isinstance(x, Fraction) else Q(x)) for x in xs]
+    return RealSet._of(tuple(_merge_spans(spans)), ())
 
 
 def harmonic_cluster(limit, c=1, start=1, above=True, include_limit=False,

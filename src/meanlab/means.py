@@ -463,11 +463,15 @@ M_ACC = MeanRef(
 
 def iso_ref(n: int) -> MeanRef:
     """Stage-n isolated-point mean as a catalogue entry."""
+    if n < 1:
+        raise BadParameters("the neighborhood stage must be >= 1")
     return _by_trial(f"iso:{n}", lambda h: iso_n(h, n), n)
 
 
 def eds_ref(n: int) -> MeanRef:
     """Stage-n equal-division mean as a catalogue entry."""
+    if n < 1:
+        raise BadParameters("the division count must be >= 1")
     return _by_trial(f"eds:{n}", lambda h: eds_n(h, n), n)
 
 

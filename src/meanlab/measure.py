@@ -39,12 +39,14 @@ Q = Fraction
 
 def lebesgue(h: RealSet) -> Fraction:
     """Total length of the interval mass; points and clusters are null."""
-    return sum((iv.length for iv in h.intervals), Q(0))
+    return sum((hi[1] - lo[1] for lo, hi in h.spans if lo != hi), Q(0))
 
 
 def moment(h: RealSet) -> Fraction:
-    """First moment of the interval mass: sum of integrals of x dx."""
-    return sum(((iv.hi * iv.hi - iv.lo * iv.lo) / 2 for iv in h.intervals), Q(0))
+    """First moment of the interval mass: sum of integrals of x dx, each
+    (hi - lo)(hi + lo)/2, halved once at the end."""
+    return sum(((hi[1] - lo[1]) * (hi[1] + lo[1]) for lo, hi in h.spans
+                if lo != hi), Q(0)) / 2
 
 
 def support(h: RealSet) -> RealSet:
@@ -54,9 +56,10 @@ def support(h: RealSet) -> RealSet:
 
 def essential_bounds(h: RealSet) -> tuple[Fraction, Fraction]:
     """(inf, sup) of the interval mass; NullSet when there is none."""
-    if not h.intervals:
+    ivs = [(lo[1], hi[1]) for lo, hi in h.spans if lo != hi]
+    if not ivs:
         raise NullSet("the set carries no length; essential bounds undefined")
-    return h.intervals[0].lo, h.intervals[-1].hi
+    return ivs[0][0], ivs[-1][1]
 
 
 # --------------------------------------------------------------------------
