@@ -447,6 +447,12 @@ def _cases() -> list[list[str]]:
          "[0,1]"],
         ["eval", "--mean", "iso:4", "--n", "7", "--set", H_ABOVE],
     ]
+    # a stage below 1 is refused when the mean is built, before an audit
+    # pins inputs from 1/(2n)
+    cases += [
+        ["props", "--mean", "iso:0", "--suite", "monotone", "--trials", "5"],
+        ["eval", "--mean", "iso", "--n", "0", "--set", f"{{5}} u {H_ABOVE}"],
+    ]
     return cases
 
 
