@@ -749,16 +749,18 @@ class RealSet:
     ``intervals`` and ``points`` are views of the spans, built together on
     first read: a chain of operations passes spans along and builds views
     only for the set that is finally read. ``RealSet(intervals, points,
-    clusters)`` takes raw parts and keeps them as given for its views.
-    ``==``, ``hash`` and ``repr`` read the views, as for the frozen
-    dataclass of (intervals, points, clusters) this class stands in for.
+    clusters)`` keeps raw parts as given for its views and sorts their
+    spans; the operations expect parts in normal form. ``==`` and ``hash``
+    compare spans and clusters, which for parts in normal form is comparing
+    the parts, as the former frozen dataclass did; ``repr`` prints its form.
     """
 
     def __init__(self, intervals=(), points=(), clusters=()):
         spans = [iv.span() for iv in intervals]
         spans.extend(map(_point_span, points))
         self.__dict__.update(spans=tuple(sorted(spans, key=_start)),
-                             clusters=clusters, _views=(intervals, points))
+                             clusters=clusters, intervals=intervals,
+                             points=points)
 
     @classmethod
     def _of(cls, spans: tuple[Span, ...], clusters: tuple[Cluster, ...]):
@@ -769,23 +771,21 @@ class RealSet:
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
-    @cached_property
-    def _views(self) -> tuple[tuple[Interval, ...], tuple[Fraction, ...]]:
-        return _span_views(self.spans)
-
-    intervals = property(lambda self: self._views[0])  # tuple[Interval, ...]
-    points = property(lambda self: self._views[1])  # tuple[Fraction, ...]
-
-    def _fields(self):
-        return (self.intervals, self.points, self.clusters)
+    def __getattr__(self, name):
+        """Builds the views ``intervals`` and ``points`` on first read."""
+        if name not in ("intervals", "points"):
+            raise AttributeError(f"'RealSet' object has no attribute {name!r}")
+        ivs, pts = _span_views(self.spans)
+        self.__dict__.update(intervals=ivs, points=pts)
+        return self.__dict__[name]
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._fields() == other._fields()
+        return self.spans == other.spans and self.clusters == other.clusters
 
     def __hash__(self):
-        return hash(self._fields())
+        return hash((self.spans, self.clusters))
 
     def __repr__(self):
         return (f"RealSet(intervals={self.intervals!r}, "

@@ -1,19 +1,20 @@
 """A RealSet stores its key spans; its intervals and points are views.
 
 The first test checks that the stored form leaves every set as the frozen
-dataclass of (intervals, points, clusters) printed, compared and hashed it,
-on seeded sets: ``conftest`` sets, a slice of the cluster-sweep pairs and
-two 1,500-component operands drawn as the benchmark draws them. The
-digest of the results' ``repr`` was recorded from the dataclass
-implementation. The second test pins the mechanism: set operations pass
-spans along, and the views are built once, when a mean reads them.
+dataclass of (intervals, points, clusters) printed and compared it, with
+equal sets hashing alike, on seeded sets: ``conftest`` sets, a slice of
+the cluster-sweep pairs and two 1,500-component operands drawn as the
+benchmark draws them. The digest of the results' ``repr`` was recorded
+from the dataclass implementation. The other tests pin the mechanism:
+set operations pass spans along, and the views are built once, when a
+mean reads them.
 """
 
 import hashlib
 import importlib.util
 import random
 import sys
-from dataclasses import make_dataclass
+from dataclasses import FrozenInstanceError, make_dataclass
 from fractions import Fraction as Q
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from meanlab.exactset import (
     RealSet,
     closure,
     derived,
+    from_interval,
     realset,
     set_diff,
     set_intersect,
@@ -90,10 +92,11 @@ def _results(a: RealSet, b: RealSet) -> list:
     return out
 
 
-def test_every_set_prints_compares_and_hashes_as_the_dataclass_did():
+def test_every_set_prints_and_compares_as_the_dataclass_did():
     digest = hashlib.sha256()
     checked = 0
     for a, b in _pairs():
+        sets = []
         for h in _results(a, b):
             if isinstance(h, str):
                 digest.update(h.encode() + b"\n")
@@ -101,10 +104,14 @@ def test_every_set_prints_compares_and_hashes_as_the_dataclass_did():
             old = DataclassForm(h.intervals, h.points, h.clusters)
             raw = RealSet(h.intervals, h.points, h.clusters)
             assert repr(h) == repr(old)
-            assert raw == h and hash(raw) == hash(h) == hash(old)
+            assert raw == h and hash(raw) == hash(h)
             assert raw.spans == h.spans  # the views give back the spans
             digest.update(repr(h).encode() + b"\n")
-            checked += 1
+            sets.append((h, old))
+        for h, old in sets:
+            for h2, old2 in sets:
+                assert (h == h2) == (old == old2)
+        checked += len(sets)
     assert checked > 1000
     assert digest.hexdigest() == _REPR_DIGEST
 
@@ -143,3 +150,12 @@ def test_a_union_chain_builds_views_only_when_a_mean_reads_them(view_builds):
     assert view_builds == [40]
     assert h.points == (99,) and len(h.intervals) == 39
     assert view_builds == [40]
+
+
+def test_a_set_is_frozen_and_equal_only_to_a_set():
+    h = from_interval(0, 1)
+    for name in ("spans", "intervals", "clusters"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(h, name, ())
+    assert h != (h.intervals, h.points, h.clusters)
+    assert h == RealSet(h.intervals) and h.spans == (h.intervals[0].span(),)
