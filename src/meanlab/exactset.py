@@ -1372,8 +1372,7 @@ def from_interval(lo, hi, lo_closed=True, hi_closed=True) -> RealSet:
 
 
 def from_points(*xs) -> RealSet:
-    spans = [_point_span(x if isinstance(x, Fraction) else Q(x)) for x in xs]
-    return RealSet._of(tuple(_merge_spans(spans)), ())
+    return normalize((), xs, ())
 
 
 def harmonic_cluster(limit, c=1, start=1, above=True, include_limit=False,

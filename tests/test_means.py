@@ -657,7 +657,10 @@ def test_resolve_mean_rejects_bad_requests():
             resolve_mean(name)
     for name, message in (
             ("m_mu:1", "density pieces are 'lo,hi,weight' separated by ';'"),
-            ("avg_f:1", "unknown transform function: '1'")):
+            ("avg_f:1", "unknown transform function: '1'"),
+            # a stage below 1 is refused when the mean is built
+            ("iso:0", "the neighborhood stage must be >= 1"),
+            ("eds:-2", "the division count must be >= 1")):
         with pytest.raises(BadParameters) as e:
             resolve_mean(name)
         assert str(e.value) == message

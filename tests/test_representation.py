@@ -157,5 +157,7 @@ def test_a_set_is_frozen_and_equal_only_to_a_set():
     for name in ("spans", "intervals", "clusters"):
         with pytest.raises(FrozenInstanceError):
             setattr(h, name, ())
+    with pytest.raises(AttributeError, match="no attribute 'lo'"):
+        h.lo
     assert h != (h.intervals, h.points, h.clusters)
     assert h == RealSet(h.intervals) and h.spans == (h.intervals[0].span(),)
