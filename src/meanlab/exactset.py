@@ -18,9 +18,10 @@ prefix, ``(float(x), x, side)``, so that keys compare as tuples in C: the
 prefix decides only when the floats differ, and equal floats fall through
 to the exact ``Fraction``.
 
-A ``RealSet`` stores its sorted, merged key spans beside its clusters. The
-boolean operations read those spans and hand their results to one
-normalizer as key spans and clusters; intervals and points are views of a
+A ``RealSet`` is the record of its sorted, merged key spans and its
+clusters, and is built from those alone. The boolean operations, the
+images and the measures read the spans and hand their results to one
+normalizer, which builds the set; intervals and points are views of a
 set's spans, built only when something reads them.
 Normalization sorts and merges: intervals sorted, disjoint and
 non-adjacent; points sorted, deduplicated, never redundant with an interval
@@ -51,7 +52,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from operator import itemgetter
@@ -228,10 +229,6 @@ class Interval:
     def span(self) -> Span:
         return (_key(self.lo, 0 if self.lo_closed else 1),
                 _key(self.hi, 0 if self.hi_closed else -1))
-
-    @property
-    def length(self) -> Fraction:
-        return self.hi - self.lo
 
 
 # --------------------------------------------------------------------------
@@ -743,49 +740,32 @@ def _cluster_intersects_span(cl: Cluster, s: Span) -> bool:
 # the RealSet
 
 
+@dataclass(frozen=True, repr=False)
 class RealSet:
-    """A set stored as its sorted, merged key spans and its clusters.
+    """A set recorded as its sorted, merged key spans and its clusters.
 
-    ``intervals`` and ``points`` are views of the spans, built together on
-    first read: a chain of operations passes spans along and builds views
-    only for the set that is finally read. ``RealSet(intervals, points,
-    clusters)`` keeps raw parts as given for its views and sorts their
-    spans; the operations expect parts in normal form. ``==`` and ``hash``
-    compare spans and clusters, which for parts in normal form is comparing
-    the parts, as the former frozen dataclass did; ``repr`` prints its form.
+    Its only constructor takes those two tuples, already in normal form;
+    ``realset``/``normalize`` build a set from raw parts. ``==`` and
+    ``hash`` compare the record. ``intervals`` and ``points`` are views of
+    the spans, built together on first read: a chain of operations passes
+    spans along and builds views only for the set that is finally read.
+    ``repr`` prints the views and the clusters.
     """
 
-    def __init__(self, intervals=(), points=(), clusters=()):
-        spans = [iv.span() for iv in intervals]
-        spans.extend(map(_point_span, points))
-        self.__dict__.update(spans=tuple(sorted(spans, key=_start)),
-                             clusters=clusters, intervals=intervals,
-                             points=points)
+    spans: tuple[Span, ...] = ()
+    clusters: tuple[Cluster, ...] = ()
 
-    @classmethod
-    def _of(cls, spans: tuple[Span, ...], clusters: tuple[Cluster, ...]):
-        h = cls.__new__(cls)
-        h.__dict__.update(spans=spans, clusters=clusters)
-        return h
+    @cached_property
+    def _views(self) -> tuple[tuple[Interval, ...], tuple[Fraction, ...]]:
+        return _span_views(self.spans)
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+    @property
+    def intervals(self) -> tuple[Interval, ...]:
+        return self._views[0]
 
-    def __getattr__(self, name):
-        """Builds the views ``intervals`` and ``points`` on first read."""
-        if name not in ("intervals", "points"):
-            raise AttributeError(f"'RealSet' object has no attribute {name!r}")
-        ivs, pts = _span_views(self.spans)
-        self.__dict__.update(intervals=ivs, points=pts)
-        return self.__dict__[name]
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.spans == other.spans and self.clusters == other.clusters
-
-    def __hash__(self):
-        return hash((self.spans, self.clusters))
+    @property
+    def points(self) -> tuple[Fraction, ...]:
+        return self._views[1]
 
     def __repr__(self):
         return (f"RealSet(intervals={self.intervals!r}, "
@@ -859,15 +839,6 @@ def _span_views(spans) -> tuple[tuple[Interval, ...], tuple[Fraction, ...]]:
         else:
             intervals.append(Interval(x, y, ex == 0, ey == 0))
     return tuple(intervals), tuple(points)
-
-
-def _from_spans_and_clusters(spans: list[Span], clusters: list[Cluster]) -> RealSet:
-    if len(clusters) > 1:  # the key redoes each cluster's term arithmetic
-        clusters = sorted(clusters, key=lambda c: (c.inf(), c.sup(),
-                                                   not c.above,
-                                                   repr(c.rule)))
-    clusters = _dedup_limit_flags(clusters)
-    return RealSet._of(tuple(spans), tuple(clusters))
 
 
 def _geom_power_shift(a: Geometric, b: Geometric) -> Optional[int]:
@@ -1008,7 +979,10 @@ def _normalize_spans(spans: list[Span], clusters: Iterable[Cluster]) -> RealSet:
                 keep_spans.append(s)
         spans = keep_spans
 
-    return _from_spans_and_clusters(spans, final_clusters)
+    if len(final_clusters) > 1:  # the key redoes each cluster's term arithmetic
+        final_clusters.sort(key=lambda c: (c.inf(), c.sup(), not c.above,
+                                           repr(c.rule)))
+    return RealSet(tuple(spans), tuple(_dedup_limit_flags(final_clusters)))
 
 
 def realset(intervals=(), points=(), clusters=()) -> RealSet:
@@ -1062,7 +1036,7 @@ def set_diff(a: RealSet, b: RealSet) -> RealSet:
     b_spans = b.spans
     spans = _span_diff(a.spans, b_spans)
     if not a.clusters and not b.clusters:
-        return _from_spans_and_clusters(spans, [])  # already canonical
+        return RealSet(tuple(spans))  # already canonical
     out_spans: list[Span] = []
     for s in spans:
         if s[0] == s[1]:
@@ -1154,7 +1128,7 @@ def set_intersect(a: RealSet, b: RealSet) -> RealSet:
     a_spans, b_spans = a.spans, b.spans
     spans = _span_intersect(a_spans, b_spans)
     if not a.clusters and not b.clusters:
-        return _from_spans_and_clusters(spans, [])  # already canonical
+        return RealSet(tuple(spans))  # already canonical
     out_clusters: list[Cluster] = []
     for c in a.clusters:
         pc, pp = _cluster_intersect_spans(c, b_spans)
@@ -1234,13 +1208,14 @@ def image_set(h: RealSet, f: MonotoneFunc) -> RealSet:
             raise DomainViolation("the set leaves the transform's domain")
         return f.apply(x)
 
-    ivs = []
-    for iv in h.intervals:
-        lo, hi, lc, hc = image(iv.lo), image(iv.hi), iv.lo_closed, iv.hi_closed
-        if not increasing:
-            lo, hi, lc, hc = hi, lo, hc, lc
-        ivs.append(Interval(lo, hi, lc, hc))
-    pts = [image(p) for p in h.points]
+    spans: list[Span] = []
+    for lo, hi in h.spans:
+        fx = image(lo[1])
+        fy = fx if lo == hi else image(hi[1])
+        if increasing:
+            spans.append((_key(fx, lo[2]), _key(fy, hi[2])))
+        else:  # the ends swap, and so do the sides of their keys
+            spans.append((_key(fy, -hi[2]), _key(fx, -lo[2])))
     if isinstance(f, Affine):
         cls = [cluster_affine(c, f.slope, f.shift) for c in h.clusters]
     else:
@@ -1257,7 +1232,7 @@ def image_set(h: RealSet, f: MonotoneFunc) -> RealSet:
                 rule = MappedRule(c.rule, c.limit, c.above, f)
             cls.append(Cluster(image(c.limit), c.above == increasing, rule,
                                c.start, c.include_limit, ()))
-    return normalize(ivs, pts, cls)
+    return _normalize_spans(spans, cls)
 
 
 # --------------------------------------------------------------------------
@@ -1343,7 +1318,7 @@ def level(h: RealSet) -> int:
     """
     if h.is_empty:
         raise EmptySet("level of the empty set is undefined")
-    if h.intervals:
+    if any(lo != hi for lo, hi in h.spans):
         raise InfiniteLevel("interval components make every derived set nonempty")
     if not h.clusters:
         return 0
@@ -1368,7 +1343,7 @@ def acc_bounds(h: RealSet) -> tuple[Fraction, Fraction]:
 
 
 def from_interval(lo, hi, lo_closed=True, hi_closed=True) -> RealSet:
-    return RealSet._of((Interval(lo, hi, lo_closed, hi_closed).span(),), ())
+    return RealSet((Interval(lo, hi, lo_closed, hi_closed).span(),))
 
 
 def from_points(*xs) -> RealSet:

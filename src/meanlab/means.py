@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Callable, Sequence, Union
 
 from .errors import (
     BadParameters,
@@ -235,7 +235,7 @@ def _is_cell_boundary(x: Fraction, a: Fraction, w: Fraction) -> bool:
     return ((x - a) / w).denominator == 1
 
 
-def _point_cells(xs: tuple[Fraction, ...], a: Fraction,
+def _point_cells(xs: Sequence[Fraction], a: Fraction,
                  w: Fraction) -> list[int]:
     """The cells of the sorted, distinct points xs, each once, in order.
 
@@ -271,8 +271,8 @@ def eds_n(h: RealSet, n: int) -> Fraction:
     [a+i*w, a+(i+1)*w), average the left endpoints of occupied cells
     (the supremum occupies its own degenerate cell).
 
-    The points' cells come from ``_point_cells``, which relies on the
-    normal form keeping ``h.points`` sorted and distinct."""
+    The points' cells come from ``_point_cells``: the point spans of a set
+    are sorted and distinct."""
     if n < 1:
         raise BadParameters("the division count must be >= 1")
     if h.is_empty:
@@ -287,14 +287,16 @@ def eds_n(h: RealSet, n: int) -> Fraction:
         if i_lo <= i_hi:
             ranges.append((i_lo, i_hi))
 
-    for iv in h.intervals:
-        i_lo = _cell(iv.lo, a, w)
-        if _is_cell_boundary(iv.hi, a, w) and not iv.hi_closed:
-            i_hi = _cell(iv.hi, a, w) - 1
+    points = []
+    for lo, hi in h.spans:
+        x, y = lo[1], hi[1]
+        if lo == hi:
+            points.append(x)
+        elif hi[2] and _is_cell_boundary(y, a, w):  # open at a cell's left end
+            add(_cell(x, a, w), _cell(y, a, w) - 1)
         else:
-            i_hi = _cell(iv.hi, a, w)
-        add(i_lo, i_hi)
-    for i in _point_cells(h.points, a, w):
+            add(_cell(x, a, w), _cell(y, a, w))
+    for i in _point_cells(points, a, w):
         add(i, i)
     for c in h.clusters:
         k_merge, head = split_native(c, w)

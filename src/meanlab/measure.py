@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     BadParameters,
@@ -27,8 +27,9 @@ from .exactset import (
     Rule,
     _bare_terms,
     _first_index,
+    _key,
+    _normalize_spans,
     closure,
-    normalize,
     rule_gap,
     rule_offset,
 )
@@ -51,7 +52,8 @@ def moment(h: RealSet) -> Fraction:
 
 def support(h: RealSet) -> RealSet:
     """Essential support: the closed interval mass (null parts dropped)."""
-    return normalize([Interval(iv.lo, iv.hi, True, True) for iv in h.intervals])
+    return _normalize_spans([((lo[0], lo[1], 0), (hi[0], hi[1], 0))
+                             for lo, hi in h.spans if lo != hi], ())
 
 
 def essential_bounds(h: RealSet) -> tuple[Fraction, Fraction]:
@@ -119,14 +121,17 @@ def mu_mass_moment(h: RealSet,
     """(mu(h), integral of x over h against mu) in one pass; raises
     OutsideSupport when h has length outside the pieces."""
     mass = first = Q(0)
-    for iv in h.intervals:
+    for start, end in h.spans:
+        if start == end:
+            continue  # a point carries no mass
+        x, y = start[1], end[1]
         covered = Q(0)
         for piece, dens in mu.pieces:
-            lo, hi = _overlap(iv.lo, iv.hi, piece.lo, piece.hi)
+            lo, hi = _overlap(x, y, piece.lo, piece.hi)
             covered += hi - lo
             mass += dens * (hi - lo)
             first += dens * (hi * hi - lo * lo) / 2
-        if covered < iv.length:
+        if covered < y - x:
             raise OutsideSupport(
                 "part of the set carries length outside the measure's support")
     return mass, first
@@ -169,7 +174,7 @@ def split_native(c: Cluster, threshold: Fraction) -> tuple[int, list[Fraction]]:
     return k_merge, _bare_terms(c, c.start, k_merge - 1)
 
 
-def _runs(xs: tuple[Fraction, ...],
+def _runs(xs: Sequence[Fraction],
           width: Fraction) -> list[tuple[Fraction, Fraction]]:
     """(first, last) of each maximal run of the sorted, distinct points xs
     in which consecutive points are less than width apart.
@@ -201,35 +206,39 @@ def fatten(h: RealSet, delta) -> RealSet:
     over the elements x of h. Exact; the result is a finite union of open
     intervals. Clusters must be plain depth-1 harmonic/geometric components.
 
-    The points' balls come from ``_runs``, which relies on the normal form
-    keeping ``h.points`` sorted and distinct: one ball per run of points
-    closer than 2·delta. Points exactly 2·delta apart leave the midpoint
-    between their balls out.
+    The points' balls come from ``_runs``: the point spans of a set are
+    sorted and distinct, and each run of points closer than 2·delta gets
+    one ball. Points exactly 2·delta apart leave the midpoint between
+    their balls out.
     """
     delta = Q(delta)
     if delta <= 0:
         raise BadParameters("fattening radius must be positive")
     if h.is_empty:
         raise EmptySet("cannot fatten the empty set")
-    ivs: list[Interval] = []
-    for iv in h.intervals:
-        ivs.append(Interval(iv.lo - delta, iv.hi + delta, False, False))
-    for lo, hi in _runs(h.points, 2 * delta):
-        ivs.append(Interval(lo - delta, hi + delta, False, False))
+
+    def ball(lo, hi):  # the open span (lo - delta, hi + delta)
+        return (_key(lo - delta, 1), _key(hi + delta, -1))
+
+    spans = []
+    points = []
+    for lo, hi in h.spans:
+        if lo == hi:
+            points.append(lo[1])
+        else:
+            spans.append(ball(lo[1], hi[1]))
+    spans += [ball(lo, hi) for lo, hi in _runs(points, 2 * delta)]
     for c in h.clusters:
         # Terms with consecutive gap < 2*delta chain together and connect
         # to the limit's neighborhood; earlier terms keep separate balls.
         k_merge, head = split_native(c, 2 * delta)
-        blob_reach = rule_offset(c.rule, k_merge) + delta
+        reach = rule_offset(c.rule, k_merge)
         if c.above:
-            ivs.append(Interval(c.limit - delta, c.limit + blob_reach,
-                                False, False))
+            spans.append(ball(c.limit, c.limit + reach))
         else:
-            ivs.append(Interval(c.limit - blob_reach, c.limit + delta,
-                                False, False))
-        for t in head:
-            ivs.append(Interval(t - delta, t + delta, False, False))
-    return normalize(ivs)
+            spans.append(ball(c.limit - reach, c.limit))
+        spans += [ball(t, t) for t in head]
+    return _normalize_spans(spans, ())
 
 
 # --------------------------------------------------------------------------
@@ -238,9 +247,7 @@ def fatten(h: RealSet, delta) -> RealSet:
 
 def _closed_spans(h: RealSet) -> list[tuple[Fraction, Fraction]]:
     """The components of the closure of h as sorted closed [lo, hi] pairs."""
-    c = closure(h)
-    return sorted([(iv.lo, iv.hi) for iv in c.intervals]
-                  + [(p, p) for p in c.points])
+    return [(lo[1], hi[1]) for lo, hi in closure(h).spans]
 
 
 def _dist_to_closed(x: Fraction, spans: list[tuple[Fraction, Fraction]]) -> Fraction:

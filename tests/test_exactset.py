@@ -4,6 +4,7 @@ import dataclasses
 import pickle
 import random
 from fractions import Fraction as Q
+from types import SimpleNamespace
 
 import exactset_reference as cut_reference
 import pytest
@@ -861,7 +862,7 @@ def test_set_algebra_on_hard_coordinates_matches_the_oracle():
             results = [(op, op(a, b)) for op in _TRUTH]
         except MeanlabError:
             continue
-        raw = RealSet(tuple(ivs), tuple(pts), tuple(cls))
+        raw = SimpleNamespace(intervals=ivs, points=pts, clusters=cls)
         for x in probe_points(a, b, raw, terms=4):
             ia, ib = brute_member(a, x), brute_member(b, x)
             assert ia == brute_member(raw, x)

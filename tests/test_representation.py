@@ -1,4 +1,5 @@
-"""A RealSet stores its key spans; its intervals and points are views.
+"""A RealSet is the record of its key spans and clusters; its intervals
+and points are views.
 
 The first test checks that the stored form leaves every set as the frozen
 dataclass of (intervals, points, clusters) printed and compared it, with
@@ -6,8 +7,9 @@ equal sets hashing alike, on seeded sets: ``conftest`` sets, a slice of
 the cluster-sweep pairs and two 1,500-component operands drawn as the
 benchmark draws them. The digest of the results' ``repr`` was recorded
 from the dataclass implementation. The other tests pin the mechanism:
-set operations pass spans along, and the views are built once, when a
-mean reads them.
+set operations, images, measures and the stage mean ``eds`` pass or read
+spans, the views are built once, when something reads them, and a set is
+built only from spans and clusters.
 """
 
 import hashlib
@@ -22,19 +24,30 @@ import pytest
 
 from conftest import bench_module, random_mixed_set
 from meanlab import exactset, means, setexpr
-from meanlab.errors import MeanlabError
+from meanlab.errors import InfiniteLevel, MeanlabError
 from meanlab.exactset import (
     Interval,
     RealSet,
     closure,
     derived,
     from_interval,
+    from_points,
+    image_set,
+    level,
     realset,
     set_diff,
     set_intersect,
     set_union,
     slice_ge,
     slice_le,
+)
+from meanlab.funcs import SQUARE, Affine
+from meanlab.measure import (
+    DensityMeasure,
+    fatten,
+    hausdorff_distance,
+    mu_mass_moment,
+    support,
 )
 
 _ROOT = Path(__file__).resolve().parent.parent
@@ -102,7 +115,9 @@ def test_every_set_prints_and_compares_as_the_dataclass_did():
                 digest.update(h.encode() + b"\n")
                 continue
             old = DataclassForm(h.intervals, h.points, h.clusters)
-            raw = RealSet(h.intervals, h.points, h.clusters)
+            spans = sorted([iv.span() for iv in h.intervals]
+                           + [exactset._point_span(p) for p in h.points])
+            raw = RealSet(tuple(spans), h.clusters)
             assert repr(h) == repr(old)
             assert raw == h and hash(raw) == hash(h)
             assert raw.spans == h.spans  # the views give back the spans
@@ -136,9 +151,22 @@ def test_a_union_builds_views_only_when_a_mean_reads_them(view_builds):
     h = set_union(a, b)
     assert h.component_count() > 2000 and view_builds == []
     means.resolve_mean("avg1").evaluate(h)  # length and moment read spans
-    assert view_builds == []
     means.resolve_mean("eds:8").evaluate(h)
     means.resolve_mean("eds:3").evaluate(h)
+    assert view_builds == []
+    # the builders and readers of exactset and measure walk spans too;
+    # hausdorff_distance is quadratic, so it gets the operands below 200
+    mu = DensityMeasure.from_parts([(0, 3000, 1)])
+    for read in (lambda: fatten(a, Q(1, 5)), lambda: support(b),
+                 lambda: image_set(a, Affine(Q(-2), Q(1))),
+                 lambda: image_set(b, SQUARE),
+                 lambda: pytest.raises(InfiniteLevel, level, a),
+                 lambda: mu_mass_moment(b, mu),
+                 lambda: hausdorff_distance(slice_le(a, 200),
+                                            slice_le(b, 200))):
+        read()
+    assert view_builds == []
+    assert len(h.intervals) + len(h.points) == h.component_count()
     assert view_builds == [h.component_count()]
 
 
@@ -147,7 +175,7 @@ def test_a_union_chain_builds_views_only_when_a_mean_reads_them(view_builds):
     h = setexpr.evaluate(setexpr.parse(text))
     assert h.component_count() == 40 and view_builds == []
     means.resolve_mean("eds:8").evaluate(h)
-    assert view_builds == [40]
+    assert view_builds == []
     assert h.points == (99,) and len(h.intervals) == 39
     assert view_builds == [40]
 
@@ -160,4 +188,15 @@ def test_a_set_is_frozen_and_equal_only_to_a_set():
     with pytest.raises(AttributeError, match="no attribute 'lo'"):
         h.lo
     assert h != (h.intervals, h.points, h.clusters)
-    assert h == RealSet(h.intervals) and h.spans == (h.intervals[0].span(),)
+    assert h == RealSet((h.intervals[0].span(),))
+    assert h.spans == (h.intervals[0].span(),)
+
+
+def test_a_set_is_built_only_from_spans_and_clusters():
+    with pytest.raises(TypeError):
+        RealSet(points=(0, 5, Q(1, 10)))  # raw parts go through realset
+    a, b = realset(points=(0, 5, Q(1, 10))), from_points(0, Q(1, 10), 5)
+    assert a == b
+    assert means.eds_n(a, 3) == means.eds_n(b, 3) == Q(5, 2)
+    assert fatten(a, Q(1, 5)) == fatten(b, Q(1, 5))
+    assert fatten(a, Q(1, 5)).member(5)
