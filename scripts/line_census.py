@@ -114,9 +114,6 @@ GUARDS: dict[tuple[str, str, str], str] = {
      'raise BadParameters(f"index {k} carries no child copy")'): _REFUSED,
     ("exactset.py", "RealSet.bounds",
      'raise EmptySet("the empty set has no bounds")'): _REFUSED,
-    ("exactset.py", "_normalize_spans", 'raise OverlappingClusterWindows('
-     '"cluster normalization did not settle")'):
-        "a bound on the merge loop, which no known input reaches",
     ("exactset.py", "_cluster_cluster_intersect",
      'raise UnrepresentableResult("coincidence scan too large")'):
         "a resource bound: MATERIALIZE_CAP explicit terms",
@@ -173,8 +170,6 @@ GUARDS: dict[tuple[str, str, str], str] = {
 
 # (file, function, first line of the range) -> what of item 1 it is
 ITEM_1: dict[tuple[str, str, str], str] = {
-    ("exactset.py", "_normalize_spans", "work.append(c)"):
-        "the parts after a merge, more than one only with child copies",
     ("exactset.py", "_derived_cluster", "sub_p, sub_c = _derived_cluster("
      "placed_child(c, k))"): "the derived set of a copy of depth 2 or more",
     ("exactset.py", "_derived_cluster",

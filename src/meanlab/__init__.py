@@ -14,18 +14,17 @@ __version__ = "0.1.0"
 _EXPORTS = {name: tuple(names.split()) for name, names in {
     "analysis": """acc_points_by_mean core_restriction_check d_mean d_probe
         extremal_avg grid_family is_k_closed liminf_by_mean limsup_by_mean
-        sup_bound_check uniformity_witness uniformity_witness_at""",
+        uniformity_witness uniformity_witness_at""",
     "axioms": """PROPERTY_IDS RECONSTRUCTED GeneratorConfig PropertyReport
         Witness check full_report gen_dilution gen_disjoint_pairs
-        gen_equal_mean_pairs gen_nested_chain gen_sets""",
+        gen_equal_mean_pairs gen_sets""",
     "cli": "",
     "errors": "MeanlabError NoConvergence ParseError",
     "exactset": """EMPTY Cluster Geometric Harmonic Interval MappedRule
         RealSet acc_bounds closure derived derived_iter from_interval
         from_points geometric_cluster harmonic_cluster image_set interior
-        intersects_interval level make_cluster normalize realset reflect
-        scale set_diff set_intersect set_union slice_ge slice_le subset_of
-        translate""",
+        level make_cluster normalize realset reflect scale set_diff
+        set_intersect set_union slice_ge slice_le subset_of translate""",
     "funcs": """SQUARE Affine Compose ExpBase LogBase MonotoneFunc Power
         parse_func""",
     "limits": "DEFAULT_SCHEDULE LimitSchedule limit_estimate",
@@ -34,8 +33,8 @@ _EXPORTS = {name: tuple(names.split()) for name, names in {
         eds_sequence iso_n iso_ref iso_sequence lavg lavg_ref
         m_acc m_eds m_eds_ref m_iso m_iso_ref m_mu m_mu_ref pointwise_limit
         resolve_mean transform_kf""",
-    "measure": """DensityMeasure diameter essential_bounds fatten
-        hausdorff_distance lebesgue moment mu_measure mu_moment support""",
+    "measure": """DensityMeasure essential_bounds fatten hausdorff_distance
+        lebesgue moment support""",
     "setexpr": "SetExpr evaluate parse print_expr set_to_expr",
     "values": """Approx RootValue decimal_str parse_rational_text
         value_bounds value_mid""",

@@ -38,8 +38,7 @@ from .limits import (
     aitken_accelerate,
     limit_estimate,
 )
-from .means import MeanRef, MeanSequence, avg1
-from .measure import lebesgue
+from .means import MeanRef, MeanSequence
 from .values import Approx, RootValue, value_mid, values_close
 
 Q = Fraction
@@ -71,9 +70,8 @@ def _bound_by_bisection(k: MeanRef, h: RealSet, *, upper: bool) -> Value:
     holds for monotone means; non-monotone means get a best-effort bracket.
 
     The cut sets at the two ends of the bracket are kept, and a cut equal
-    (``==``) to one of them takes that end's answer without evaluating the
-    mean again: an equal representation evaluates identically. Equal sets
-    written in different normal forms are evaluated anew.
+    (``==``) to one of them, which is the same set, takes that end's
+    answer without evaluating the mean again.
     """
     base = k.evaluate(h)
     lo, hi = h.bounds()
@@ -253,15 +251,6 @@ def extremal_avg(a, b, h) -> tuple[Fraction, Fraction]:
     if not (0 < h < b - a):
         raise BadParameters("need 0 < h < b - a")
     return a + h / 2, b - h / 2
-
-
-def sup_bound_check(h: RealSet) -> bool:
-    """Exact check that the set reaches at least half its length above and
-    below its average: sup ≥ mean + λ/2 and inf ≤ mean − λ/2."""
-    v = avg1(h)  # raises NullSet / EmptySet when undefined
-    lam = lebesgue(h)
-    lo, hi = h.bounds()
-    return hi >= v + lam / 2 and lo <= v - lam / 2
 
 
 # --------------------------------------------------------------------------

@@ -369,14 +369,6 @@ def gen_equal_mean_pairs(seed: int) -> Iterator[tuple[RealSet, RealSet]]:
             yield h1, h2
 
 
-def gen_nested_chain(j: int) -> RealSet:
-    """[0,1] together with a right block shrinking toward the point 2."""
-    if j < 0:
-        raise BadParameters("chain index must be >= 0")
-    return set_union(from_interval(Q(0), Q(1)),
-                     from_interval(Q(2), Q(2) + Q(1, 2 ** j)))
-
-
 def gen_dilution(seed: int
                  ) -> Iterator[tuple[Callable[[int], tuple[RealSet, RealSet]], Fraction]]:
     """Families (n -> (H_n, L_n), a) of growing finite sets H_n with

@@ -339,13 +339,12 @@ def _suite_ids(suite: Optional[str]) -> tuple[str, ...]:
 
 def _run_reports(args) -> list:
     """The ``axioms.PropertyReport`` of each property of ``--suite``."""
-    from .axioms import GeneratorConfig, check
+    from .axioms import GeneratorConfig, full_report
 
     schedule = _build_schedule(args)
-    k = _build_mean(args, schedule)
-    cfg = GeneratorConfig(schedule=schedule)
-    return [check(pid, k, cfg, trials=args.trials, seed=args.seed)
-            for pid in _suite_ids(args.suite)]
+    return full_report(_build_mean(args, schedule), _suite_ids(args.suite),
+                       GeneratorConfig(schedule=schedule), args.trials,
+                       args.seed)
 
 
 def _cmd_props(args) -> list[str]:

@@ -19,15 +19,11 @@ prefix decides only when the floats differ, and equal floats fall through
 to the exact ``Fraction``.
 
 A ``RealSet`` is the record of its sorted, merged key spans and its
-clusters, and is built from those alone. The boolean operations, the
-images and the measures read the spans and hand their results to one
-normalizer, which builds the set; intervals and points are views of a
-set's spans, built only when something reads them.
-Normalization sorts and merges: intervals sorted, disjoint and
-non-adjacent; points sorted, deduplicated, never redundant with an interval
-or a cluster; clusters canonically based (geometric rules rebased to start
-index 1, child templates centered at 0) with pairwise disjoint hulls apart
-from a few provably-disjoint same-limit families that are admitted as-is.
+clusters; intervals and points are views of the spans. The operations
+hand their results to one normalizer, which builds the set: spans merged,
+no point held by a cluster, clusters canonically based (geometric rules
+rebased to start index 1, child templates centered at 0) with pairwise
+disjoint hulls, apart from provably disjoint same-limit ladders.
 
 Two clusters a and b with one limit and side meet by one rule
 (``_shared_indices``), with s_a and s_b their first indices. For harmonic
@@ -40,12 +36,24 @@ shared indices are all of it; difference keeps the terms of a before its
 first shared index, and refuses when the shared indices skip some;
 intersection is the shared indices as a cluster.
 
-The normal form is unique only for the interval/point part: two RealSets
-without clusters are equal exactly when they describe the same set. A set
-with clusters can have several normal forms (a cluster limit at an interval
-end may be held by the closed interval end or by the cluster's
-include_limit flag), and which one normalization returns can depend on how
-the parts were written and grouped.
+Two sets are equal exactly when their records are, by two rules that
+``_normalize_spans`` alone applies, however the parts are grouped:
+
+* R1, limits. A cluster limit in the set and in no cluster's hull is
+  first a point of the spans, so it merges with any interval it touches.
+  Only a limit left as an isolated point becomes ``include_limit``, on
+  the first cluster at that limit in canonical order; every other cluster
+  there has it off.
+* R2, heads. In canonical order, each cluster without children takes back
+  each point that is its previous term: a harmonic or mapped rule down to
+  index 1, a geometric one rebased to start at 1 again. It stops when its
+  hull would meet another cluster's hull, and at a point that is a head
+  term of a cluster with a nearer limit (the lower limit on a tie).
+
+Left open: nested clusters (no R2); same-ratio geometric ladders at one
+limit, whose hulls meet, so neither takes a head; a term at an open end
+of an interval, which stays a term; and a limit inside another hull, which
+keeps its flag, so such a union may be refused.
 """
 
 from __future__ import annotations
@@ -620,7 +628,10 @@ def _envelope_below(cl: Cluster, key: Key) -> int:
 def _with_include(cl: Cluster, flag: bool) -> Cluster:
     if cl.include_limit == flag:
         return cl
-    return Cluster(cl.limit, cl.above, cl.rule, cl.start, flag, cl.children)
+    out = Cluster(cl.limit, cl.above, cl.rule, cl.start, flag, cl.children)
+    if "hull" in cl.__dict__:  # the hull leaves the limit out
+        out.__dict__["hull"] = cl.hull
+    return out
 
 
 def _cluster_minus_spans(cl: Cluster, spans: list[Span]):
@@ -746,10 +757,8 @@ class RealSet:
 
     Its only constructor takes those two tuples, already in normal form;
     ``realset``/``normalize`` build a set from raw parts. ``==`` and
-    ``hash`` compare the record. ``intervals`` and ``points`` are views of
-    the spans, built together on first read: a chain of operations passes
-    spans along and builds views only for the set that is finally read.
-    ``repr`` prints the views and the clusters.
+    ``hash`` compare the record. ``intervals`` and ``points``, the views
+    that ``repr`` prints, are built together on first read.
     """
 
     spans: tuple[Span, ...] = ()
@@ -813,21 +822,6 @@ class RealSet:
 EMPTY = RealSet()
 
 
-def _dedup_limit_flags(clusters: list[Cluster]) -> list[Cluster]:
-    """Keep at most one include_limit flag per shared limit position,
-    resolving ties by canonical (sorted) order."""
-    seen: set[Fraction] = set()
-    out = []
-    for c in clusters:
-        if c.include_limit:
-            if c.limit in seen:
-                c = _with_include(c, False)
-            else:
-                seen.add(c.limit)
-        out.append(c)
-    return out
-
-
 def _span_views(spans) -> tuple[tuple[Interval, ...], tuple[Fraction, ...]]:
     """The intervals and the points of sorted, merged key spans."""
     intervals: list[Interval] = []
@@ -843,19 +837,11 @@ def _span_views(spans) -> tuple[tuple[Interval, ...], tuple[Fraction, ...]]:
 
 def _geom_power_shift(a: Geometric, b: Geometric) -> Optional[int]:
     """d with a.c == b.c * b.q**d when it exists (same q assumed)."""
-    v = a.c / b.c
-    if v == 1:
-        return 0
-    q = a.q
-    d = 0
-    if v < 1:
-        while v < 1:
-            v = v / q
-            d += 1
-    else:
-        while v > 1:
-            v = v * q
-            d -= 1
+    v, q, d = a.c / b.c, a.q, 0
+    while v < 1:
+        v, d = v / q, d + 1
+    while v > 1:  # runs after the loop above only when it overshot
+        v, d = v * q, d - 1
     return d if v == 1 else None
 
 
@@ -908,85 +894,110 @@ def _hulls_overlap(a: Cluster, b: Cluster) -> bool:
 def normalize(intervals: Iterable[Interval] = (), points: Iterable = (),
               clusters: Iterable[Cluster] = ()) -> RealSet:
     """Normal-form RealSet from raw parts describing their union."""
-    spans: list[Span] = [iv.span() for iv in intervals]
-    for p in points:
-        if not isinstance(p, Fraction):
-            p = Q(p)
-        spans.append(_point_span(p))
+    spans = [iv.span() for iv in intervals]
+    spans += [_point_span(p if isinstance(p, Fraction) else Q(p))
+              for p in points]
     return _normalize_spans(spans, clusters)
 
 
 def _normalize_spans(spans: list[Span], clusters: Iterable[Cluster]) -> RealSet:
-    """Normal-form RealSet of the union of key spans and clusters."""
-    spans = _merge_spans(spans)
+    """Normal-form RealSet of the union of key spans and clusters, by the
+    rules R1 and R2 of the module docstring."""
     work = [_canonical_cluster(c) for c in clusters]
-    final_clusters: list[Cluster] = []
-    guard = 0
+    # R1; a lone cluster's limit meets nothing, so it keeps its flag
+    limits = [c.limit for c in work if c.include_limit and not any(
+        o.hull[0] <= _key(c.limit, 0) <= o.hull[1] for o in work)] \
+        if spans or len(work) > 1 else []
+    spans = _merge_spans([*spans, *map(_point_span, limits)])
+    work = [_with_include(c, False) if c.limit in limits else c for c in work]
+    points = True
+    while points:  # cut every cluster by the spans until no cut leaves points
+        cuts = [_cluster_minus_spans(c, spans) for c in work]
+        work = [c for parts, _ in cuts for c in parts]
+        points = [_point_span(p) for _, pts in cuts for p in pts]
+        spans = _merge_spans(spans + points) if points else spans
+    final: list[Cluster] = []
     while work:
-        guard += 1
-        if guard > 10_000:
-            raise OverlappingClusterWindows("cluster normalization did not settle")
-        cl = work.pop()
-        parts, pts2 = _cluster_minus_spans(cl, spans)
-        if pts2:
-            spans = _merge_spans(spans + [_point_span(p) for p in pts2])
-            work.extend(parts)
-            continue
-        requeued = False
-        for c in parts:
-            if requeued:
-                work.append(c)
+        c = work.pop()
+        for i, other in enumerate(final):
+            if not _hulls_overlap(c, other):
                 continue
-            conflict = None
-            for i, other in enumerate(final_clusters):
-                if not _hulls_overlap(c, other):
-                    continue
-                if c.limit == other.limit and c.above == other.above:
-                    merged = _merge_same_side_clusters(c, other)
-                    if merged is None:
-                        continue  # provably disjoint interleaved ladders
-                    conflict = (i, merged)
-                    break
+            if c.limit != other.limit or c.above != other.above:
                 raise OverlappingClusterWindows(
                     "cluster hulls overlap; the representation requires "
                     "separated clusters")
-            if conflict is None:
-                final_clusters.append(c)
-            else:
-                i, merged = conflict
-                final_clusters.pop(i)
+            merged = _merge_same_side_clusters(c, other)
+            if merged is not None:  # None: provably disjoint ladders
+                del final[i]
                 work.append(merged)
-                requeued = True
-
-    # drop points redundant with clusters; absorb limit coincidences
-    if spans and final_clusters:
-        keep_spans: list[Span] = []
-        for s in spans:
-            if s[0] != s[1]:
-                keep_spans.append(s)
-                continue
-            p = s[0][1]
-            absorbed = False
-            for i, c in enumerate(final_clusters):
-                if cluster_member(c, p):
-                    absorbed = True
-                    break
-                if p == c.limit and not c.include_limit:
-                    final_clusters[i] = _with_include(c, True)
-                    absorbed = True
-                    break
-            if not absorbed:
-                keep_spans.append(s)
-        spans = keep_spans
-
-    if len(final_clusters) > 1:  # the key redoes each cluster's term arithmetic
-        final_clusters.sort(key=lambda c: (c.inf(), c.sup(), not c.above,
-                                           repr(c.rule)))
-    return RealSet(tuple(spans), tuple(_dedup_limit_flags(final_clusters)))
+                break
+        else:
+            final.append(c)
+    if len(final) > 1:  # the key redoes each cluster's term arithmetic
+        final.sort(key=_cluster_order)
+    if not (spans and final):
+        return RealSet(tuple(spans), tuple(final))
+    return _place_points(spans, final)
 
 
-def realset(intervals=(), points=(), clusters=()) -> RealSet:
-    return normalize(intervals, points, clusters)
+def _cluster_order(c: Cluster):
+    return (c.inf(), c.sup(), not c.above, repr(c.rule))
+
+
+def _place_points(spans: list[Span], clusters: list[Cluster]) -> RealSet:
+    """The set of merged spans and of cut, separated clusters in canonical
+    order, once each cluster has taken back its head (R2) and limit (R1)."""
+    taken: set[int] = set()  # indices of the point spans a cluster took
+
+    def point_at(x: Fraction) -> Optional[int]:
+        s = _point_span(x)
+        i = bisect.bisect_left(spans, s)
+        if i < len(spans) and spans[i] == s and i not in taken:
+            return i
+        return None
+
+    for n, c in enumerate(clusters):
+        while not c.children:
+            if isinstance(c.rule, Geometric):
+                prev = Cluster(c.limit, c.above,
+                               Geometric(c.rule.c / c.rule.q, c.rule.q))
+            elif c.start > 1:
+                prev = Cluster(c.limit, c.above, c.rule, c.start - 1)
+            else:
+                break
+            p = prev.term(prev.start)
+            i = point_at(p)
+            if i is None or any(
+                    _hulls_overlap(prev, o) or _claims_head(o, p, c.limit)
+                    for m, o in enumerate(clusters) if m != n):
+                break
+            taken.add(i)
+            c = clusters[n] = prev
+    if len(clusters) > 1:
+        clusters.sort(key=_cluster_order)
+    for n, c in enumerate(clusters):
+        i = point_at(c.limit)
+        if i is not None:
+            taken.add(i)
+            clusters[n] = _with_include(c, True)
+    if taken:
+        spans = [s for i, s in enumerate(spans) if i not in taken]
+    return RealSet(tuple(spans), tuple(clusters))
+
+
+def _claims_head(o: Cluster, p: Fraction, limit: Fraction) -> bool:
+    """Does p, the previous term of a cluster at limit, go to o (R2): is it
+    a head term of o, and o's limit nearer, or as near and lower?"""
+    d = p - o.limit if o.above else o.limit - p
+    if (o.children or d <= o.first_offset()
+            or (d, o.limit) >= (abs(p - limit), limit)):
+        return False
+    if isinstance(o.rule, Geometric):
+        return _geom_power_shift(Geometric(d, o.rule.q), o.rule) is not None
+    return cluster_member(Cluster(o.limit, o.above, o.rule), p)
+
+
+realset = normalize
 
 
 # --------------------------------------------------------------------------
@@ -1165,14 +1176,6 @@ def slice_ge(h: RealSet, y) -> RealSet:
 
 def subset_of(a: RealSet, b: RealSet) -> bool:
     return set_diff(a, b).is_empty
-
-
-def intersects_interval(h: RealSet, iv: Interval) -> bool:
-    """Exact test: does h meet the interval?"""
-    s = iv.span()
-    if _span_intersect(h.spans, [s]):
-        return True
-    return any(_cluster_intersects_span(c, s) for c in h.clusters)
 
 
 # --------------------------------------------------------------------------

@@ -137,16 +137,6 @@ def mu_mass_moment(h: RealSet,
     return mass, first
 
 
-def mu_measure(h: RealSet, mu: DensityMeasure) -> Fraction:
-    """mu(h); raises OutsideSupport when h has length outside the pieces."""
-    return mu_mass_moment(h, mu)[0]
-
-
-def mu_moment(h: RealSet, mu: DensityMeasure) -> Fraction:
-    """Integral of x over h against mu."""
-    return mu_mass_moment(h, mu)[1]
-
-
 # --------------------------------------------------------------------------
 # fattening: the open delta-neighborhood
 
@@ -287,8 +277,3 @@ def hausdorff_distance(a: RealSet, b: RealSet) -> Fraction:
     if a.is_empty or b.is_empty:
         raise EmptySet("hausdorff distance needs nonempty sets")
     return max(_directed_hausdorff(a, b), _directed_hausdorff(b, a))
-
-
-def diameter(h: RealSet) -> Fraction:
-    lo, hi = h.bounds()
-    return hi - lo

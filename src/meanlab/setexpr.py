@@ -37,6 +37,7 @@ from typing import Optional, Union
 
 from .errors import (
     BadParameters,
+    MeanlabError,
     ParseError,
     UnrepresentableResult,
     UnsupportedDepth,
@@ -47,8 +48,7 @@ from .exactset import (
     RealSet,
     from_interval,
     from_points,
-    geometric_cluster,
-    harmonic_cluster,
+    make_cluster,
     realset,
     reflect,
     scale,
@@ -454,14 +454,10 @@ def _evaluate(e: SetExpr) -> RealSet:
     elif isinstance(e, PointsLit):
         h = from_points(*e.points)
     elif isinstance(e, SeqLit):
-        if e.rule_name == "harmonic":
-            h = realset(clusters=[harmonic_cluster(
-                e.limit, c=e.c, start=e.start, above=not e.below,
-                include_limit=e.with_limit)])
-        else:
-            h = realset(clusters=[geometric_cluster(
-                e.limit, c=e.c, q=e.q, start=e.start, above=not e.below,
-                include_limit=e.with_limit)])
+        rule = Harmonic(e.c) if e.rule_name == "harmonic" else \
+            Geometric(e.c, e.q)
+        h = realset(clusters=[make_cluster(e.limit, not e.below, rule,
+                                           e.start, e.with_limit)])
     elif isinstance(e, BinaryOp):
         h = _evaluate_chain(e)
     else:
@@ -472,7 +468,7 @@ def _evaluate(e: SetExpr) -> RealSet:
 
 
 def _apply_run(acc: RealSet, op: str, run: list[RealSet]) -> RealSet:
-    """acc op run[0] op run[1] ... for cluster-free sets, with one merge."""
+    """acc op run[0] op run[1] ..., with one union of the run."""
     if not run:
         return acc
     if op == "u":
@@ -483,28 +479,29 @@ def _apply_run(acc: RealSet, op: str, run: list[RealSet]) -> RealSet:
 def _evaluate_chain(e: BinaryOp) -> RealSet:
     """Left fold of a chain ``t0 op1 t1 op2 ... opk tk``, walked in a loop.
 
-    A run of consecutive ``u`` operands, or of consecutive ``\\`` operands,
-    is united once and applied once while the operands and the accumulator
-    have no clusters (``A \\ b1 \\ b2 = A \\ (b1 u b2)``). ``&`` and every
-    step with a cluster stay pairwise: with clusters the normal form depends
-    on grouping. Operations on cluster-free sets cannot fail, so holding
-    them back keeps the errors of the pairwise fold.
+    A run of ``u`` operands joins the accumulator in one ``set_union``. A
+    cluster-free run of ``\\`` operands is united and taken away once
+    (``A \\ b1 \\ b2 = A \\ (b1 u b2)``); ``&`` and any other ``\\`` stay
+    pairwise. A pending run is applied before a failed operand's error.
     """
     steps: list[tuple[str, SetExpr]] = []
     while isinstance(e, BinaryOp):
         steps.append((e.op, e.right))
         e = e.left
     acc = _evaluate(e)
-    run_op, run = "", []  # cluster-free operands of run_op, not yet applied
+    run_op, run = "", []  # operands of run_op, not yet applied
     for op, node in reversed(steps):
-        rhs = _evaluate(node)
-        if run and (op != run_op or rhs.clusters):
+        try:
+            rhs = _evaluate(node)
+        except MeanlabError:
+            _apply_run(acc, run_op, run)
+            raise
+        if run and (op != run_op or (op == "\\" and rhs.clusters)):
             acc, run = _apply_run(acc, run_op, run), []
-        if op != "&" and not acc.clusters and not rhs.clusters:
+        if op == "u" or (op == "\\" and not acc.clusters
+                         and not rhs.clusters):
             run_op = op
             run.append(rhs)
-        elif op == "u":
-            acc = set_union(acc, rhs)
         elif op == "\\":
             acc = set_diff(acc, rhs)
         else:

@@ -18,7 +18,6 @@ from meanlab.analysis import (
     is_k_closed,
     liminf_by_mean,
     limsup_by_mean,
-    sup_bound_check,
     uniformity_witness,
     uniformity_witness_at,
 )
@@ -314,15 +313,6 @@ def test_random_sets_of_fixed_length_respect_the_extremal_bounds():
         h = set_union(from_interval(x1, x1 + l1), from_interval(x2, x2 + l2))
         assert lebesgue(h) == total
         assert lo_bound <= avg1(h) <= hi_bound
-
-
-def test_half_length_reach_check():
-    assert sup_bound_check(from_interval(Q(0), Q(1)))
-    assert sup_bound_check(set_union(from_interval(Q(0), Q(1)),
-                                     from_interval(Q(3), Q(4))))
-    rng = random.Random(35)
-    for _ in range(60):
-        assert sup_bound_check(random_union(rng))
 
 
 # --------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from meanlab.axioms import (
     gen_dilution,
     gen_disjoint_pairs,
     gen_equal_mean_pairs,
-    gen_nested_chain,
     gen_sets,
 )
 from meanlab.errors import BadParameters, MeanlabError
@@ -504,14 +503,6 @@ def test_gen_equal_mean_pairs_match_exactly():
     for a, b in pairs:
         assert avg1(a) == avg1(b)
         assert set_intersect(a, b).is_empty
-
-
-def test_gen_nested_chain_shrinks():
-    chain = [gen_nested_chain(j) for j in range(6)]
-    for deeper, shallower in zip(chain[1:], chain):
-        assert subset_of(deeper, shallower)
-    with pytest.raises(BadParameters):
-        gen_nested_chain(-1)
 
 
 def test_gen_dilution_families_thin_out():

@@ -43,7 +43,6 @@ from meanlab.exactset import (
     geometric_cluster,
     harmonic_cluster,
     interior,
-    intersects_interval,
     level,
     make_cluster,
     normalize,
@@ -133,6 +132,79 @@ def test_point_a_placed_cluster_holds_is_absorbed():
     assert h.points == (Q(5, 12), Q(4, 9), Q(1))
     assert h.clusters == (harmonic_cluster(Q(0), start=3),)
     assert h.member(Q(1, 3))
+    assert set_union(a, b) == h  # in either order 1/3 is a term of A
+
+
+def _outcome(op, *sets):
+    try:
+        return op(*sets)
+    except MeanlabError as exc:
+        return exc.code
+
+
+def test_a_set_has_one_record():
+    # on seeded depth-1 sets: the record survives taking a cluster term
+    # away and putting it back, and splitting by another set and joining
+    # the parts; a union's record does not depend on the order; and two
+    # sets are == exactly when both differences are empty
+    rng = random.Random(26)
+    for i in range(300):
+        a = random_cluster_set(rng) if i % 2 else random_mixed_set(rng)
+        b = random_cluster_set(rng) if i % 3 == 0 else random_mixed_set(rng)
+        assert _outcome(set_union, a, b) == _outcome(set_union, b, a)
+        same = []
+        for c in a.clusters:
+            t = from_points(c.term(c.start + rng.randrange(4)))
+            same.append(set_union(set_diff(a, t), t))
+        split = _outcome(set_diff, a, b), _outcome(set_intersect, a, b)
+        if all(isinstance(h, RealSet) for h in split):
+            same.append(set_union(*split))
+        assert all(h == a for h in same)
+        for h in [b, _outcome(set_union, a, b), *same]:
+            diffs = [_outcome(set_diff, a, h), _outcome(set_diff, h, a)] \
+                if isinstance(h, RealSet) else []
+            if diffs and all(isinstance(d, RealSet) for d in diffs):
+                assert (h == a) == all(d.is_empty for d in diffs)
+
+
+@pytest.mark.parametrize("text, other", [
+    ("[7,8] u seq(limit=8, rule=geometric(1/8,1/3), from=1, with_limit)",
+     "[7,8) u seq(limit=8, rule=geometric(1/8,1/3), from=1, with_limit)"),
+    ("{1/2,1} u seq(limit=0, rule=harmonic(1), from=3)",
+     "seq(limit=0, rule=harmonic(1), from=1)"),
+    ("{1/8,1/4} u seq(limit=0, rule=geometric(1/8,1/2), from=1)",
+     "seq(limit=0, rule=geometric(1/2,1/2), from=1)"),
+])
+def test_equal_sets_written_apart_have_one_record(text, other):
+    h, h2 = (setexpr.evaluate(setexpr.parse(t)) for t in (text, other))
+    assert set_diff(h, h2).is_empty and set_diff(h2, h).is_empty
+    assert h == h2 and not h.points
+
+
+def test_a_head_stops_where_its_hull_would_meet_another():
+    # the harmonic cluster's previous term 1 is the geometric's limit; its
+    # hull would reach past 1, so 1 stays the limit, held by that flag (R1)
+    h = realset([], [1], [harmonic_cluster(0, start=2),
+                          geometric_cluster(1, Q(1, 2), Q(1, 3))])
+    assert not h.points
+    assert h.clusters == (harmonic_cluster(0, start=2), geometric_cluster(
+        1, Q(1, 2), Q(1, 3), include_limit=True))
+
+
+def test_a_point_two_heads_share_goes_to_the_nearer_limit():
+    a, b = harmonic_cluster(0, start=2), harmonic_cluster(Q(3, 2), start=3,
+                                                          above=False)
+    for parts in ([a, b], [b, a]):
+        assert realset([], [1], parts).clusters == (
+            a, harmonic_cluster(Q(3, 2), start=2, above=False))
+    # on a tie the lower limit takes it
+    c = harmonic_cluster(2, start=2, above=False)
+    assert realset([], [1], [c, a]).clusters == (harmonic_cluster(0), c)
+    # 1 is a head term of the geometric cluster at 3/2, which is nearer,
+    # though its own previous term 11/8 is missing: 1 stays a point
+    g = geometric_cluster(Q(3, 2), Q(1, 8), Q(1, 2), above=False)
+    h = realset([], [1], [g, a])
+    assert h.points == (1,) and h.clusters == (a, g)
 
 
 def test_overlapping_cluster_windows_rejected():
@@ -457,15 +529,19 @@ def test_a_level_two_set_meets_a_range_only_through_a_child_copy():
     # alone, and the stretch just below it, miss H; any stretch just above
     # it, with the anchor or without, holds the copy's tail
     c = _level_two_cluster()
-    h = realset(clusters=[c])
+
+    def meets(*interval):
+        # the test set_diff makes; set_intersect would drop the whole copy
+        # once the anchor is cut away (ROADMAP item 1)
+        span = Interval(*interval).span()
+        return exactset._cluster_intersects_span(c, span)
+
     for k in range(1, 12):
         anchor, w = 1 + Q(1, k), c.window(k)
-        assert not intersects_interval(h, Interval(anchor, anchor))
-        assert not intersects_interval(
-            h, Interval(anchor - w / 2, anchor, True, False))
-        assert intersects_interval(h, Interval(anchor, anchor + w / 2))
-        assert intersects_interval(
-            h, Interval(anchor, anchor + w / 2, False, False))
+        assert not meets(anchor, anchor)
+        assert not meets(anchor - w / 2, anchor, True, False)
+        assert meets(anchor, anchor + w / 2)
+        assert meets(anchor, anchor + w / 2, False, False)
 
 
 def test_acc_bounds_examples():
@@ -484,9 +560,8 @@ def test_acc_bounds_fails_on_finite_sets():
 
 def test_intersects_interval():
     h = set_union(from_interval(0, 1), from_points(Q(4)))
-    assert intersects_interval(h, from_interval(Q(1, 2), Q(5)).intervals[0])
-    assert not intersects_interval(
-        h, from_interval(Q(2), Q(3)).intervals[0])
+    assert not set_intersect(h, from_interval(Q(1, 2), Q(5))).is_empty
+    assert set_intersect(h, from_interval(Q(2), Q(3))).is_empty
 
 
 def test_is_finite_and_compact_flags():

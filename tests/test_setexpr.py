@@ -6,7 +6,7 @@ from fractions import Fraction as Q
 
 import pytest
 import setexpr_reference as reference
-from conftest import random_mixed_set
+from conftest import brute_member, probe_points, random_mixed_set
 
 from meanlab import setexpr
 from meanlab.errors import (
@@ -313,6 +313,35 @@ def test_chain_evaluation_matches_pairwise_fold():
         kinds.add("set" if expected.startswith("RealSet") else expected)
     # the corpus reaches both answers and engine errors
     assert "set" in kinds and len(kinds) > 1
+
+
+def test_a_union_run_answers_where_the_pairwise_fold_refuses():
+    # the hulls of the first two terms overlap, so their union alone is
+    # refused; in one union of the run, [1/2,1] first cuts the terms 1 and
+    # 1/2 off the cluster at 0
+    terms = ("seq(limit=0, rule=harmonic(1), from=1)",
+             "seq(limit=1, rule=harmonic(1/2), from=1)", "[1/2,1]")
+    e = parse(" u ".join(terms))
+    assert _outcome(_pairwise_evaluate, e) == "overlapping_cluster_windows"
+    h = evaluate(e)
+    assert print_expr(set_to_expr(h)) == (
+        "[1/2,1] u seq(limit=0, rule=harmonic(1), from=3) u "
+        "seq(limit=1, rule=harmonic(1/2), from=1)")
+    parts = [evaluate(parse(t)) for t in terms]
+    for x in probe_points(h, *parts):
+        assert brute_member(h, x) == any(brute_member(p, x) for p in parts)
+
+
+def test_a_refused_union_run_is_reported_before_a_later_operand():
+    run = ("seq(limit=0, rule=harmonic(1), from=1) u "
+           "seq(limit=1, rule=harmonic(1/2), from=1)")
+    for text, code in ((run, "overlapping_cluster_windows"),
+                       (run + " u scale([0,1], 0)",
+                        "overlapping_cluster_windows"),
+                       ("[0,1] u {3} u scale([0,1], 0)", "zero_scale")):
+        e = parse(text)
+        assert _outcome(evaluate, e) == code
+        assert _outcome(_pairwise_evaluate, e) == code
 
 
 def test_long_union_chain_evaluates():
