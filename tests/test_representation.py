@@ -54,8 +54,8 @@ _ROOT = Path(__file__).resolve().parent.parent
 
 # sha256 of the repr of every result of _results() on _pairs(), one line
 # each, as the dataclass representation printed them
-_REPR_DIGEST = ("b650eb52b1235d721f4c8c6c42f0ca8e"
-                "51e71ca2073ef715a5c1cfe5025da6e2")
+_REPR_DIGEST = ("01ef7299c618effee4b73c3a92937188"
+                "f57ee8c343e11d5eb4efbd855d3476e8")
 
 DataclassForm = make_dataclass(
     "RealSet", [("intervals", tuple, ()), ("points", tuple, ()),
