@@ -59,7 +59,7 @@ _SKIPPED = "a drawn trial outside the judge's premise is skipped"
 
 # (file, function, first line of the range) -> why tier-1 need not run it
 GUARDS: dict[tuple[str, str, str], str] = {
-    ("analysis.py", "_bound_by_bisection.pred", "except MeanlabError:"):
+    ("analysis.py", "_bound_by_search.pred", "except MeanlabError:"):
         "a cut the engine cannot represent is judged as moving the mean",
     ("analysis.py", "core_restriction_check", "except MeanlabError:"):
         "a core outside the mean's domain does not keep the mean",

@@ -23,6 +23,8 @@ from .errors import (
 )
 from .exactset import (
     RealSet,
+    _breakpoints,
+    _probe_inside,
     from_interval,
     from_points,
     set_intersect,
@@ -48,8 +50,8 @@ Value = Union[Fraction, RootValue, Approx]
 #: equality tolerance for means that only return certified estimates
 INEXACT_TOL = Q(1, 2 ** 40)
 
-#: the generic liminf/limsup bisection stops at this bracket width
-_BISECT_WIDTH = Q(1, 2 ** 44)
+#: the generic liminf/limsup search stops at this bracket width
+_SEARCH_WIDTH = Q(1, 2 ** 44)
 
 
 def _values_equal(k: MeanRef, a: Value, b: Value) -> bool:
@@ -62,12 +64,17 @@ def _values_equal(k: MeanRef, a: Value, b: Value) -> bool:
 # liminf / limsup with respect to a mean
 
 
-def _bound_by_bisection(k: MeanRef, h: RealSet, *, upper: bool) -> Value:
+def _bound_by_search(k: MeanRef, h: RealSet, *, upper: bool) -> Value:
     """sup{x : K(H ∩ [x,∞)) = K(H)} (lower bound) or the mirrored
-    inf{x : K(H ∩ (−∞,x]) = K(H)} (upper bound), by bisection.
+    inf{x : K(H ∩ (−∞,x]) = K(H)} (upper bound), by cuts at the points of
+    the set that ``_probe_inside`` picks in the bracket (good, bad).
 
     The equality set is assumed to be a ray ending at the answer, which
-    holds for monotone means; non-monotone means get a best-effort bracket.
+    holds for monotone means; non-monotone means get a best-effort answer.
+    Once H ∩ (good, bad) is empty, every cut in (good, bad] is the cut at
+    bad, so the answer is exactly ``good``; where interval mass, a nested
+    cluster or terms within 2^-44 of a limit stay inside, the search stops
+    at width 2^-44 with an ``Approx``.
 
     The cut sets at the two ends of the bracket are kept, and a cut equal
     (``==``) to one of them, which is the same set, takes that end's
@@ -75,6 +82,7 @@ def _bound_by_bisection(k: MeanRef, h: RealSet, *, upper: bool) -> Value:
     """
     base = k.evaluate(h)
     lo, hi = h.bounds()
+    breaks = _breakpoints(h)
     ends: dict[bool, RealSet] = {}  # answer -> the cut set at that end
 
     def pred(x: Fraction) -> bool:
@@ -99,37 +107,45 @@ def _bound_by_bisection(k: MeanRef, h: RealSet, *, upper: bool) -> Value:
     first, good, bad = (lo, hi, lo) if upper else (hi, lo, hi)
     if pred(first):
         return first
-    while abs(good - bad) > _BISECT_WIDTH:
-        mid = (good + bad) / 2
-        if pred(mid):
-            good = mid
+    while True:
+        x = _probe_inside(h, breaks, min(good, bad), max(good, bad),
+                          _SEARCH_WIDTH)
+        if x is None:
+            return good
+        if abs(good - bad) <= _SEARCH_WIDTH:
+            return Approx((good + bad) / 2, abs(good - bad) / 2)
+        if pred(x):
+            good = x
         else:
-            bad = mid
-    return Approx((good + bad) / 2, abs(good - bad) / 2)
+            bad = x
 
 
 def liminf_by_mean(k: MeanRef, h: RealSet) -> Value:
     """The largest x below which the set can be cut without moving the mean:
     sup{x : K(H ∩ [x, ∞)) = K(H)}.
 
-    The mean's ``bounds`` hook answers exactly where it has one; other
-    means go through bisection on the cut predicate.
+    The mean's ``bounds`` hook answers exactly where it has one. Other
+    means search the set's breakpoints with the cut predicate: the answer
+    is an exact ``Fraction`` when the predicate flips across a gap of the
+    set, and an ``Approx`` of width 2^-44 when it flips inside interval
+    mass, a nested cluster, or within 2^-44 of a cluster limit.
     """
     if h.is_empty:
         raise DomainViolation("mean bounds need a nonempty set")
     if k.bounds is not None:
         return k.bounds(h)[0]
-    return _bound_by_bisection(k, h, upper=False)
+    return _bound_by_search(k, h, upper=False)
 
 
 def limsup_by_mean(k: MeanRef, h: RealSet) -> Value:
     """inf{x : K(H ∩ (−∞, x]) = K(H)}; from the ``bounds`` hook where the
-    mean has one (the essential supremum for the plain length average)."""
+    mean has one (the essential supremum for the plain length average),
+    else exact or a 2^-44 bracket as for ``liminf_by_mean``."""
     if h.is_empty:
         raise DomainViolation("mean bounds need a nonempty set")
     if k.bounds is not None:
         return k.bounds(h)[1]
-    return _bound_by_bisection(k, h, upper=True)
+    return _bound_by_search(k, h, upper=True)
 
 
 def core_restriction_check(k: MeanRef, h: RealSet) -> bool:

@@ -354,6 +354,51 @@ def _max_k_offset_ge(rule: Rule, start: int, t: Fraction) -> Optional[int]:
     return k - 1 if k > start else None
 
 
+def _breakpoints(h: RealSet) -> list[Fraction]:
+    """Sorted positions of h's span ends, cluster limits and cluster hull
+    ends: a cut of h changes only at one of them or inside a component."""
+    xs = {key[1] for s in h.spans for key in s}
+    for c in h.clusters:
+        xs.update((c.limit, c.inf(), c.sup()))
+    return sorted(xs)
+
+
+def _probe_inside(h: RealSet, breaks: list[Fraction], l: Fraction,
+                  r: Fraction, near: Fraction) -> Optional[Fraction]:
+    """A point strictly inside (l, r) to cut h at, or None when h ∩ (l, r)
+    is empty; ``breaks`` is ``_breakpoints(h)``.
+
+    The middle breakpoint inside; else a term of the one bare cluster whose
+    hull holds (l, r), the middle one by index, or, when (l, r) reaches the
+    limit, first the first term at most ``near`` from it; else the midpoint,
+    for interval mass, nested clusters and same-limit ladders."""
+    i, j = bisect.bisect_right(breaks, l), bisect.bisect_left(breaks, r)
+    if i < j:
+        return breaks[(i + j) // 2]
+    # no breakpoint inside: each component holds all of (l, r) or none of it
+    mid = (l + r) / 2
+    held = [c for c in h.clusters if c.inf() <= l and r <= c.sup()]
+    if _span_contains(h.spans, mid) or len(held) > 1 or (
+            held and held[0].children):
+        return mid
+    if not held:
+        return None
+    c = held[0]
+    lo, hi = sorted(abs(x - c.limit) for x in (l, r))  # offsets
+    k = _max_k_offset_ge(c.rule, c.start, hi)  # offsets below hi from k + 1
+    k_lo = c.start if k is None else k + 1
+    if lo == 0:  # (l, r) reaches the limit
+        k = _max_k_offset_ge(c.rule, c.start, near)
+        k_near = c.start if k is None else k + (rule_offset(c.rule, k) > near)
+        return c.term(max(k_near, k_lo))
+    k_hi = _max_k_offset_ge(c.rule, c.start, lo)  # offsets above lo up to it
+    if k_hi is not None and rule_offset(c.rule, k_hi) == lo:
+        k_hi -= 1
+    if k_hi is None or k_hi < k_lo:
+        return None
+    return c.term((k_lo + k_hi) // 2)
+
+
 # --------------------------------------------------------------------------
 # clusters
 

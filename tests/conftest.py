@@ -105,7 +105,8 @@ def random_points(rng: random.Random, *, count: int = 3, lo: int = -8,
     return from_points(*pts)
 
 
-def random_cluster_set(rng: random.Random, *, max_clusters: int = 2) -> RealSet:
+def random_cluster_set(rng: random.Random, *, max_clusters: int = 2,
+                       harmonic_c: Q = Q(1, 2)) -> RealSet:
     n = rng.randint(1, max_clusters)
     limits = rng.sample(range(-6, 6), n)
     clusters = []
@@ -113,7 +114,7 @@ def random_cluster_set(rng: random.Random, *, max_clusters: int = 2) -> RealSet:
         above = rng.random() < 0.7
         include = rng.random() < 0.5
         if rng.random() < 0.5:
-            clusters.append(harmonic_cluster(Q(lim), c=Q(1, 2), start=2,
+            clusters.append(harmonic_cluster(Q(lim), c=harmonic_c, start=2,
                                              above=above,
                                              include_limit=include))
         else:

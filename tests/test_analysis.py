@@ -6,8 +6,10 @@ from fractions import Fraction as Q
 
 import pytest
 
-from conftest import random_union
+from bounds_reference import bound_by_bisection, cut_holds
+from conftest import random_cluster_set, random_points, random_union
 from meanlab.analysis import (
+    _SEARCH_WIDTH,
     INEXACT_TOL,
     acc_points_by_mean,
     core_restriction_check,
@@ -55,7 +57,7 @@ from meanlab.means import (
     resolve_mean,
 )
 from meanlab.measure import lebesgue
-from meanlab.values import Approx, value_mid
+from meanlab.values import Approx, value_bounds, value_mid
 
 
 def _two_interval_set():
@@ -87,17 +89,21 @@ def test_mean_bounds_bisection_agrees_with_the_fast_path():
     assert abs(value_mid(hi) - 3) <= INEXACT_TOL
 
 
-def test_mean_bounds_evaluate_each_distinct_cut_once():
-    # amean of {0, 1, 3} is 4/3: every cut above 0 is {1, 3} or {3}, and
-    # the bisection meets each of them many times
-    h = from_points(Q(0), Q(1), Q(3))
-    evaluated = []
-
+def _counted(k: MeanRef, evaluated: list) -> MeanRef:
+    """k, recording each set it evaluates in ``evaluated``."""
     def ev(s):
         evaluated.append(s)
-        return AMEAN.evaluate(s)
+        return k.evaluate(s)
 
-    counted = MeanRef("amean", ev, AMEAN.domain_predicate, exact=True)
+    return dataclasses.replace(k, evaluate=ev)
+
+
+def test_mean_bounds_evaluate_each_distinct_cut_once():
+    # amean of {0, 1, 3} is 4/3: the search cuts at 3 and at 1, the only
+    # breakpoints between the ends, and both cuts move the mean
+    h = from_points(Q(0), Q(1), Q(3))
+    evaluated = []
+    counted = _counted(AMEAN, evaluated)
     for bound in (liminf_by_mean, limsup_by_mean):
         evaluated.clear()
         assert bound(counted, h) == bound(AMEAN, h)
@@ -105,6 +111,80 @@ def test_mean_bounds_evaluate_each_distinct_cut_once():
         assert whole == h
         assert len(cuts) >= 2
         assert len(cuts) == len(set(cuts))
+
+
+def test_mean_bounds_take_few_cuts():
+    # one cut at the far end, then a binary search over the breakpoints:
+    # about log2 of the point count
+    rng = random.Random(35)
+    h = from_points(*rng.sample(range(-1000, 1000), 64))
+    evaluated = []
+    counted = _counted(AMEAN, evaluated)
+    for bound in (liminf_by_mean, limsup_by_mean):
+        evaluated.clear()
+        assert bound(counted, h) == h.bounds()[bound is limsup_by_mean]
+        assert len(evaluated) - 1 <= 2 * 6 + 4
+    # the benchmark's harmonic sets: a cut at the first term, one at the
+    # first term within 2^-44 of the limit, then the term indices between
+    tail = Q(1, 2 ** 32) + Q(5, 4)
+    for limit_in in (False, True):
+        h = set_union(realset(clusters=[harmonic_cluster(
+            Q(0), c=Q(1, 2 ** 32), include_limit=limit_in)]),
+            from_points(tail))
+        for name in ("m_acc", "eds:3", "iso:4", "avg_fat:1/4"):
+            counted = _counted(resolve_mean(name), evaluated)
+            for bound in (liminf_by_mean, limsup_by_mean):
+                evaluated.clear()
+                bound(counted, h)
+                assert len(evaluated) - 1 <= 16, (name, limit_in)
+
+
+def _meets_reference(new, ref) -> bool:
+    """An exact bound inside the reference bracket, or a bracket at most
+    2^-44 wide that meets it."""
+    (lo, hi), (rlo, rhi) = value_bounds(new), value_bounds(ref)
+    if isinstance(new, Q):
+        return rlo <= new <= rhi
+    return hi - lo <= _SEARCH_WIDTH and lo <= rhi and rlo <= hi
+
+
+def test_mean_bounds_agree_with_the_reference_bisection():
+    # harmonic scale 2^-32, as in the benchmark's bounds sets, so that the
+    # reference's cuts near a limit stay small
+    rng = random.Random(36)
+    c = Q(1, 2 ** 32)
+    sets = ([random_points(rng) for _ in range(3)]
+            + [random_union(rng) for _ in range(3)]
+            + [random_cluster_set(rng, harmonic_c=c) for _ in range(4)]
+            + [set_union(random_cluster_set(rng, harmonic_c=c),
+                         random_points(rng, count=2)) for _ in range(6)])
+    means = [resolve_mean(m) for m in
+             ("amean", "m_acc", "eds:3", "iso:4", "avg_fat:1/4")]
+    means.append(MeanRef("avg1", avg1, AVG1.domain_predicate, exact=True))
+    checked, exact, not_rays = 0, 0, 0
+    for h in sets:
+        for k in means:
+            if not k.in_domain(h):
+                continue
+            for upper, bound in ((False, liminf_by_mean),
+                                 (True, limsup_by_mean)):
+                new, ref = bound(k, h), bound_by_bisection(k, h, upper=upper)
+                checked += 1
+                exact += isinstance(new, Q)
+                if _meets_reference(new, ref):
+                    continue
+                # the two searches may stop at different flips only when
+                # the cut predicate is no ray: it fails at some x and holds
+                # again further from where it holds first
+                xs = sorted({*value_bounds(new), *value_bounds(ref)},
+                            reverse=upper)
+                v = k.evaluate(h)
+                holds = [cut_holds(k, h, v, x, upper=upper) for x in xs]
+                assert holds != sorted(holds, reverse=True), (k.id, h, upper)
+                not_rays += 1
+    # 120 bounds, 72 of them exact; the two no-ray cases are iso:4's, whose
+    # cut at an included limit leaves that limit as an isolated point
+    assert checked >= 100 and exact >= 60 and not_rays <= 2
 
 
 def test_mean_bounds_bracket_the_mean():
@@ -150,6 +230,8 @@ def test_core_restriction_keeps_the_mean():
     h = set_union(from_points(Q(0), Q(3)), realset(
         clusters=[geometric_cluster(Q(1), c=Q(1), q=Q(1, 3))]))
     assert not core_restriction_check(M_ACC, h)
+    # amean's bounds of {0, 1} are exactly 0 and 1, so the core is the set
+    assert core_restriction_check(AMEAN, from_points(Q(0), Q(1)))
 
 
 # --------------------------------------------------------------------------
