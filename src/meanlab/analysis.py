@@ -125,10 +125,9 @@ def liminf_by_mean(k: MeanRef, h: RealSet) -> Value:
     sup{x : K(H ∩ [x, ∞)) = K(H)}.
 
     The mean's ``bounds`` hook answers exactly where it has one. Other
-    means search the set's breakpoints with the cut predicate: the answer
-    is an exact ``Fraction`` when the predicate flips across a gap of the
-    set, and an ``Approx`` of width 2^-44 when it flips inside interval
-    mass, a nested cluster, or within 2^-44 of a cluster limit.
+    means search the set's breakpoints: exact when the cut predicate flips
+    across a gap of the set, else a 2^-44 ``Approx`` (inside interval
+    mass, a nested cluster, or within 2^-44 of a cluster limit).
     """
     if h.is_empty:
         raise DomainViolation("mean bounds need a nonempty set")

@@ -366,12 +366,11 @@ def _breakpoints(h: RealSet) -> list[Fraction]:
 def _probe_inside(h: RealSet, breaks: list[Fraction], l: Fraction,
                   r: Fraction, near: Fraction) -> Optional[Fraction]:
     """A point strictly inside (l, r) to cut h at, or None when h ∩ (l, r)
-    is empty; ``breaks`` is ``_breakpoints(h)``.
-
-    The middle breakpoint inside; else a term of the one bare cluster whose
-    hull holds (l, r), the middle one by index, or, when (l, r) reaches the
-    limit, first the first term at most ``near`` from it; else the midpoint,
-    for interval mass, nested clusters and same-limit ladders."""
+    is empty (``breaks`` is ``_breakpoints(h)``): the middle breakpoint
+    inside; else a term of the one bare cluster whose hull holds (l, r),
+    the middle one by index, but first the first term at most ``near``
+    from the limit when (l, r) reaches it; else the midpoint, for interval
+    mass, nested clusters and same-limit ladders."""
     i, j = bisect.bisect_right(breaks, l), bisect.bisect_left(breaks, r)
     if i < j:
         return breaks[(i + j) // 2]
