@@ -63,7 +63,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Callable, Iterable, Optional, Union
 
 from .errors import (
@@ -678,25 +678,25 @@ def _with_include(cl: Cluster, flag: bool) -> Cluster:
     return out
 
 
-def _cluster_minus_spans(cl: Cluster, spans: list[Span]):
-    """Decompose cl minus a span union into (clusters, points). Exact.
+def _cut_parts(cl: Cluster, spans: list[Span]):
+    """cl minus a span union as (clusters, points, runs). Exact.
 
-    Raises UnrepresentableResult when the remainder would need more than
+    A run (c, k_lo, k_hi) stands for the bare terms of c, a cluster without
+    children, from index k_lo to k_hi; a child copy that meets a span is cut
+    in turn. Raises UnrepresentableResult when one cut would need more than
     MATERIALIZE_CAP explicit components.
     """
     include = cl.include_limit and not _span_contains(spans, cl.limit)
-    hull_lo, hull_hi = cl.hull
-    relevant = _span_intersect(spans, [(hull_lo, hull_hi)])
+    relevant = _span_intersect(spans, [cl.hull])
     if not relevant:
-        return [_with_include(cl, include)], []
+        return [_with_include(cl, include)], [], []
+    up = cl  # the ranges are found above the limit; a mirror keeps indices
     if not cl.above:
-        rcl = _cluster_reflect(cl)
-        rclusters, rpoints = _cluster_minus_spans(rcl, _reflect_spans(spans))
-        return [_cluster_reflect(c) for c in rclusters], [-p for p in rpoints]
+        up, relevant = _cluster_reflect(cl), _reflect_spans(relevant)
 
     covered: list[tuple[int, Optional[int]]] = []
     for u, v in relevant:
-        r = _covered_index_range(cl, u, v)
+        r = _covered_index_range(up, u, v)
         if r is not None:
             covered.append(r)
 
@@ -712,47 +712,84 @@ def _cluster_minus_spans(cl: Cluster, spans: list[Span]):
         else:
             cur = max(cur, k_hi + 1)
     tail_start = cur  # None when a span swallows the tail
+    if tail_start is not None and cl.children:
+        # push the tail start until child windows clear every span
+        safe = _envelope_below(up, relevant[0][0])
+        if safe > tail_start:
+            survivors.append((tail_start, safe - 1))
+            tail_start = safe
+    if sum(k_hi - k_lo + 1 for k_lo, k_hi in survivors) > MATERIALIZE_CAP:
+        raise UnrepresentableResult(
+            "difference needs too many explicit components")
 
-    out_clusters: list[Cluster] = []
-    out_points: list[Fraction] = []
-
+    clusters: list[Cluster] = []
+    points: list[Fraction] = []
     if tail_start is not None:
-        lowest = relevant[0][0]
-        if cl.children:
-            # push the tail start until child windows clear every span
-            safe = _envelope_below(cl, lowest)
-            if safe > tail_start:
-                survivors.append((tail_start, safe - 1))
-                tail_start = safe
-        out_clusters.append(_with_include(cluster_tail(cl, tail_start), include))
+        clusters.append(_with_include(cluster_tail(cl, tail_start), include))
     elif include:
-        out_points.append(cl.limit)
-
-    total = 0
+        points.append(cl.limit)
+    if not cl.children:
+        # a span holding a term meets the hull, so it is in relevant, and
+        # the term's index is not among the survivors
+        return clusters, points, [(cl, k_lo, k_hi) for k_lo, k_hi in survivors]
+    runs: list[tuple[Cluster, int, int]] = []
     for k_lo, k_hi in survivors:
-        total += k_hi - k_lo + 1
-        if total > MATERIALIZE_CAP:
-            raise UnrepresentableResult(
-                "difference needs too many explicit components")
-        if not cl.children:
-            # a span holding a term meets the hull, so it is in relevant,
-            # and the term's index is not among the survivors
-            out_points += _bare_terms(cl, k_lo, k_hi)
-            continue
         for k in range(k_lo, k_hi + 1):
             kind, obj = materialize_index(cl, k)
             if kind == "point":
-                out_points.append(obj)
+                points.append(obj)
+                continue
+            w = cl.window(k)
+            t = cl.term(k)
+            if not _span_overlaps(spans, _key(t - w, 0), _key(t + w, 0)):
+                clusters.append(obj)
             else:
-                w = cl.window(k)
-                t = cl.term(k)
-                if not _span_overlaps(spans, _key(t - w, 0), _key(t + w, 0)):
-                    out_clusters.append(obj)
-                else:
-                    sub_c, sub_p = _cluster_minus_spans(obj, spans)
-                    out_clusters.extend(sub_c)
-                    out_points.extend(sub_p)
-    return out_clusters, out_points
+                sub_c, sub_p, sub_r = _cut_parts(obj, spans)
+                clusters += sub_c
+                points += sub_p
+                runs += sub_r
+    return clusters, points, runs
+
+
+def _cluster_minus_spans(cl: Cluster, spans: list[Span]):
+    """Decompose cl minus a span union into (clusters, points). Exact."""
+    clusters, points, runs = _cut_parts(cl, spans)
+    for c, k_lo, k_hi in runs:
+        points += _bare_terms(c, k_lo, k_hi)
+    return clusters, points
+
+
+def balanced_sum(xs: list, plus=add):
+    """The sum of a nonempty list, added in balanced pairs of neighbours.
+
+    Exact sums do not depend on the order, but n harmonic terms added left
+    to right carry a denominator near lcm(1..n) through every one of n
+    additions; in pairs, only the last few levels see it."""
+    while len(xs) > 1:
+        xs = [plus(a, b) for a, b in zip(xs[::2], xs[1::2])] + xs[len(xs) & ~1:]
+    return xs[0]
+
+
+def _add_ratios(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """x + y for ratios held as reduced (numerator, denominator) pairs."""
+    n, d = x[0] * y[1] + y[0] * x[1], x[1] * y[1]
+    g = math.gcd(n, d)
+    return n // g, d // g
+
+
+def _run_sum(cl: Cluster, k_lo: int, k_hi: int) -> Fraction:
+    """Sum of cl.term(k) for k_lo <= k <= k_hi, a run of bare terms:
+    m·limit ± c·Σ1/k (harmonic), m·limit ± c·q^k_lo·(1 − q^m)/(1 − q)
+    (geometric), or the terms themselves added up (mapped)."""
+    rule, m = cl.rule, k_hi - k_lo + 1
+    if isinstance(rule, Harmonic):
+        off = rule.c * Q(*balanced_sum(
+            [(1, k) for k in range(k_lo, k_hi + 1)], _add_ratios))
+    elif isinstance(rule, Geometric):
+        off = rule.c * rule.q ** k_lo * (1 - rule.q ** m) / (1 - rule.q)
+    else:
+        return balanced_sum(_bare_terms(cl, k_lo, k_hi))
+    return m * cl.limit + (off if cl.above else -off)
 
 
 def _cluster_intersects_span(cl: Cluster, s: Span) -> bool:

@@ -30,6 +30,10 @@ from .errors import (
 )
 from .exactset import (
     RealSet,
+    _cut_parts,
+    _run_sum,
+    _span_diff,
+    balanced_sum,
     derived,
     derived_iter,
     from_points,
@@ -61,22 +65,13 @@ Value = Union[Fraction, RootValue, Approx]
 
 
 def amean(h: RealSet) -> Fraction:
-    """Arithmetic mean of a finite point set.
-
-    The points, sorted and distinct in normal form, are added in balanced
-    pairs of neighbours rather than left to right. The sum is the same
-    Fraction, but n harmonic head terms no longer carry a denominator near
-    lcm(1..n) through every one of n additions: only the last few levels
-    of pairs see it.
-    """
+    """Arithmetic mean of a finite point set, its points added in balanced
+    pairs of neighbours (``balanced_sum``)."""
     if h.is_empty:
         raise EmptySet("arithmetic mean of the empty set is undefined")
     if not h.is_finite():
         raise NotFinite("arithmetic mean needs a finite point set")
-    xs = list(h.points)
-    while len(xs) > 1:
-        xs = [a + b for a, b in zip(xs[::2], xs[1::2])] + xs[len(xs) & ~1:]
-    return xs[0] / len(h.points)
+    return balanced_sum(list(h.points)) / len(h.points)
 
 
 def _amean_acc_points(h: RealSet) -> RealSet:
@@ -203,6 +198,11 @@ def iso_n(h: RealSet, n: int) -> Fraction:
     representable class that is a structural condition: interval mass has no
     isolated points at all, while points and cluster terms (at any nesting
     depth) are each a limit of isolated members.
+
+    The survivors are never built as a set: the cut of each cluster leaves
+    runs of bare terms, each summed in closed form, and finitely many other
+    points. Exact sums do not depend on their order, so the value and every
+    error are those of ``amean(set_diff(h, fatten(derived(h), 1/n)))``.
     """
     if n < 1:
         raise BadParameters("the neighborhood stage must be >= 1")
@@ -215,10 +215,17 @@ def iso_n(h: RealSet, n: int) -> Fraction:
     d = derived(h)
     if d.is_empty:
         return amean(h)  # no accumulation points: nothing is excised
-    rem = set_diff(h, fatten(d, Q(1, n)))
-    if rem.is_empty:
+    ball = fatten(d, Q(1, n)).spans
+    cuts = [_cut_parts(c, ball) for c in h.clusters]
+    if any(clusters for clusters, _, _ in cuts):
+        raise NotFinite("arithmetic mean needs a finite point set")
+    points = [lo[1] for lo, _ in _span_diff(h.spans, ball)]
+    points += [p for _, c_points, _ in cuts for p in c_points]
+    runs = [r for _, _, c_runs in cuts for r in c_runs]
+    count = len(points) + sum(k_hi - k_lo + 1 for _, k_lo, k_hi in runs)
+    if not count:
         raise EmptySlice("no points survive outside the neighborhood")
-    return amean(rem)
+    return balanced_sum(points + [_run_sum(*r) for r in runs]) / count
 
 
 def m_iso(h: RealSet, schedule: LimitSchedule = DEFAULT_SCHEDULE) -> Approx:
